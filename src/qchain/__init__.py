@@ -34,12 +34,10 @@ from .core import (
     ClosedSystem,
     CommutationReport,
     ConservativeFlow,
-    QuadratureState,
     SymplecticForm,
     build_symplectic,
     check_commutation_preservation,
     drift_from_hamiltonian,
-    hamiltonian_energy,
     hamiltonian_from_drift,
 )
 from .errors import (
@@ -88,10 +86,8 @@ from .sim import (
     ConsensusReport,
     SimulationConfig,
     TimeSeries,
-    Trajectory,
     consensus_report,
     default_sample_dt,
-    propagate,
     running_average,
     simulate,
     write_timeseries_csv,
@@ -123,7 +119,6 @@ __all__ = [
     "OpenSystem",
     "PlantSpec",
     "QchainError",
-    "QuadratureState",
     "ReadoutOrientationError",
     "RealizabilityError",
     "ReducedSystem",
@@ -131,7 +126,6 @@ __all__ = [
     "SplitReport",
     "SymplecticForm",
     "TimeSeries",
-    "Trajectory",
     "UnknownPortError",
     "assemble_augmented",
     "build_chain",
@@ -151,7 +145,6 @@ __all__ = [
     "drift_from_hamiltonian",
     "exp_norm_bound",
     "gains_from_kappas",
-    "hamiltonian_energy",
     "hamiltonian_from_drift",
     "hermitian_reduce",
     "inport",
@@ -161,7 +154,6 @@ __all__ = [
     "make_plant_ndpa",
     "observer_hamiltonian",
     "outport",
-    "propagate",
     "running_average",
     "simulate",
     "steady_vector",

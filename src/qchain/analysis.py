@@ -2,9 +2,16 @@
 
 The observer chain is generated by a symmetric block-tridiagonal Hamiltonian
 whose blocks are scalar multiples of the identity (detunings) and of the
-rotation generator (couplings).  That structure embeds the ``2N x 2N`` real
-matrix into an ``N x N`` complex Hermitian tridiagonal matrix with the same
-spectrum (doubled), and the complex matrix splits into
+rotation generator (couplings).  In the amplitudes ``a_k = q_k + i p_k`` that
+structure turns the ``2N x 2N`` real matrix into the ``N x N`` Hermitian
+tridiagonal matrix ``H = D T D^H`` with the same spectrum (doubled), where
+``T = tri(omega, mu_2..mu_N)`` is a real symmetric (Jacobi) matrix and the
+phase gauge is ``D = diag(i^k)``.  One eigendecomposition ``T = V Lambda V^T``
+therefore carries the whole chain: the flow is the unitary
+``a(t) = D V exp(-2i Lambda t) V^T D^H a(0)``, and its time average, norm
+bound and certificate are closed forms in ``Lambda``.
+
+``H`` splits into
 
 * a rank-one corner holding the head gain, and
 * a remainder that is a manifest sum of squares over the links,
@@ -20,23 +27,61 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .core import ConservativeFlow, J2, SymplecticForm
-from .errors import CertificateError, ConstructionInconsistencyError
+from .core import SymplecticForm, build_symplectic, hamiltonian_from_drift
+from .errors import CertificateError
 from .observer import chain_drift, detunings_from_gains
 
 
 @dataclass(frozen=True, eq=False)
 class ObserverHamiltonian:
-    """Symmetric generator of the observer chain, with its parameters."""
+    """Symmetric generator of the observer chain, its parameters and spectrum.
+
+    ``matrix`` is the real ``2N x 2N`` Hamiltonian ``R`` with ``2 Theta R``
+    equal to the chain drift.  ``lam`` (ascending) and the orthonormal
+    columns of ``V`` diagonalize the Jacobi matrix ``T = tri(omega,
+    mu_2..mu_N)``; every eigenvalue of ``matrix`` is an entry of ``lam``,
+    doubled.
+    """
 
     matrix: np.ndarray
     mu: np.ndarray
     omega: np.ndarray
+    lam: np.ndarray
+    V: np.ndarray
 
     @property
     def n_elements(self) -> int:
         return self.mu.size
+
+    @property
+    def gauge(self) -> np.ndarray:
+        """Phases ``d_k = i^k`` (exact) with ``H = D T D^H``."""
+        return np.conj(_alternating_phase_vector(self.mu.size))
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Eigenmodes of the flow in the amplitudes: the columns of ``D V``."""
+        return self.gauge[:, None] * self.V
+
+    def spectral_matrix(self, weights) -> np.ndarray:
+        """Complex ``N x N`` matrix ``D V diag(weights) V^T D^H``."""
+        B = self.basis
+        return (B * weights) @ B.conj().T
+
+    def modes(self, x) -> np.ndarray:
+        """Split the quadratures ``x`` into eigenmodes of the flow.
+
+        Column ``k`` is the amplitude pattern that evolves as
+        ``exp(-2i lam_k t)``, so ``a(t) = modes @ exp(-2i lam t)``.
+        """
+        B = self.basis
+        return B * (B.conj().T @ (x[0::2] + 1j * x[1::2]))
+
+    def propagator(self, t: float) -> np.ndarray:
+        """Unitary chain flow ``exp(-2i H t)`` acting on the amplitudes."""
+        return self.spectral_matrix(np.exp(-2j * self.lam * float(t)))
 
 
 def observer_hamiltonian(mu, omega=None) -> ObserverHamiltonian:
@@ -44,13 +89,8 @@ def observer_hamiltonian(mu, omega=None) -> ObserverHamiltonian:
 
     ``omega=None`` applies the design detuning rule.  The head gain may be
     zero here — that boundary case is exactly where definiteness degenerates
-    and is worth probing — but interior gains must stay positive.
-
-    Raises
-    ------
-    ConstructionInconsistencyError
-        If the built matrix fails to regenerate the chain drift (cannot
-        happen unless the two constructions drift apart).
+    and is worth probing — but interior gains must stay positive.  The
+    spectrum comes from ``scipy.linalg.eigh_tridiagonal`` on the Jacobi form.
     """
     m = np.asarray(mu, dtype=float)
     if m.ndim != 1 or m.size < 1:
@@ -60,24 +100,25 @@ def observer_hamiltonian(mu, omega=None) -> ObserverHamiltonian:
     om = detunings_from_gains(m) if omega is None else np.asarray(omega, dtype=float)
     if om.shape != m.shape:
         raise ValueError("omega must match the number of elements")
+    R = hamiltonian_from_drift(chain_drift(m, om), build_symplectic(m.size))
+    lam, V = scipy.linalg.eigh_tridiagonal(om, m[1:])
+    return ObserverHamiltonian(matrix=R, mu=m, omega=om, lam=lam, V=V)
 
-    n = m.size
-    R = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        s = slice(2 * i, 2 * i + 2)
-        R[s, s] = om[i] * np.eye(2)
-        if i + 1 < n:
-            nxt = slice(2 * i + 2, 2 * i + 4)
-            R[s, nxt] = m[i + 1] * J2
-            R[nxt, s] = -m[i + 1] * J2
-    theta = np.kron(np.eye(n), J2)
-    resid = float(np.max(np.abs(2.0 * theta @ R - chain_drift(m, om))))
-    if resid > 1e-13:
-        raise ConstructionInconsistencyError(
-            f"Hamiltonian does not regenerate the chain drift (residual {resid:.3e})",
-            residual=resid,
-        )
-    return ObserverHamiltonian(matrix=R, mu=m, omega=om)
+
+def _real_embedding(M: np.ndarray) -> np.ndarray:
+    """Real matrix acting on ``(q_1, p_1, ...)`` as ``M`` acts on ``q + i p``."""
+    n = M.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[0::2, 0::2] = M.real
+    out[0::2, 1::2] = -M.imag
+    out[1::2, 0::2] = M.imag
+    out[1::2, 1::2] = M.real
+    return out
+
+
+def _check_form(ham: ObserverHamiltonian, form: SymplecticForm) -> None:
+    if form.n_modes != ham.n_elements:
+        raise ValueError("symplectic form does not match the chain length")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,15 +136,12 @@ class HermitianReduction:
 
 
 def hermitian_reduce(ham: ObserverHamiltonian) -> HermitianReduction:
-    """Collapse each 2x2 block to a complex scalar (identity -> 1, J -> -i)."""
+    """Gauge the Jacobi matrix into ``H = D T D^H`` (identity -> 1, J -> -i)."""
     m, om = ham.mu, ham.omega
     n = m.size
-    tri = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        tri[i, i] = om[i]
-        if i + 1 < n:
-            tri[i, i + 1] = -1j * m[i + 1]
-            tri[i + 1, i] = 1j * m[i + 1]
+    jacobi = np.diag(om) + np.diag(m[1:], 1) + np.diag(m[1:], -1)
+    d = ham.gauge
+    tri = d[:, None] * jacobi * d.conj()
     corner = np.zeros((n, n), dtype=complex)
     corner[0, 0] = m[0]
     return HermitianReduction(matrix=tri, corner=corner, remainder=tri - corner, mu=m)
@@ -123,7 +161,7 @@ def _sos_matrix(mu: np.ndarray) -> np.ndarray:
 
 def _alternating_phase_vector(n: int) -> np.ndarray:
     """The vector ``(1, -i, -1, i, ...)`` annihilated by every link square."""
-    return (-1j) ** np.arange(n)
+    return np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +206,12 @@ def split_report(
         )
         draw_err = max(draw_err, abs(direct - squares))
 
-    min_eig = float(np.linalg.eigvalsh(red.remainder)[0])
+    # A Hermitian tridiagonal matrix is unitarily similar to the real one with
+    # the moduli of its off-diagonal entries.
+    rem = red.remainder
+    min_eig = float(
+        scipy.linalg.eigvalsh_tridiagonal(rem.diagonal().real, np.abs(rem.diagonal(1)))[0]
+    )
     v = _alternating_phase_vector(n)
     null_resid = float(np.linalg.norm(red.remainder @ v))
     corner_energy = float(np.real(v.conj() @ red.corner @ v))
@@ -224,8 +267,7 @@ def check_hermitian_split(
 
 def check_positive_definite(ham: ObserverHamiltonian) -> tuple[bool, float, float]:
     """Extreme eigenvalues of the chain Hamiltonian and whether it is PD."""
-    evals = np.linalg.eigvalsh(ham.matrix)
-    lo, hi = float(evals[0]), float(evals[-1])
+    lo, hi = float(ham.lam[0]), float(ham.lam[-1])
     return lo > 0.0, lo, hi
 
 
@@ -260,17 +302,18 @@ def exp_norm_bound(
     ok, lo, hi = check_positive_definite(ham)
     if not ok:
         raise ValueError(f"chain Hamiltonian is not positive definite (min {lo:.3e})")
+    _check_form(ham, form)
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(ts < 0):
         raise ValueError("probe times must be non-negative")
-    flow = ConservativeFlow(ham.matrix, form)
-    norms = np.array([np.linalg.norm(flow.matrix(t), 2) for t in ts])
+    norms = np.array([np.linalg.norm(ham.propagator(t), 2) for t in ts])
     bound = float(np.sqrt(hi / lo))
 
     rng = np.random.default_rng(probe_seed)
     x0 = rng.standard_normal(form.dim)
-    states = flow.propagate(x0, ts)
-    energies = 0.5 * np.einsum("ti,ij,tj->t", states, ham.matrix, states)
+    amplitudes = np.exp(np.outer(ts, -2j * ham.lam)) @ ham.modes(x0).T
+    states = amplitudes.view(np.float64)  # (q_1, p_1, ...)
+    energies = 0.5 * np.sum((states @ ham.matrix) * states, axis=1)
     e0 = 0.5 * x0 @ ham.matrix @ x0
     drift = float(np.max(np.abs(energies - e0)) / max(abs(e0), 1e-300))
 
@@ -285,18 +328,20 @@ def time_average_integral(
 ) -> np.ndarray:
     """Exact matrix integral of the propagator over ``[0, horizon]``.
 
-    Uses the closed form ``(1/2) (exp(2 Theta R T) - I) R^{-1} Theta^{-1}``;
-    no quadrature is involved, so the result is accurate at any horizon.
+    Uses the closed form ``D V diag((1 - exp(-2i lam T)) / (2i lam)) V^T D^H``
+    in the amplitudes, returned as the real ``2N x 2N`` matrix acting on the
+    quadratures; no quadrature rule is involved, so the result is accurate at
+    any horizon.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     ok, lo, _ = check_positive_definite(ham)
     if not ok:
         raise ValueError(f"chain Hamiltonian is not positive definite (min {lo:.3e})")
-    flow = ConservativeFlow(ham.matrix, form)
-    endpoint = flow.matrix(horizon)
-    K = np.linalg.solve(ham.matrix, form.inverse())
-    return 0.5 * (endpoint - np.eye(form.dim)) @ K
+    _check_form(ham, form)
+    lam = ham.lam
+    weights = (1.0 - np.exp(-2j * lam * float(horizon))) / (2j * lam)
+    return _real_embedding(ham.spectral_matrix(weights))
 
 
 @dataclass(frozen=True)
@@ -319,7 +364,8 @@ def convergence_certificate(
     """Assemble the certificate from the extreme eigenvalues.
 
     The propagator norm is uniformly bounded by ``sqrt(l_max / l_min)``, so
-    the integral identity gives ``C = (1/2) (bound + 1) ||R^{-1} Theta^{-1}||``.
+    the integral identity gives ``C = (1/2) (bound + 1) ||R^{-1} Theta^{-1}||``,
+    and ``Theta`` is orthogonal, so ``||R^{-1} Theta^{-1}|| = 1 / l_min``.
 
     Raises
     ------
@@ -329,9 +375,11 @@ def convergence_certificate(
     ok, lo, hi = check_positive_definite(ham)
     if not ok:
         raise ValueError(f"chain Hamiltonian is not positive definite (min {lo:.3e})")
+    _check_form(ham, form)
     bound = float(np.sqrt(hi / lo))
-    K = np.linalg.solve(ham.matrix, form.inverse())
-    constant = 0.5 * (bound + 1.0) * float(np.linalg.norm(K, 2))
     return ConvergenceCertificate(
-        lambda_min=lo, lambda_max=hi, exp_bound=bound, avg_constant=constant
+        lambda_min=lo,
+        lambda_max=hi,
+        exp_bound=bound,
+        avg_constant=0.5 * (bound + 1.0) / lo,
     )

@@ -358,9 +358,8 @@ def _verify_checks(cfg, args) -> list[dict]:
         method="exact",
     )
     series = sim.simulate(augmented, probe_cfg, keep_states=True)
-    energies = 0.5 * np.einsum(
-        "ti,ij,tj->t", series.states, augmented.hamiltonian, series.states
-    )
+    states = series.states
+    energies = 0.5 * np.sum((states @ augmented.hamiltonian) * states, axis=1)
     e0 = energies[0]
     energy_drift = float(np.max(np.abs(energies - e0)) / max(1.0, abs(e0)))
     add("energy_conservation", energy_drift, 1e-9 * scale, energy_drift <= 1e-9 * scale)
@@ -477,7 +476,6 @@ def cmd_simulate(args) -> int:
         "config": normalized_config(cfg),
         "seed": cfg.seed,
         "sample_dt": sim_cfg.sample_dt,
-        "backend": sim._kernels.BACKEND,
         "csv_path": args.csv if args.csv else None,
     }
     payload.update(report.to_dict())

@@ -11,7 +11,8 @@ Symmetry of ``R`` is exactly the condition for the flow to preserve the
 canonical commutation relations, ``exp(A t) Theta exp(A^T t) = Theta``, and it
 also conserves the energy ``(1/2) x^T R x``.  This module provides the
 structure matrix, the two directions of the ``A <-> R`` map, conservation
-checks, and an exact spectral propagator for positive-definite ``R``.
+checks, and a generic exact propagator for positive-definite ``R`` that the
+tests use as an independent reference for the chain's Jacobi-form flow.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidStateError, RealizabilityError
+from .errors import RealizabilityError
 
 #: Single-mode symplectic block: rotation generator in the (q, p) plane.
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -153,30 +154,13 @@ def hamiltonian_from_drift(
 
 
 @dataclass(frozen=True, eq=False)
-class QuadratureState:
-    """A point in quadrature phase space, ordered ``(q_1, p_1, ...)``."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0 or v.size % 2 != 0:
-            raise ValueError("state vector must be 1-D with even positive length")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_modes(self) -> int:
-        return self.values.size // 2
-
-
-@dataclass(frozen=True, eq=False)
 class ClosedSystem:
     """A closed harmonic network: drift, structure matrix, and (optionally) its
     generating Hamiltonian.
 
     ``hamiltonian`` is ``None`` only for systems built from a drift with
     ``require_realizable=False``; such systems can still be probed for
-    commutation preservation but refuse energy evaluations.
+    commutation preservation.
     """
 
     n: int
@@ -285,28 +269,6 @@ def check_commutation_preservation(
     return CommutationReport(times=ts, residuals=residuals, exp_norms=norms, tol=tol)
 
 
-def hamiltonian_energy(system: ClosedSystem, state) -> float:
-    """Energy ``(1/2) x^T R x`` of a state under the system Hamiltonian.
-
-    Accepts a :class:`QuadratureState` or a plain 1-D array.
-
-    Raises
-    ------
-    InvalidStateError
-        If the system carries no Hamiltonian or the state has the wrong length.
-    """
-    if system.hamiltonian is None:
-        raise InvalidStateError(
-            "system has no stored Hamiltonian (built with require_realizable=False)"
-        )
-    x = state.values if isinstance(state, QuadratureState) else np.asarray(state, float)
-    if x.ndim != 1 or x.size != system.n:
-        raise InvalidStateError(
-            f"state has length {x.size}, system expects {system.n}"
-        )
-    return float(0.5 * x @ system.hamiltonian @ x)
-
-
 class ConservativeFlow:
     """Exact flow of ``dx/dt = 2 Theta R x`` for symmetric positive-definite R.
 
@@ -320,6 +282,11 @@ class ConservativeFlow:
     Every evaluation is therefore exactly oscillatory — no spurious growth or
     decay accumulates even over horizons of 1e4 and beyond, unlike repeated
     time stepping or a defective eigenvector basis.
+
+    No production path uses this class: the observer chain's flow comes from
+    its Jacobi spectrum (:class:`qchain.analysis.ObserverHamiltonian`), and
+    this dense route is kept as the independent reference the tests compare
+    it against.
     """
 
     def __init__(self, hamiltonian, form: SymplecticForm):

@@ -17,8 +17,7 @@ loop:
 
 Every sample is therefore exact to rounding, at any horizon.  A fixed-step
 RK4 route over the raw augmented drift is available as an independent
-diagnostic, and :func:`propagate` offers generic matrix propagation with a
-step-matrix fallback for defective drifts.
+diagnostic.
 """
 
 from __future__ import annotations
@@ -26,16 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
-from . import _kernels
 from .analysis import (
     ConvergenceCertificate,
     convergence_certificate,
     observer_hamiltonian,
     time_average_integral,
 )
-from .core import ConservativeFlow, build_symplectic
+from .core import build_symplectic
 from .errors import IntegratorAccuracyError
 from .observer import AugmentedSystem, ObserverRealization, steady_vector
 
@@ -45,7 +42,8 @@ MAX_SAMPLES = 10_000_001
 #: Relative tolerance on conservation of the plant observable.
 Z_DRIFT_TOL = 1e-9
 
-_CHUNK = 262144
+#: Phase-table entries (samples times chain elements) evaluated per chunk.
+_CHUNK_ENTRIES = 2**21
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,83 +102,6 @@ def default_sample_dt(omega, cap: float = 0.01) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Sampled states of a generic linear propagation."""
-
-    times: np.ndarray
-    states: np.ndarray
-    method: str
-    used_fallback: bool
-
-
-def _is_uniform(times: np.ndarray) -> bool:
-    if times.size < 2:
-        return True
-    d = np.diff(times)
-    return bool(np.all(np.abs(d - d[0]) <= 1e-12 * max(1.0, abs(d[0]))))
-
-
-def propagate(drift, x0, times, method: str = "exact") -> Trajectory:
-    """Propagate ``dx/dt = drift x`` from ``x0`` through the given times.
-
-    The exact route diagonalizes the drift; if the eigenvector basis is
-    ill-conditioned or reconstructs the drift poorly (defective or nearly
-    defective matrices), it falls back to stepping with a precomputed
-    matrix exponential on a uniform grid and flags ``used_fallback``.
-
-    ``method="rk4"`` runs the fixed-step kernel instead (uniform grids only).
-    """
-    A = np.asarray(drift, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("drift must be square")
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (A.shape[0],):
-        raise ValueError("x0 does not match the drift dimension")
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("times must be a non-empty 1-D array")
-    if np.any(np.diff(ts) <= 0) or ts[0] < 0:
-        raise ValueError("times must be non-negative and strictly increasing")
-
-    if method == "rk4":
-        if not _is_uniform(ts) or ts[0] != 0.0:
-            raise ValueError("rk4 propagation needs a uniform grid starting at 0")
-        dt = ts[1] - ts[0] if ts.size > 1 else 0.0
-        states = (
-            _kernels.rk4_steps(A, x, dt, ts.size - 1) if ts.size > 1 else x[None, :]
-        )
-        return Trajectory(times=ts, states=states, method="rk4", used_fallback=False)
-    if method != "exact":
-        raise ValueError(f"unknown method {method!r}")
-
-    w, V = np.linalg.eig(A)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    healthy = np.linalg.cond(V) < 1e10
-    if healthy:
-        recon = float(np.max(np.abs((V * w) @ np.linalg.inv(V) - A)))
-        healthy = recon <= 1e-9 * scale
-    if healthy:
-        c = np.linalg.solve(V, x.astype(complex))
-        states = np.empty((ts.size, A.shape[0]))
-        for start in range(0, ts.size, _CHUNK):
-            tt = ts[start : start + _CHUNK]
-            states[start : start + _CHUNK] = np.real(
-                V @ (np.exp(np.outer(w, tt)) * c[:, None])
-            ).T
-        return Trajectory(times=ts, states=states, method="exact", used_fallback=False)
-
-    # Defective drift: step with the exact one-interval exponential instead.
-    if _is_uniform(ts) and ts.size > 1:
-        dt = ts[1] - ts[0]
-        M = scipy.linalg.expm(A * dt)
-        start_state = x if ts[0] == 0.0 else scipy.linalg.expm(A * ts[0]) @ x
-        states = _kernels.step_matrix_steps(M, start_state, ts.size - 1)
-    else:
-        states = np.stack([scipy.linalg.expm(A * t) @ x for t in ts])
-    return Trajectory(times=ts, states=states, method="exact", used_fallback=True)
-
-
-@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Sampled readouts of one augmented-system run.
 
@@ -230,7 +151,7 @@ def simulate(
     """Run the augmented system and return sampled readouts.
 
     The default exact route never accumulates integration error; the ``rk4``
-    route steps the raw augmented drift with the compiled kernel.  Both routes
+    route steps the raw augmented drift with classical RK4.  Both routes
     verify that the plant observable stayed constant to within
     ``Z_DRIFT_TOL * (1 + |z(0)|)`` and raise otherwise.
 
@@ -250,8 +171,8 @@ def simulate(
     z_p0 = float(augmented.plant_readout @ x0)
 
     if config.method == "rk4":
-        states = _kernels.rk4_steps(
-            augmented.drift, x0, config.sample_dt, config.n_steps
+        states = _rk4_loop(
+            augmented.drift, x0, float(config.sample_dt), config.n_steps
         )
         z_p = states @ augmented.plant_readout
         z_o = states @ augmented.observer_readout.T
@@ -278,15 +199,37 @@ def simulate(
     )
 
 
+def _rk4_loop(A, x0, dt, n_steps):
+    """Fixed-step classical RK4 for ``dx/dt = A x``; returns all samples."""
+    n = x0.shape[0]
+    out = np.empty((n_steps + 1, n))
+    out[0, :] = x0
+    x = x0.copy()
+    for k in range(n_steps):
+        k1 = A @ x
+        k2 = A @ (x + 0.5 * dt * k1)
+        k3 = A @ (x + 0.5 * dt * k2)
+        k4 = A @ (x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1, :] = x
+    return out
+
+
 def _exact_series(augmented, config, times, keep_states):
-    """Structured exact evaluation; see the module docstring for the split."""
+    """Structured exact evaluation; see the module docstring for the split.
+
+    In the chain amplitudes ``a = q + i p`` the error is ``a(t) = M exp(-2i
+    lam t)`` with ``M = ObserverHamiltonian.modes(err0)``, and its
+    antiderivative replaces each phase by ``(1 - phase) / (2i lam)``.  A real
+    row ``r`` reads ``r . x = Re(r_c . a)`` with ``r_c = r[0::2] - i r[1::2]``,
+    so every readout and plant quadrature is projected onto the modes first
+    and each chunk evaluates one phase table for all of them.
+    """
     realization = augmented.realization
-    n_obs = realization.state_dim
+    n = realization.n_elements
     x_p0 = config.initial_plant
     z_p0 = float(augmented.plant.alpha @ x_p0)
 
-    chain_form = build_symplectic(realization.n_elements)
-    chain_ham = augmented.hamiltonian[2:, 2:]
     try:
         steady = np.linalg.solve(
             realization.drift, -realization.input_vector * z_p0
@@ -296,32 +239,44 @@ def _exact_series(augmented, config, times, keep_states):
             "chain drift is singular; the driven steady offset does not exist"
         ) from exc
     err0 = config.initial_observer - steady
-    flow = ConservativeFlow(chain_ham, chain_form)
-    # Integral of the error flow in closed form: K maps e0 to the antiderivative.
-    K_err = np.linalg.solve(chain_ham, chain_form.inverse() @ err0)
+    ham = observer_hamiltonian(realization.mu, realization.omega)
+    lam = ham.lam
+    modes = ham.modes(err0)
+
+    def project(rows):
+        return (rows[:, 0::2] - 1j * rows[:, 1::2]) @ modes
 
     plant_gain = augmented.drift[0:2, 2:]
     rate = plant_gain @ steady  # constant plant velocity at the steady offset
-    alpha = augmented.plant.alpha
-    readout = realization.readout
+    readout_w = project(realization.readout)
+    plant_w = -project(plant_gain) / (2j * lam)  # antiderivative, less its constant
+    x_p_base = x_p0 - plant_w.real.sum(axis=1)
+    # Re(w . phase) for all rows at once: the interleaved real view of the
+    # phase table times the real rows (Re w, -Im w) per mode.
+    rows = np.vstack([readout_w, plant_w])
+    weights = np.empty((2 * n, n + 2))
+    weights[0::2] = rows.real.T
+    weights[1::2] = -rows.imag.T
 
     T = times.size
     z_p = np.empty(T)
-    z_o = np.empty((T, realization.n_elements))
-    kept = np.empty((T, 2 + n_obs)) if keep_states else None
-    z_o_steady = readout @ steady
+    z_o = np.empty((T, n))
+    kept = np.empty((T, 2 + realization.state_dim)) if keep_states else None
+    z_o_steady = realization.readout @ steady
+    alpha = augmented.plant.alpha
+    chunk = max(1, _CHUNK_ENTRIES // n)
 
-    for start in range(0, T, _CHUNK):
-        tt = times[start : start + _CHUNK]
-        err = flow.propagate(err0, tt)
-        int_err = 0.5 * (flow.propagate(K_err, tt) - K_err)
-        x_p = x_p0 + rate * tt[:, None] + int_err @ plant_gain.T
+    for start in range(0, T, chunk):
+        tt = times[start : start + chunk]
         sl = slice(start, start + tt.size)
+        phases = np.exp(np.outer(tt, -2j * lam))  # (samples, n)
+        values = phases.view(np.float64) @ weights
+        x_p = x_p_base + rate * tt[:, None] + values[:, n:]
         z_p[sl] = x_p @ alpha
-        z_o[sl] = z_o_steady + err @ readout.T
+        z_o[sl] = z_o_steady + values[:, :n]
         if keep_states:
             kept[sl, 0:2] = x_p
-            kept[sl, 2:] = steady + err
+            kept[sl, 2:] = steady + (phases @ modes.T).view(np.float64)
     return z_p, z_o, kept
 
 

@@ -211,3 +211,46 @@ def test_certificate_rejects_indefinite_energy():
     ham = analysis.observer_hamiltonian([1.0, 1.0], omega=[-2.0, 1.0])
     with pytest.raises(ValueError):
         analysis.convergence_certificate(ham, build_symplectic(2))
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi spectrum
+
+
+@pytest.mark.parametrize("mu", [0.7, 1.0, 1.3])
+def test_uniform_chain_spectrum_matches_closed_form(mu):
+    for n in (1, 2, 3, 10, 50, 100):
+        ham = analysis.observer_hamiltonian(np.full(n, mu))
+        k = np.arange(1, n + 1)
+        oracle = 2.0 * mu * (1.0 - np.cos((2 * k - 1) * np.pi / (2 * n + 1)))
+        assert np.max(np.abs(ham.lam - oracle)) <= 1e-13 * mu
+
+
+def test_uniform_certificate_grows_like_n_cubed():
+    expected = {1: 1.0, 3: 12.745783150664494, 10: 318.5560118265, 100: 263924.6302142}
+    for n, value in expected.items():
+        ham = analysis.observer_hamiltonian(np.ones(n))
+        cert = analysis.convergence_certificate(ham, build_symplectic(n))
+        assert cert.avg_constant == pytest.approx(value, rel=1e-9)
+    # at N = 100, lam_min ~ pi^2 / (4 N^2) and lam_max ~ 4 give C ~ 8 N^3 / pi^3
+    assert cert.avg_constant / n**3 == pytest.approx(8.0 / np.pi**3, rel=0.03)
+
+
+def test_chain_propagator_is_unitary():
+    rng = np.random.default_rng(41)
+    for n in (1, 4, 30):
+        ham = analysis.observer_hamiltonian(
+            rng.uniform(0.3, 2.0, size=n), omega=rng.uniform(-1.0, 3.0, size=n)
+        )
+        for t in np.concatenate(([0.0], np.logspace(-2, 4, 25))):
+            U = ham.propagator(t)
+            assert abs(np.linalg.norm(U, 2) - 1.0) <= 1e-12
+            assert np.max(np.abs(U.conj().T @ U - np.eye(n))) <= 1e-12
+    # so the norm bound sqrt(l_max / l_min) >= 1 of criterion 5 is never tight
+    report = analysis.exp_norm_bound(
+        analysis.observer_hamiltonian([1.0, 1.0, 1.0]),
+        build_symplectic(3),
+        np.logspace(-2, 3, 50),
+    )
+    assert np.max(np.abs(report.norms - 1.0)) <= 1e-12
+    assert report.bound > 4.0

@@ -212,7 +212,6 @@ def test_simulate_reports_and_writes_csv(tmp_path, capsys):
     report = json.loads(out)
     assert report["passed"]
     assert report["csv_path"] == str(csv_path)
-    assert report["backend"] in ("numba", "numpy")
     assert report["sample_dt"] == 0.01
     assert report["horizons"] == [10.0, 100.0]
     assert report["slope"] < -0.5

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from qchain import core
-from qchain.errors import InvalidStateError, RealizabilityError
+from qchain.errors import RealizabilityError
 
 
 def test_symplectic_form_blocks():
@@ -119,6 +119,7 @@ def test_commutation_breaks_for_damped_drift():
     form = core.build_symplectic(1)
     damped = np.array([[-0.3, 1.0], [-1.0, -0.3]])
     sysm = core.ClosedSystem.from_drift(damped, form, require_realizable=False)
+    assert sysm.hamiltonian is None
     report = core.check_commutation_preservation(sysm, [1.0])
     assert not report.passed
     assert report.max_residual == pytest.approx(1.0 - np.exp(-0.6), abs=1e-10)
@@ -131,34 +132,6 @@ def test_commutation_probe_times_validated():
         core.check_commutation_preservation(sysm, [])
     with pytest.raises(ValueError):
         core.check_commutation_preservation(sysm, [-1.0])
-
-
-def test_energy_requires_stored_hamiltonian():
-    form = core.build_symplectic(1)
-    sysm = core.ClosedSystem.from_drift(
-        np.array([[-0.3, 1.0], [-1.0, -0.3]]), form, require_realizable=False
-    )
-    assert sysm.hamiltonian is None
-    with pytest.raises(InvalidStateError):
-        core.hamiltonian_energy(sysm, np.ones(2))
-
-
-def test_energy_value_and_state_validation():
-    form = core.build_symplectic(1)
-    sysm = core.ClosedSystem.from_hamiltonian(np.diag([2.0, 0.5]), form)
-    assert core.hamiltonian_energy(sysm, [1.0, 2.0]) == pytest.approx(2.0)
-    state = core.QuadratureState(values=np.array([1.0, 2.0]))
-    assert state.n_modes == 1
-    assert core.hamiltonian_energy(sysm, state) == pytest.approx(2.0)
-    with pytest.raises(InvalidStateError):
-        core.hamiltonian_energy(sysm, np.ones(4))
-
-
-def test_quadrature_state_shape_checks():
-    with pytest.raises(ValueError):
-        core.QuadratureState(values=np.ones(3))
-    with pytest.raises(ValueError):
-        core.QuadratureState(values=np.ones((2, 2)))
 
 
 def test_conservative_flow_matches_expm():

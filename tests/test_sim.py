@@ -1,8 +1,8 @@
 """Simulation-layer tests.
 
-The exact route is checked against independent references throughout: closed
-trig solutions, scipy's expm and trapezoid, the rk4 kernel, and the frozen
-certificate numbers of the three-element design chain.
+The exact route is checked against independent references throughout: scipy's
+expm and trapezoid, the rk4 integrator, and the frozen certificate numbers of
+the three-element design chain.
 """
 
 from dataclasses import replace
@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from qchain import observer, sim
 from qchain.errors import IntegratorAccuracyError
@@ -76,63 +77,6 @@ def test_default_sample_dt():
 
 
 # ---------------------------------------------------------------------------
-# generic propagation
-
-
-def test_propagate_exact_matches_trig_solution():
-    A = np.array([[0.0, 1.0], [-4.0, 0.0]])
-    times = np.linspace(0.0, 3.0, 301)
-    traj = sim.propagate(A, np.array([1.0, 0.0]), times)
-    assert traj.method == "exact"
-    assert not traj.used_fallback
-    assert np.max(np.abs(traj.states[:, 0] - np.cos(2.0 * times))) <= 1e-12
-    assert np.max(np.abs(traj.states[:, 1] + 2.0 * np.sin(2.0 * times))) <= 1e-12
-
-
-def test_propagate_falls_back_on_defective_drift():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])  # Jordan block: eig basis is singular
-    times = np.linspace(0.0, 10.0, 11)
-    traj = sim.propagate(A, np.array([0.0, 1.0]), times)
-    assert traj.used_fallback
-    assert np.max(np.abs(traj.states[:, 0] - times)) <= 1e-12
-    assert np.max(np.abs(traj.states[:, 1] - 1.0)) <= 1e-12
-
-
-def test_propagate_defective_nonuniform_grid():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    times = np.array([0.5, 1.0, 2.75])
-    traj = sim.propagate(A, np.array([0.0, 1.0]), times)
-    assert traj.used_fallback
-    assert np.allclose(traj.states[:, 0], times, atol=1e-12)
-
-
-def test_propagate_rk4_route():
-    A = np.array([[0.0, 1.0], [-4.0, 0.0]])
-    times = np.arange(0.0, 2.0 + 1e-12, 0.001)
-    traj = sim.propagate(A, np.array([1.0, 0.0]), times, method="rk4")
-    assert traj.method == "rk4"
-    assert np.max(np.abs(traj.states[:, 0] - np.cos(2.0 * times))) <= 1e-8
-    with pytest.raises(ValueError):
-        sim.propagate(A, np.array([1.0, 0.0]), np.array([0.0, 0.1, 0.3]), method="rk4")
-    with pytest.raises(ValueError):
-        sim.propagate(A, np.array([1.0, 0.0]), np.array([1.0, 2.0]), method="rk4")
-
-
-def test_propagate_input_validation():
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(ValueError):
-        sim.propagate(np.zeros((2, 3)), np.zeros(2), [0.0, 1.0])
-    with pytest.raises(ValueError):
-        sim.propagate(A, np.zeros(3), [0.0, 1.0])
-    with pytest.raises(ValueError):
-        sim.propagate(A, np.zeros(2), [])
-    with pytest.raises(ValueError):
-        sim.propagate(A, np.zeros(2), [0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        sim.propagate(A, np.zeros(2), [0.0, 1.0], method="heun")
-
-
-# ---------------------------------------------------------------------------
 # running averages
 
 
@@ -161,6 +105,18 @@ def test_running_average_matches_scipy_trapezoid():
 
 # ---------------------------------------------------------------------------
 # full simulation
+
+
+def test_rk4_matches_matrix_exponential():
+    rng = np.random.default_rng(2)
+    A = 0.4 * rng.standard_normal((6, 6))
+    x0 = rng.standard_normal(6)
+    dt, n_steps = 0.01, 400
+    out = sim._rk4_loop(A, x0, dt, n_steps)
+    assert out.shape == (n_steps + 1, 6)
+    assert np.array_equal(out[0], x0)
+    exact = scipy.linalg.expm(A * dt * n_steps) @ x0
+    assert np.max(np.abs(out[-1] - exact)) <= 1e-8
 
 
 def test_exact_and_rk4_routes_agree():
