@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -82,14 +83,22 @@ class ExperimentConfig:
         return len(self.kappas) // 2 + 1
 
 
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError("expected a number", path)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError("expected a finite number", path)
+    return out
+
+
 def _numbers(value, path: str, length: int | None = None) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value and length != 0:
         raise ConfigError("expected a non-empty list of numbers", path)
-    out = []
-    for k, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError("expected a number", f"{path}[{k}]")
-        out.append(float(v))
+    out = [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
     if length is not None and len(out) != length:
         raise ConfigError(f"expected exactly {length} entries", path)
     return tuple(out)
@@ -98,10 +107,10 @@ def _numbers(value, path: str, length: int | None = None) -> tuple[float, ...]:
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object and normalize it.
 
-    Only structure and types are checked here (unknown keys, wrong shapes,
-    missing sections).  Value-level constraints — positivity of gains, grid
-    limits — are deferred to construction so they surface as construction
-    errors, not schema errors.
+    Only structure, types and finiteness are checked here (unknown keys,
+    wrong shapes, missing sections, NaN or infinite numbers).  Value-level
+    constraints — positivity of gains, grid limits — are deferred to
+    construction so they surface as construction errors, not schema errors.
     """
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
@@ -134,10 +143,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if has_mu:
         mu = _numbers(chain["mu"], "chain.mu")
     else:
-        v = chain["mu_1"]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError("expected a number", "chain.mu_1")
-        mu_1 = float(v)
+        mu_1 = _number(chain["mu_1"], "chain.mu_1")
         kappas = (
             ()
             if chain["kappas"] == []
@@ -172,9 +178,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     sample_dt = raw.get("sample_dt")
     if sample_dt is not None:
-        if isinstance(sample_dt, bool) or not isinstance(sample_dt, (int, float)):
-            raise ConfigError("expected a number", "sample_dt")
-        sample_dt = float(sample_dt)
+        sample_dt = _number(sample_dt, "sample_dt")
 
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -461,15 +465,13 @@ def cmd_simulate(args) -> int:
         sim_cfg.sample_dt,
     )
     try:
-        series = sim.simulate(augmented, sim_cfg)
-        report = sim.consensus_report(
-            augmented, realization, sim_cfg, cfg.horizons, series=series
-        )
+        report = sim.consensus_report(augmented, realization, sim_cfg, cfg.horizons)
+        if args.csv:
+            series = sim.simulate(augmented, sim_cfg, stride=cfg.csv_stride)
+            sim.write_timeseries_csv(series, args.csv)
     except IntegratorAccuracyError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
-    if args.csv:
-        sim.write_timeseries_csv(series, args.csv, stride=cfg.csv_stride)
     payload = {
         "report_version": REPORT_VERSION,
         "name": cfg.name,
@@ -489,8 +491,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown sweep parameter {args.param!r}", "sweep.param")
     rows = []
     for value in args.values:
-        if not value > 0:
-            raise ConfigError("swept mu_1 values must be positive", "sweep.values")
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(
+                "swept mu_1 values must be positive and finite", "sweep.values"
+            )
         if cfg.mu is not None:
             chain = {"mu": [value] + list(cfg.mu[1:])}
         else:
@@ -502,12 +506,10 @@ def cmd_sweep(args) -> int:
         swept = parse_config(raw)
         plant, realization = realize(swept)
         augmented = observer.assemble_augmented(realization, plant)
-        ham = analysis.observer_hamiltonian(realization.mu, realization.omega)
-        form = build_symplectic(realization.n_elements)
-        cert = analysis.convergence_certificate(ham, form)
         report = sim.consensus_report(
             augmented, realization, _sim_config(swept, realization), swept.horizons
         )
+        cert = report.certificate
         rows.append(
             (
                 value,

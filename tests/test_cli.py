@@ -324,6 +324,36 @@ def test_invalid_gain_values(tmp_path, capsys):
     assert "construction error" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_rejected_with_field_path(tmp_path, capsys, literal):
+    cases = {
+        "chain.omega_override[0]": {
+            **CANONICAL,
+            "chain": {"mu": [1.0, 1.0], "omega_override": ["X", 1.0]},
+        },
+        "chain.mu_1": {**CANONICAL, "chain": {"mu_1": "X", "kappas": [4.0, 4.0]}},
+        "sample_dt": {**CANONICAL, "sample_dt": "X"},
+        "initial.plant[1]": {
+            **CANONICAL,
+            "initial": {"plant": [1.0, "X"], "observer": "zero"},
+        },
+    }
+    for field, raw in cases.items():
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(raw).replace('"X"', literal))
+        for command in ("build", "simulate"):
+            rc, _, err = _run(capsys, [command, str(path)])
+            assert rc == 2, (field, command)
+            assert f"config error: {field}: expected a finite number" in err
+    value = literal.lower().replace("infinity", "inf")
+    rc, _, err = _run(
+        capsys,
+        ["sweep", _write(tmp_path, CANONICAL), "--param", "mu_1", f"--values={value}"],
+    )
+    assert rc == 2
+    assert "config error: sweep.values" in err
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qchain", "build", _write(tmp_path, CANONICAL)],

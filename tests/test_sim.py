@@ -127,7 +127,49 @@ def test_exact_and_rk4_routes_agree():
     stepped = sim.simulate(aug, replace(cfg, method="rk4"))
     assert np.max(np.abs(exact.z_p - stepped.z_p)) <= 1e-6
     assert np.max(np.abs(exact.z_o - stepped.z_o)) <= 1e-6
-    assert np.max(np.abs(exact.running_avg_z_o - stepped.running_avg_z_o)) <= 1e-6
+    # rk4 averages are trapezoidal, so compare them with the trapezoid of the
+    # exact samples; the exact averages differ from both by the trapezoid error
+    trapezoid = sim.running_average(exact.times, exact.z_o)
+    assert np.max(np.abs(trapezoid - stepped.running_avg_z_o)) <= 1e-6
+
+
+def test_rk4_power_stepping_matches_plain_loop():
+    _, real, aug = _make_system([1.0, 1.0, 1.0])
+    rng = np.random.default_rng(5)
+    x0 = rng.standard_normal(aug.dim)
+    dt, n_steps = 0.01, 200_000
+    blocked = sim._rk4_loop(aug.drift, x0, dt, n_steps)
+    A = aug.drift
+    plain = np.empty_like(blocked)
+    plain[0] = x = x0.copy()
+    for k in range(n_steps):
+        k1 = A @ x
+        k2 = A @ (x + 0.5 * dt * k1)
+        k3 = A @ (x + 0.5 * dt * k2)
+        k4 = A @ (x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        plain[k + 1] = x
+    assert np.max(np.abs(blocked - plain)) <= 1e-9
+
+
+def test_exact_averages_match_van_loan_reference():
+    _, real, aug = _make_system([1.0, 0.8, 1.3])
+    rng = np.random.default_rng(23)
+    obs0 = rng.standard_normal(real.state_dim)
+    cfg = _config(real, 3.0, 0.01, plant_x=(1.4, -0.6), obs=obs0)
+    series = sim.simulate(aug, cfg)
+    x0 = np.concatenate([cfg.initial_plant, cfg.initial_observer])
+    d = aug.dim
+    block = np.zeros((2 * d, 2 * d))
+    block[:d, :d] = aug.drift
+    block[:d, d:] = np.eye(d)
+    z = series.z_p[0]
+    assert np.array_equal(series.running_avg_z_o[0], series.z_o[0])
+    for k in range(1, series.times.size):
+        t = series.times[k]
+        integral = scipy.linalg.expm(block * t)[:d, d:] @ x0
+        ref = aug.observer_readout @ integral / t
+        assert np.max(np.abs(series.running_avg_z_o[k] - ref)) <= 1e-9 * (1 + abs(z))
 
 
 def test_long_run_conserves_energy_and_plant_observable():
@@ -159,6 +201,31 @@ def test_integrator_accuracy_guard_trips():
     with pytest.raises(IntegratorAccuracyError) as info:
         sim.simulate(doctored, cfg)
     assert info.value.drift > 1e-3
+
+
+def test_exact_route_drift_guard_needs_no_samples(monkeypatch):
+    # one mode with lam = pi/2, so every phase is back to 1 at t = 2 and 4
+    plant = observer.PlantSpec(alpha=np.array([1.0, 0.0]))
+    real = observer.build_observer(plant, [1.0], omega_override=[np.pi / 2])
+    aug = observer.assemble_augmented(real, plant)
+    steady, _ = observer.steady_vector(real, plant, 1.0, tol=None)
+    # couple the chain into z itself, across the steady offset so that z does
+    # not ramp: it only oscillates, and is back at z(0) at both horizons
+    doctored_drift = aug.drift.copy()
+    doctored_drift[0, 2:] += 1e-3 * np.array([-steady[1], steady[0]])
+    doctored = replace(aug, drift=doctored_drift)
+    cfg = _config(real, 4.0, 0.01)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the exact route sampled the series")
+
+    monkeypatch.setattr(sim, "simulate", no_sampling)
+    monkeypatch.setattr(sim, "running_average", no_sampling)
+    z_p = sim._exact_series(doctored, cfg, np.array([0.0, 2.0, 4.0]), False)[0]
+    assert np.max(np.abs(z_p - 1.0)) <= 1e-12  # invisible at the horizons
+    with pytest.raises(IntegratorAccuracyError) as info:
+        sim.consensus_report(doctored, real, cfg, [2.0, 4.0])
+    assert info.value.drift > 1e-4
 
 
 def test_observer_length_mismatch():
@@ -204,13 +271,18 @@ def test_consensus_report_canonical():
     assert report.slope == pytest.approx(-0.9586872371909245, abs=1e-6)
 
 
-def test_consensus_report_reuses_series():
+def test_consensus_report_matches_series_averages():
     _, real, aug = _make_system([1.0, 1.0, 1.0])
-    cfg = _config(real, 1e3, 0.01)
+    cfg = _config(real, 1e3, 0.01, plant_x=(0.8, 0.5))
     series = sim.simulate(aug, cfg)
-    direct = sim.consensus_report(aug, real, cfg, [1e2, 1e3])
-    reused = sim.consensus_report(aug, real, cfg, [1e2, 1e3], series=series)
-    assert direct.to_dict() == reused.to_dict()
+    horizons = [1e2, 5e2, 1e3]
+    report = sim.consensus_report(aug, real, cfg, horizons)
+    z = series.z_p[0]
+    ks = [int(round(h / cfg.sample_dt)) for h in horizons]
+    want = np.abs(series.running_avg_z_o[ks] - z)
+    assert np.max(np.abs(report.per_element_error - want)) <= 1e-12 * (1 + abs(z))
+    assert report.trajectory_envelope.shape == want.shape
+    assert report.z_p == pytest.approx(z, abs=1e-12)
 
 
 def test_consensus_report_horizon_validation():
@@ -267,3 +339,41 @@ def test_csv_stride_keeps_final_row(tmp_path):
     assert float(lines[-1].split(",")[0]) == 10.0
     with pytest.raises(ValueError):
         sim.write_timeseries_csv(series, path, stride=0)
+
+
+def test_strided_series_rows_match_full_series(tmp_path):
+    _, real, aug = _make_system([1.0, 1.0, 1.0])
+    cfg = _config(real, 10.0, 0.01, plant_x=(0.3, 0.9))
+    full = tmp_path / "full.csv"
+    strided = tmp_path / "strided.csv"
+    sim.write_timeseries_csv(sim.simulate(aug, cfg), full)
+    sim.write_timeseries_csv(sim.simulate(aug, cfg, stride=7), strided)
+    full_rows = np.loadtxt(full, delimiter=",", skiprows=1)
+    strided_rows = np.loadtxt(strided, delimiter=",", skiprows=1)
+    keep = list(range(0, 1001, 7)) + [1000]
+    assert strided_rows.shape == (len(keep), 8)
+    assert np.max(np.abs(strided_rows - full_rows[keep])) <= 1e-12
+
+
+def test_block_writer_matches_per_value_format(tmp_path):
+    table = np.array(
+        [
+            [0.0, -0.0, 1e-300, 1e300, 3.0, -7.0],
+            [0.1, 2.0, -1e300, -1e-300, 1.0 / 3.0, 12345678901234567.0],
+            [1e-3, 5e-324, -2.5, 0.0, -0.0, 42.0],
+        ]
+    )
+    table = np.tile(table, (2000, 1))  # more rows than one block
+    series = sim.TimeSeries(
+        times=table[:, 0],
+        z_p=table[:, 1],
+        z_o=table[:, 2:4],
+        running_avg_z_o=table[:, 4:6],
+        z_p_drift=0.0,
+        method="exact",
+    )
+    path = tmp_path / "block.csv"
+    sim.write_timeseries_csv(series, path)
+    lines = ["t,z_p,z_o_1,z_o_2,avg_z_o_1,avg_z_o_2"]
+    lines += [",".join(format(float(v), ".17g") for v in row) for row in table]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
