@@ -30,7 +30,6 @@ import numpy as np
 import scipy.linalg
 
 from .core import SymplecticForm, build_symplectic, hamiltonian_from_drift
-from .errors import CertificateError
 from .observer import chain_drift, detunings_from_gains
 
 
@@ -164,6 +163,10 @@ def _alternating_phase_vector(n: int) -> np.ndarray:
     return np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
 
 
+#: Random quadratic forms compared with their sum-of-squares evaluation.
+SPLIT_DRAWS = 25
+
+
 @dataclass(frozen=True, eq=False)
 class SplitReport:
     """Residuals of the positivity-split sub-checks (all should be tiny)."""
@@ -178,13 +181,19 @@ class SplitReport:
 
 
 def split_report(
-    red: HermitianReduction, seed: int = 0, draws: int = 25
+    red: HermitianReduction, seed: int = 0
 ) -> tuple[SplitReport, list[str]]:
-    """Evaluate every positivity-split sub-check without raising.
+    """Verify the corner-plus-squares decomposition actually proves positivity.
 
-    Returns the report plus a list of human-readable failure descriptions
-    (empty when everything holds).  :func:`check_hermitian_split` is the
-    raising wrapper most callers want.
+    Checks, in order: the remainder equals the explicit sum of link squares;
+    random quadratic forms (``SPLIT_DRAWS`` of them) match the sum-of-squares
+    evaluation; the remainder has no eigenvalue below zero (up to rounding);
+    the alternating phase vector is annihilated by the remainder while the
+    corner assigns it the head gain.
+
+    Returns the report plus a list of human-readable failure descriptions,
+    empty for chains that follow the design detuning rule; a detuning
+    override is precisely what trips them.
     """
     mu = red.mu
     n = mu.size
@@ -194,7 +203,7 @@ def split_report(
 
     rng = np.random.default_rng(seed)
     draw_err = 0.0
-    for _ in range(draws):
+    for _ in range(SPLIT_DRAWS):
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a /= np.linalg.norm(a)
         direct = float(np.real(a.conj() @ red.remainder @ a))
@@ -240,29 +249,6 @@ def split_report(
         passed=not failures,
     )
     return report, failures
-
-
-def check_hermitian_split(
-    red: HermitianReduction, seed: int = 0, draws: int = 25
-) -> SplitReport:
-    """Verify the corner-plus-squares decomposition actually proves positivity.
-
-    Checks, in order: the remainder equals the explicit sum of link squares;
-    random quadratic forms match the sum-of-squares evaluation; the remainder
-    has no eigenvalue below zero (up to rounding); the alternating phase
-    vector is annihilated by the remainder while the corner assigns it the
-    head gain.
-
-    Raises
-    ------
-    CertificateError
-        If any sub-check fails — unreachable for chains following the design
-        detuning rule, and precisely what a detuning override trips.
-    """
-    report, failures = split_report(red, seed=seed, draws=draws)
-    if failures:
-        raise CertificateError("; ".join(failures))
-    return report
 
 
 def check_positive_definite(ham: ObserverHamiltonian) -> tuple[bool, float, float]:

@@ -10,9 +10,9 @@ p_m)``.  The kinematics are fixed by the block-diagonal symplectic form
 Symmetry of ``R`` is exactly the condition for the flow to preserve the
 canonical commutation relations, ``exp(A t) Theta exp(A^T t) = Theta``, and it
 also conserves the energy ``(1/2) x^T R x``.  This module provides the
-structure matrix, the two directions of the ``A <-> R`` map, conservation
-checks, and a generic exact propagator for positive-definite ``R`` that the
-tests use as an independent reference for the chain's Jacobi-form flow.
+structure matrix, the recovery of ``R`` from ``A``, the commutation check,
+and a generic exact propagator for positive-definite ``R`` that the tests use
+as an independent reference for the chain's Jacobi-form flow.
 """
 
 from __future__ import annotations
@@ -93,37 +93,6 @@ def build_symplectic(n_modes: int) -> SymplecticForm:
     return SymplecticForm(n_modes=n, matrix=_block_diag_J(n))
 
 
-def drift_from_hamiltonian(hamiltonian, form: SymplecticForm) -> np.ndarray:
-    """Drift matrix ``A = 2 * Theta * R`` generated by a symmetric Hamiltonian.
-
-    Parameters
-    ----------
-    hamiltonian:
-        Symmetric real matrix ``R`` of shape ``(form.dim, form.dim)``.
-    form:
-        Symplectic structure the drift must respect.
-
-    Raises
-    ------
-    ValueError
-        If the shape does not match the form.
-    RealizabilityError
-        If ``R`` is asymmetric beyond ``HAMILTONIAN_SYMMETRY_TOL``.
-    """
-    R = _as_square_matrix(hamiltonian, "hamiltonian")
-    if R.shape[0] != form.dim:
-        raise ValueError(
-            f"hamiltonian has dimension {R.shape[0]}, form expects {form.dim}"
-        )
-    asym = float(np.max(np.abs(R - R.T))) if R.size else 0.0
-    if asym > HAMILTONIAN_SYMMETRY_TOL:
-        raise RealizabilityError(
-            f"hamiltonian matrix is asymmetric (max |R - R^T| = {asym:.3e})",
-            asymmetry=asym,
-        )
-    return 2.0 * (form.matrix @ R)
-
-
 def hamiltonian_from_drift(
     drift, form: SymplecticForm, tol: float = REALIZABILITY_TOL
 ) -> np.ndarray:
@@ -154,70 +123,6 @@ def hamiltonian_from_drift(
 
 
 @dataclass(frozen=True, eq=False)
-class ClosedSystem:
-    """A closed harmonic network: drift, structure matrix, and (optionally) its
-    generating Hamiltonian.
-
-    ``hamiltonian`` is ``None`` only for systems built from a drift with
-    ``require_realizable=False``; such systems can still be probed for
-    commutation preservation.
-    """
-
-    n: int
-    drift: np.ndarray
-    form: SymplecticForm
-    hamiltonian: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError("state dimension n must be a positive even integer")
-        if self.form.dim != self.n:
-            raise ValueError("symplectic form dimension does not match n")
-        A = _as_square_matrix(self.drift, "drift")
-        if A.shape[0] != self.n:
-            raise ValueError("drift shape does not match n")
-        object.__setattr__(self, "drift", A)
-        if self.hamiltonian is not None:
-            R = _as_square_matrix(self.hamiltonian, "hamiltonian")
-            asym = float(np.max(np.abs(R - R.T)))
-            if asym > HAMILTONIAN_SYMMETRY_TOL:
-                raise RealizabilityError(
-                    f"stored hamiltonian is asymmetric (max |R - R^T| = {asym:.3e})",
-                    asymmetry=asym,
-                )
-            resid = float(np.max(np.abs(A - 2.0 * (self.form.matrix @ R))))
-            if resid > 1e-12:
-                raise ValueError(
-                    f"drift does not equal 2*Theta*R (max residual {resid:.3e})"
-                )
-            object.__setattr__(self, "hamiltonian", R)
-
-    @classmethod
-    def from_hamiltonian(cls, hamiltonian, form: SymplecticForm) -> "ClosedSystem":
-        """Build the closed system generated by a symmetric Hamiltonian."""
-        R = _as_square_matrix(hamiltonian, "hamiltonian")
-        A = drift_from_hamiltonian(R, form)
-        return cls(n=form.dim, drift=A, form=form, hamiltonian=R)
-
-    @classmethod
-    def from_drift(
-        cls, drift, form: SymplecticForm, require_realizable: bool = True
-    ) -> "ClosedSystem":
-        """Build a closed system from its drift matrix.
-
-        With ``require_realizable=True`` (default) the drift must come from a
-        symmetric Hamiltonian, which is then recovered and stored.  Setting it
-        to ``False`` keeps the drift as-is with ``hamiltonian=None`` so that
-        deliberately broken systems can be probed by the conservation checks.
-        """
-        A = _as_square_matrix(drift, "drift")
-        if require_realizable:
-            R = hamiltonian_from_drift(A, form)
-            return cls(n=form.dim, drift=A, form=form, hamiltonian=R)
-        return cls(n=form.dim, drift=A, form=form, hamiltonian=None)
-
-
-@dataclass(frozen=True, eq=False)
 class CommutationReport:
     """Residuals of the commutation-preservation identity at probe times."""
 
@@ -236,7 +141,7 @@ class CommutationReport:
 
 
 def check_commutation_preservation(
-    system: ClosedSystem, times, tol: float = 1e-8
+    drift, form: SymplecticForm, times, tol: float = 1e-8
 ) -> CommutationReport:
     """Evaluate ``max |exp(At) Theta exp(A^T t) - Theta|`` at each probe time.
 
@@ -246,8 +151,11 @@ def check_commutation_preservation(
 
     Parameters
     ----------
-    system:
-        The closed system to probe (its Hamiltonian, if any, is not used).
+    drift:
+        Square drift matrix ``A`` of shape ``(form.dim, form.dim)``; it need
+        not be realizable, so broken systems can be probed too.
+    form:
+        Symplectic structure the flow should preserve.
     times:
         Non-negative probe times.
     tol:
@@ -258,11 +166,14 @@ def check_commutation_preservation(
         raise ValueError("at least one probe time is required")
     if np.any(ts < 0):
         raise ValueError("probe times must be non-negative")
-    Th = system.form.matrix
+    A = _as_square_matrix(drift, "drift")
+    if A.shape[0] != form.dim:
+        raise ValueError(f"drift has dimension {A.shape[0]}, form expects {form.dim}")
+    Th = form.matrix
     residuals = np.empty(ts.size)
     norms = np.empty(ts.size)
     for k, t in enumerate(ts):
-        E = scipy.linalg.expm(system.drift * t)
+        E = scipy.linalg.expm(A * t)
         norms[k] = np.linalg.norm(E, 2)
         raw = float(np.max(np.abs(E @ Th @ E.T - Th)))
         residuals[k] = raw / max(1.0, norms[k] ** 2)

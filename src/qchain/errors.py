@@ -26,10 +26,6 @@ class RealizabilityError(QchainError, ValueError):
         self.asymmetry = asymmetry
 
 
-class InvalidStateError(QchainError, ValueError):
-    """An operation needs data the object does not carry (e.g. no Hamiltonian)."""
-
-
 class UnknownPortError(QchainError, ValueError):
     """An interconnection references a field port no subsystem exposes."""
 
@@ -52,10 +48,6 @@ class ConstructionInconsistencyError(QchainError, ValueError):
 
 class ReadoutOrientationError(QchainError, ValueError):
     """A consensus readout row does not reproduce the plant observable with unit gain."""
-
-
-class CertificateError(QchainError):
-    """A positivity-certificate sub-check failed (unreachable for valid chains)."""
 
 
 class IntegratorAccuracyError(QchainError):

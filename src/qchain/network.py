@@ -16,7 +16,7 @@ matrix is empty — the interconnection cancels all damping terms exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class FieldPort:
     element: int
     label: str
     direction: str
-
-    width: int = field(default=PORT_WIDTH, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.element < 1:

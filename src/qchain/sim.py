@@ -40,6 +40,12 @@ from .observer import AugmentedSystem, ObserverRealization, steady_vector
 #: Hard cap on the number of stored samples in one simulation.
 MAX_SAMPLES = 10_000_001
 
+#: Largest float64 sample storage, in bytes, that one simulation may hold.
+MAX_SERIES_BYTES = 2 * 2**30
+
+#: Largest default sample step.
+DEFAULT_DT_CAP = 0.01
+
 #: Relative tolerance on conservation of the plant observable.
 Z_DRIFT_TOL = 1e-9
 
@@ -100,13 +106,13 @@ class SimulationConfig:
         return np.arange(self.n_steps + 1) * self.sample_dt
 
 
-def default_sample_dt(omega, cap: float = 0.01) -> float:
-    """A sample step resolving the fastest detuning, capped at ``cap``."""
+def default_sample_dt(omega) -> float:
+    """A sample step resolving the fastest detuning, capped at ``DEFAULT_DT_CAP``."""
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     fastest = float(np.max(np.abs(om))) if om.size else 0.0
     if fastest <= 0.0:
-        return cap
-    return min(cap, 0.1 / fastest)
+        return DEFAULT_DT_CAP
+    return min(DEFAULT_DT_CAP, 0.1 / fastest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +198,10 @@ def simulate(
 
     Raises
     ------
+    ValueError
+        If the samples the route holds (times, readouts and averages, plus
+        the full state for ``keep_states`` or ``rk4``) would exceed
+        ``MAX_SERIES_BYTES``; the rk4 route holds its full step grid.
     IntegratorAccuracyError
         If the conserved plant observable drifted beyond tolerance.
     """
@@ -202,11 +212,21 @@ def simulate(
             f"chain needs {realization.state_dim}"
         )
     idx = _sample_indices(config.n_steps + 1, stride)
+    n = realization.n_elements
+    rk4 = config.method == "rk4"
+    rows = config.n_steps + 1 if rk4 else idx.size
+    columns = 2 + 2 * n + (2 + 2 * n if keep_states or rk4 else 0)
+    if 8 * rows * columns > MAX_SERIES_BYTES:
+        raise ValueError(
+            f"{rows} samples of a chain with N = {n} would hold "
+            f"{8 * rows * columns} bytes, over the limit of {MAX_SERIES_BYTES}; "
+            "increase sample_dt or csv_stride, or shorten the horizons"
+        )
     times = idx * config.sample_dt
     x0 = np.concatenate([config.initial_plant, config.initial_observer])
     z_p0 = float(augmented.plant_readout @ x0)
 
-    if config.method == "rk4":
+    if rk4:
         states = _rk4_loop(
             augmented.drift, x0, float(config.sample_dt), config.n_steps
         )
@@ -358,7 +378,8 @@ class ConsensusReport:
     norm (plus a rounding floor) to bound the per-element errors.
     ``matrix_residual`` is the exact norm of the averaged readout-deviation
     operator, bounded by ``C/T`` times the readout norm, and ``slope`` the
-    fitted log-log decay rate of that residual.
+    fitted log-log decay rate of that residual (NaN, and ``null`` in
+    :meth:`to_dict`, when there is nothing to fit).
     """
 
     horizons: np.ndarray
@@ -382,7 +403,7 @@ class ConsensusReport:
             "trajectory_envelope": self.trajectory_envelope.tolist(),
             "matrix_residual": self.matrix_residual.tolist(),
             "certificate_envelope": self.certificate_envelope.tolist(),
-            "slope": self.slope,
+            "slope": self.slope if np.isfinite(self.slope) else None,
             "certificate": {
                 "lambda_min": self.certificate.lambda_min,
                 "lambda_max": self.certificate.lambda_max,
@@ -481,15 +502,14 @@ def consensus_report(
     )
 
 
-def write_timeseries_csv(series: TimeSeries, path, stride: int = 1) -> None:
-    """Write the sampled readouts as CSV.
+def write_timeseries_csv(series: TimeSeries, path) -> None:
+    """Write every sample of the series as CSV.
 
-    Columns: ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.  With a stride,
-    every ``stride``-th sample is written and the final sample is always
-    included.  Values are formatted with 17 significant digits so the file
-    round-trips exactly; rows are formatted a block at a time.
+    Columns: ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.  Thin the rows
+    with ``simulate(..., stride=k)``.  Values are formatted with 17
+    significant digits so the file round-trips exactly; rows are formatted a
+    block at a time.
     """
-    idx = _sample_indices(series.times.size, stride)
     n = series.n_elements
     header = (
         ["t", "z_p"]
@@ -500,7 +520,7 @@ def write_timeseries_csv(series: TimeSeries, path, stride: int = 1) -> None:
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, idx.size, _CSV_BLOCK_ROWS):
-            rows = idx[start : start + _CSV_BLOCK_ROWS]
+        for start in range(0, series.times.size, _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
             block = np.column_stack([c[rows] for c in columns])
-            f.write((row_fmt * rows.size) % tuple(block.ravel().tolist()))
+            f.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))

@@ -5,6 +5,8 @@ goes through a real subprocess to cover the console entry point.
 """
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -35,6 +37,15 @@ def _run(capsys, argv):
     rc = cli.main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _strict_json(text):
+    """Parse JSON, refusing the non-standard NaN and Infinity constants."""
+
+    def refuse(name):
+        raise ValueError(f"report holds the non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +194,28 @@ def test_verify_flags_detuned_chain(tmp_path, capsys):
     assert failing == {"hermitian_split", "steady_configuration"}
 
 
+def test_verify_indefinite_chain_writes_valid_json(tmp_path, capsys):
+    indefinite = {
+        **CANONICAL,
+        "chain": {"mu": [1.0, 1.0], "omega_override": [0.5, 1.0]},
+    }
+    rc, out, _ = _run(capsys, ["verify", _write(tmp_path, indefinite)])
+    assert rc == 1
+    report = _strict_json(out)
+    failing = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failing == {
+        "positive_definite",
+        "hermitian_split",
+        "exp_norm_bound",
+        "steady_configuration",
+    }
+    bound = next(c for c in report["checks"] if c["name"] == "exp_norm_bound")
+    assert bound["residual"] is None
+    assert not bound["skipped"]
+    with pytest.raises(ValueError):
+        cli._dump_json({"residual": float("inf")}, None)
+
+
 def test_verify_single_element_skips_network_check(tmp_path, capsys):
     single = {
         **CANONICAL,
@@ -217,6 +250,26 @@ def test_simulate_reports_and_writes_csv(tmp_path, capsys):
     assert report["slope"] < -0.5
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,z_p,z_o_1,z_o_2,z_o_3,avg_z_o_1,avg_z_o_2,avg_z_o_3"
+
+
+def test_simulate_single_horizon_writes_null_slope(tmp_path, capsys):
+    rc, out, _ = _run(
+        capsys, ["simulate", _write(tmp_path, {**CANONICAL, "horizons": [100.0]})]
+    )
+    assert rc == 0
+    report = _strict_json(out)
+    assert report["passed"]
+    assert report["slope"] is None
+
+
+def test_simulate_over_memory_budget_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.sim, "MAX_SERIES_BYTES", 2**19)
+    csv_path = tmp_path / "series.csv"
+    argv = ["simulate", _write(tmp_path, CANONICAL), "--csv", str(csv_path)]
+    rc, _, err = _run(capsys, argv)
+    assert rc == 3
+    assert "10001 samples of a chain with N = 3" in err
+    assert not csv_path.exists()
 
 
 def test_simulate_steady_start_has_tiny_errors(tmp_path, capsys):
@@ -355,10 +408,14 @@ def test_non_finite_numbers_rejected_with_field_path(tmp_path, capsys, literal):
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the same qchain as this process, installed or not
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qchain", "build", _write(tmp_path, CANONICAL)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "canonical_n3"

@@ -36,28 +36,6 @@ def test_symplectic_form_rejects_foreign_matrix():
         core.SymplecticForm(n_modes=2, matrix=np.eye(4))
 
 
-def test_drift_from_hamiltonian_literal():
-    # single mode: A = 2 J R with R = [[2, 1], [1, 3]]
-    form = core.build_symplectic(1)
-    A = core.drift_from_hamiltonian([[2.0, 1.0], [1.0, 3.0]], form)
-    assert np.array_equal(A, np.array([[2.0, 6.0], [-4.0, -2.0]]))
-
-
-def test_drift_rejects_asymmetric_hamiltonian():
-    form = core.build_symplectic(1)
-    R = np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]])
-    with pytest.raises(RealizabilityError) as info:
-        core.drift_from_hamiltonian(R, form)
-    assert info.value.asymmetry == pytest.approx(1e-9, rel=1e-6)
-
-
-def test_drift_shape_mismatch():
-    with pytest.raises(ValueError):
-        core.drift_from_hamiltonian(np.eye(4), core.build_symplectic(1))
-    with pytest.raises(ValueError):
-        core.drift_from_hamiltonian(np.ones(4), core.build_symplectic(2))
-
-
 def test_hamiltonian_round_trip_is_exact():
     """A -> R -> A involves only 0/+-1 shuffles, so it must be bit-exact."""
     rng = np.random.default_rng(11)
@@ -65,7 +43,7 @@ def test_hamiltonian_round_trip_is_exact():
         form = core.build_symplectic(modes)
         R = rng.standard_normal((form.dim, form.dim))
         R = R + R.T
-        A = core.drift_from_hamiltonian(R, form)
+        A = 2.0 * (form.matrix @ R)
         assert np.array_equal(core.hamiltonian_from_drift(A, form), R)
 
 
@@ -76,39 +54,13 @@ def test_hamiltonian_from_drift_rejects_unrealizable():
     assert info.value.asymmetry == pytest.approx(1.0)
 
 
-def test_closed_system_constructors():
-    form = core.build_symplectic(2)
-    rng = np.random.default_rng(3)
-    R = rng.standard_normal((4, 4))
-    R = R + R.T
-    sysm = core.ClosedSystem.from_hamiltonian(R, form)
-    assert sysm.n == 4
-    assert np.array_equal(sysm.drift, 2.0 * form.matrix @ R)
-    again = core.ClosedSystem.from_drift(sysm.drift, form)
-    assert np.array_equal(again.hamiltonian, R)
-
-
-def test_closed_system_requires_matching_pieces():
-    with pytest.raises(ValueError):
-        core.ClosedSystem(n=4, drift=np.zeros((4, 4)), form=core.build_symplectic(3))
-    with pytest.raises(ValueError):
-        core.ClosedSystem(n=3, drift=np.zeros((3, 3)), form=core.build_symplectic(1))
-    with pytest.raises(ValueError):
-        core.ClosedSystem(
-            n=2,
-            drift=np.eye(2),
-            form=core.build_symplectic(1),
-            hamiltonian=np.eye(2),
-        )
-
-
 def test_commutation_preserved_for_realizable_drift():
     rng = np.random.default_rng(5)
     form = core.build_symplectic(3)
     R = rng.standard_normal((6, 6))
     R = 0.5 * (R + R.T)
-    sysm = core.ClosedSystem.from_hamiltonian(R, form)
-    report = core.check_commutation_preservation(sysm, [0.0, 0.3, 1.7, 12.0])
+    A = 2.0 * (form.matrix @ R)
+    report = core.check_commutation_preservation(A, form, [0.0, 0.3, 1.7, 12.0])
     assert report.passed
     assert report.max_residual <= 1e-10
     assert report.times.shape == report.residuals.shape == report.exp_norms.shape
@@ -118,20 +70,22 @@ def test_commutation_breaks_for_damped_drift():
     # uniform damping contracts phase space: E Theta E^T = exp(-0.6 t) Theta
     form = core.build_symplectic(1)
     damped = np.array([[-0.3, 1.0], [-1.0, -0.3]])
-    sysm = core.ClosedSystem.from_drift(damped, form, require_realizable=False)
-    assert sysm.hamiltonian is None
-    report = core.check_commutation_preservation(sysm, [1.0])
+    with pytest.raises(RealizabilityError):
+        core.hamiltonian_from_drift(damped, form)
+    report = core.check_commutation_preservation(damped, form, [1.0])
     assert not report.passed
     assert report.max_residual == pytest.approx(1.0 - np.exp(-0.6), abs=1e-10)
 
 
 def test_commutation_probe_times_validated():
     form = core.build_symplectic(1)
-    sysm = core.ClosedSystem.from_hamiltonian(np.eye(2), form)
+    A = 2.0 * form.matrix
     with pytest.raises(ValueError):
-        core.check_commutation_preservation(sysm, [])
+        core.check_commutation_preservation(A, form, [])
     with pytest.raises(ValueError):
-        core.check_commutation_preservation(sysm, [-1.0])
+        core.check_commutation_preservation(A, form, [-1.0])
+    with pytest.raises(ValueError):
+        core.check_commutation_preservation(np.eye(4), form, [1.0])
 
 
 def test_conservative_flow_matches_expm():

@@ -11,7 +11,6 @@ ALPHA = np.array([1.0, 0.0])
 def test_port_names_and_validation():
     p = network.inport(2, "b")
     assert p.name == "w2b"
-    assert p.width == 2
     assert network.outport(1, "a").name == "y1a"
     with pytest.raises(ValueError):
         network.FieldPort(element=0, label="a", direction="in")

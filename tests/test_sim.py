@@ -73,7 +73,6 @@ def test_default_sample_dt():
     assert sim.default_sample_dt([2.0, 1.0, 0.5]) == 0.01
     assert sim.default_sample_dt([200.0]) == pytest.approx(5e-4)
     assert sim.default_sample_dt([]) == 0.01
-    assert sim.default_sample_dt([2.0], cap=1.0) == pytest.approx(0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +329,27 @@ def test_csv_layout_and_round_trip(tmp_path):
 def test_csv_stride_keeps_final_row(tmp_path):
     _, real, aug = _make_system([1.0, 1.0])
     cfg = _config(real, 10.0, 0.1)
-    series = sim.simulate(aug, cfg)
     path = tmp_path / "strided.csv"
-    sim.write_timeseries_csv(series, path, stride=40)
+    sim.write_timeseries_csv(sim.simulate(aug, cfg, stride=40), path)
     lines = path.read_text().splitlines()
     # header + samples 0, 40, 80 + forced final sample 100
     assert len(lines) == 5
     assert float(lines[-1].split(",")[0]) == 10.0
     with pytest.raises(ValueError):
-        sim.write_timeseries_csv(series, path, stride=0)
+        sim.simulate(aug, cfg, stride=0)
+
+
+def test_memory_budget_refuses_before_allocating(monkeypatch):
+    _, real, aug = _make_system([1.0, 1.0, 1.0])
+    cfg = _config(real, 100.0, 0.01)
+    # 10001 rows; 8 columns of readouts, averages and times, 16 with states
+    monkeypatch.setattr(sim, "MAX_SERIES_BYTES", 8 * 10001 * 8)
+    assert sim.simulate(aug, cfg).times.size == 10001
+    with pytest.raises(ValueError, match="10001 samples of a chain with N = 3"):
+        sim.simulate(aug, cfg, keep_states=True)
+    with pytest.raises(ValueError, match="over the limit of 640064"):
+        sim.simulate(aug, replace(cfg, method="rk4"), stride=100)
+    assert sim.simulate(aug, cfg, keep_states=True, stride=4).times.size == 2501
 
 
 def test_strided_series_rows_match_full_series(tmp_path):
