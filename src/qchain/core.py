@@ -10,9 +10,11 @@ p_m)``.  The kinematics are fixed by the block-diagonal symplectic form
 Symmetry of ``R`` is exactly the condition for the flow to preserve the
 canonical commutation relations, ``exp(A t) Theta exp(A^T t) = Theta``, and it
 also conserves the energy ``(1/2) x^T R x``.  This module provides the
-structure matrix, the recovery of ``R`` from ``A``, the commutation check,
-and a generic exact propagator for positive-definite ``R`` that the tests use
-as an independent reference for the chain's Jacobi-form flow.
+structure matrix, the recovery of ``R`` from ``A``, the commutation check on
+any propagator ``t -> E(t)`` (``qchain verify`` hands it the closed-form flow
+of :func:`qchain.sim.flow_matrix`), and a generic exact propagator for
+positive-definite ``R`` that the tests use as an independent reference for
+the chain's Jacobi-form flow.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RealizabilityError
 
@@ -141,19 +142,20 @@ class CommutationReport:
 
 
 def check_commutation_preservation(
-    drift, form: SymplecticForm, times, tol: float = 1e-8
+    flow, form: SymplecticForm, times, tol: float = 1e-8
 ) -> CommutationReport:
-    """Evaluate ``max |exp(At) Theta exp(A^T t) - Theta|`` at each probe time.
+    """Evaluate ``max |E(t) Theta E(t)^T - Theta|`` at each probe time.
 
-    The residual is scaled by ``max(1, ||exp(At)||_2^2)`` so that long-horizon
+    The residual is scaled by ``max(1, ||E(t)||_2^2)`` so that long-horizon
     probes of systems with large transients are judged relative to the size of
     the propagator actually involved.
 
     Parameters
     ----------
-    drift:
-        Square drift matrix ``A`` of shape ``(form.dim, form.dim)``; it need
-        not be realizable, so broken systems can be probed too.
+    flow:
+        Callable returning the real propagator ``E(t)`` of shape
+        ``(form.dim, form.dim)``; it need not come from a realizable drift,
+        so broken systems can be probed too.
     form:
         Symplectic structure the flow should preserve.
     times:
@@ -166,14 +168,15 @@ def check_commutation_preservation(
         raise ValueError("at least one probe time is required")
     if np.any(ts < 0):
         raise ValueError("probe times must be non-negative")
-    A = _as_square_matrix(drift, "drift")
-    if A.shape[0] != form.dim:
-        raise ValueError(f"drift has dimension {A.shape[0]}, form expects {form.dim}")
     Th = form.matrix
     residuals = np.empty(ts.size)
     norms = np.empty(ts.size)
     for k, t in enumerate(ts):
-        E = scipy.linalg.expm(A * t)
+        E = _as_square_matrix(flow(t), "propagator")
+        if E.shape[0] != form.dim:
+            raise ValueError(
+                f"propagator has dimension {E.shape[0]}, form expects {form.dim}"
+            )
         norms[k] = np.linalg.norm(E, 2)
         raw = float(np.max(np.abs(E @ Th @ E.T - Th)))
         residuals[k] = raw / max(1.0, norms[k] ** 2)

@@ -16,9 +16,12 @@ loop:
   closed form.
 
 Every sample, and every running time average, is therefore exact to
-rounding at any horizon, and only the times a caller reads are evaluated.  A
-fixed-step RK4 route over the raw augmented drift, with trapezoidal running
-averages, is available as an independent diagnostic.
+rounding at any horizon, and only the times a caller reads are evaluated.
+The same split gives the whole propagator in closed form
+(:func:`flow_matrix`), which ``qchain verify`` checks for commutation
+preservation.  A fixed-step RK4 route over the raw augmented drift, with
+trapezoidal running averages, is available as an independent diagnostic; it
+steps in blocks and keeps only the rows a caller reads.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .analysis import (
     ConvergenceCertificate,
     convergence_certificate,
     observer_hamiltonian,
+    real_embedding,
     time_average_integral,
 )
 from .core import build_symplectic
@@ -58,6 +62,9 @@ _CSV_BLOCK_ROWS = 4096
 
 #: Steps per block of RK4 power stepping.
 _RK4_BLOCK = 256
+
+#: Values (samples times yielded rows) per group of RK4 blocks: 64 KB.
+_RK4_GROUP_ENTRIES = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +206,8 @@ def simulate(
     Raises
     ------
     ValueError
-        If the samples the route holds (times, readouts and averages, plus
-        the full state for ``keep_states`` or ``rk4``) would exceed
-        ``MAX_SERIES_BYTES``; the rk4 route holds its full step grid.
+        If the samples kept (times, readouts and averages, plus the full
+        state for ``keep_states``) would exceed ``MAX_SERIES_BYTES``.
     IntegratorAccuracyError
         If the conserved plant observable drifted beyond tolerance.
     """
@@ -213,9 +219,8 @@ def simulate(
         )
     idx = _sample_indices(config.n_steps + 1, stride)
     n = realization.n_elements
-    rk4 = config.method == "rk4"
-    rows = config.n_steps + 1 if rk4 else idx.size
-    columns = 2 + 2 * n + (2 + 2 * n if keep_states or rk4 else 0)
+    rows = idx.size
+    columns = 2 + 2 * n + (2 + 2 * n if keep_states else 0)
     if 8 * rows * columns > MAX_SERIES_BYTES:
         raise ValueError(
             f"{rows} samples of a chain with N = {n} would hold "
@@ -223,25 +228,13 @@ def simulate(
             "increase sample_dt or csv_stride, or shorten the horizons"
         )
     times = idx * config.sample_dt
-    x0 = np.concatenate([config.initial_plant, config.initial_observer])
-    z_p0 = float(augmented.plant_readout @ x0)
-
-    if rk4:
-        states = _rk4_loop(
-            augmented.drift, x0, float(config.sample_dt), config.n_steps
-        )
-        z_p = states @ augmented.plant_readout
-        z_o = states @ augmented.observer_readout.T
-        drift = float(np.max(np.abs(z_p - z_p0)))
-        _check_drift(drift, z_p0)
-        avg = running_average(config.times(), z_o)[idx]
-        z_p, z_o = z_p[idx], z_o[idx]
-        kept = states[idx] if keep_states else None
+    if config.method == "rk4":
+        z_p, z_o, avg, kept, drift = _rk4_series(augmented, config, idx, keep_states)
     else:
         z_p, z_o, avg, kept, drift = _exact_series(
             augmented, config, times, keep_states
         )
-        _check_drift(drift, z_p0)
+    _check_drift(drift, float(augmented.plant.alpha @ config.initial_plant))
     return TimeSeries(
         times=times,
         z_p=z_p,
@@ -253,13 +246,69 @@ def simulate(
     )
 
 
-def _rk4_loop(A, x0, dt, n_steps):
-    """Fixed-step classical RK4 for ``dx/dt = A x``; returns all samples.
+def states_at(augmented: AugmentedSystem, config: SimulationConfig, times, ham=None):
+    """Full augmented states at any ``times`` on the exact route.
+
+    ``ham`` is the chain's :class:`~qchain.analysis.ObserverHamiltonian`,
+    built here when not given.  Returns an array of shape ``(len(times),
+    augmented.dim)``.
+
+    Raises
+    ------
+    IntegratorAccuracyError
+        If the conserved plant observable drifted beyond tolerance.
+    """
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    *_, states, drift = _exact_series(augmented, config, ts, True, ham)
+    _check_drift(drift, float(augmented.plant.alpha @ config.initial_plant))
+    return states
+
+
+def flow_matrix(augmented: AugmentedSystem, t: float, ham=None) -> np.ndarray:
+    """Closed-form propagator ``exp(A t)`` of the augmented drift ``A``.
+
+    The split of :func:`_exact_series`, applied to every initial state at
+    once.  With ``P(t)`` the chain flow, ``I(t)`` its integral over ``[0,
+    t]`` (both real embeddings of the Jacobi-spectrum forms), ``G`` the
+    plant's gain on the chain and ``s`` the steady offset per unit ``z``::
+
+        E(t) = [[I_2 + G (s t - I s) alpha^T,  G I],
+                [(s - P s) alpha^T,             P  ]]
+
+    It needs a nonsingular chain (``lam != 0``), not a positive definite
+    one.  ``ham`` is built here when not given.
+
+    Raises
+    ------
+    ValueError
+        If the chain drift is singular.
+    """
+    realization = augmented.realization
+    if ham is None:
+        ham = observer_hamiltonian(realization.mu, realization.omega)
+    s = _steady_offset(realization, 1.0)
+    P = real_embedding(ham.propagator(t))
+    integral = real_embedding(ham.integral(t))
+    G = augmented.drift[0:2, 2:]
+    alpha = augmented.plant.alpha
+    E = np.empty((augmented.dim, augmented.dim))
+    E[0:2, 0:2] = np.eye(2) + np.outer(G @ (s * float(t) - integral @ s), alpha)
+    E[0:2, 2:] = G @ integral
+    E[2:, 0:2] = np.outer(s - P @ s, alpha)
+    E[2:, 2:] = P
+    return E
+
+
+def _rk4_blocks(A, x0, dt, n_steps, rows):
+    """Fixed-step classical RK4 for ``dx/dt = A x``, yielding ``rows @ x``.
 
     On a linear drift one RK4 step is exactly ``x -> M x`` with ``M`` the
-    degree-4 Taylor polynomial of ``exp(A dt)``.  The powers ``M^0..M^{B-1}``
-    are stacked once, so each block of ``B`` samples is one product with the
-    block's first state, which then advances by ``M^B``.
+    degree-4 Taylor polynomial of ``exp(A dt)``.  The products
+    ``rows M^0 .. rows M^{B-1}`` are stacked once, so each block of ``B``
+    samples is one product with the block's first state, which then
+    advances by ``M^B``; the blocks of a group share one product.  Yields
+    ``rows @ x`` for the ``n_steps + 1`` samples, as consecutive groups of
+    at most ``_RK4_GROUP_ENTRIES`` values.
     """
     n = x0.shape[0]
     eye = np.eye(n)
@@ -271,32 +320,106 @@ def _rk4_loop(A, x0, dt, n_steps):
     for b in range(1, B):
         pows[b] = M @ pows[b - 1]
     step_block = M @ pows[B - 1]
-    stacked = pows.reshape(B * n, n)
-    out = np.empty((n_steps + 1, n))
+    pows = rows @ pows
+    m = pows.shape[1]
+    stacked = pows.reshape(B * m, n)
+    per_group = B * max(1, _RK4_GROUP_ENTRIES // (B * m))
     x = np.array(x0, dtype=float)
-    for start in range(0, n_steps + 1, B):
-        k = min(B, n_steps + 1 - start)
-        out[start : start + k] = (stacked[: k * n] @ x).reshape(k, n)
-        x = step_block @ x
-    return out
+    for start in range(0, n_steps + 1, per_group):
+        k = min(per_group, n_steps + 1 - start)
+        firsts = np.empty((n, -(-k // B)))  # the state at each block's start
+        for j in range(firsts.shape[1]):
+            firsts[:, j] = x
+            x = step_block @ x
+        out = (stacked @ firsts).reshape(B, m, -1).transpose(2, 0, 1)
+        yield out.reshape(-1, m)[:k]
 
 
-def _exact_series(augmented, config, times, keep_states):
+def _rk4_series(augmented, config, idx, keep_states):
+    """RK4 over the full ``sample_dt`` grid, keeping only the rows ``idx``.
+
+    Each group of steps extends the trapezoid sums of the running averages
+    and the z drift, so memory is one group plus the kept rows whatever the
+    grid length, and the sums are :func:`running_average`'s over the whole
+    grid.  ``idx`` must be ascending.  Returns ``z_p, z_o, avg,
+    states, drift`` like :func:`_exact_series`; ``drift`` is the largest
+    ``|z_p - z_p(0)|`` over every step.
+    """
+    dt = float(config.sample_dt)
+    x0 = np.concatenate([config.initial_plant, config.initial_observer])
+    n = augmented.realization.n_elements
+    rows = [augmented.plant_readout[None, :], augmented.observer_readout]
+    if keep_states:
+        rows.append(np.eye(augmented.dim))
+    z_p = np.empty(idx.size)
+    z_o = np.empty((idx.size, n))
+    avg = np.empty((idx.size, n))
+    kept = np.empty((idx.size, augmented.dim)) if keep_states else None
+    z_p0 = float(augmented.plant_readout @ x0)
+    drift = 0.0
+    start = 0
+    last = 0.0, np.zeros(n), np.zeros(n)  # a zero-length step ending at t = 0
+    groups = _rk4_blocks(augmented.drift, x0, dt, config.n_steps, np.vstack(rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for group in groups:
+            k = group.shape[0]
+            drift = max(drift, float(np.max(np.abs(group[:, 0] - z_p0))))
+            # row 0 is the step before the group: its time, readouts and sums
+            t = np.arange(start - 1, start + k) * dt
+            v = np.empty((k + 1, n))
+            sums = np.empty_like(v)
+            t[0], v[0], sums[0] = last
+            v[1:] = group[:, 1 : n + 1]
+            sums[1:] = 0.5 * (v[1:] + v[:-1]) * np.diff(t)[:, None]
+            np.cumsum(sums, axis=0, out=sums)
+            last = t[-1], v[-1], sums[-1]
+            lo, hi = np.searchsorted(idx, [start, start + k])
+            local = idx[lo:hi] - start
+            z_p[lo:hi] = group[local, 0]
+            z_o[lo:hi] = v[local + 1]
+            avg[lo:hi] = sums[local + 1] / t[local + 1, None]
+            if keep_states:
+                kept[lo:hi] = group[local, n + 1 :]
+            start += k
+    at_zero = idx == 0
+    avg[at_zero] = z_o[at_zero]
+    return z_p, z_o, avg, kept, drift
+
+
+def _steady_offset(realization, z):
+    """Chain state held steady by the plant observable ``z``."""
+    try:
+        return np.linalg.solve(realization.drift, -realization.input_vector * z)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "chain drift is singular; the driven steady offset does not exist"
+        ) from exc
+
+
+def _exact_series(augmented, config, times, keep_states, ham=None):
     """Structured exact evaluation; see the module docstring for the split.
 
     In the chain amplitudes ``a = q + i p`` the error is ``a(t) = M exp(-2i
     lam t)`` with ``M = ObserverHamiltonian.modes(err0)``, and its
     antiderivative replaces each phase by ``(1 - phase) / (2i lam)``.  A real
     row ``r`` reads ``r . x = Re(r_c . a)`` with ``r_c = r[0::2] - i r[1::2]``,
-    so the readouts, their antiderivatives and the plant quadratures are
-    projected onto the modes first and each chunk of ``times`` evaluates one
-    phase table for all of them.  The running average at ``t > 0`` is the
-    readouts' antiderivative over ``t``; at ``t = 0`` it is the readout.
+    so the readouts, their antiderivatives and the plant observable (plus
+    the plant quadratures for ``keep_states``) are projected onto the modes
+    first and each chunk of ``times`` evaluates one phase table for all of
+    them.  The running average at ``t > 0`` is the readouts' antiderivative
+    over ``t``; at ``t = 0`` it is the readout.  ``ham`` is the chain's
+    :class:`~qchain.analysis.ObserverHamiltonian`, built here when not given.
+
+    The plant moves by the constant ``rate`` times ``t`` plus the modes'
+    oscillation, and ``alpha . rate = 0`` identically, since the plant's
+    gain rows are ``2 J alpha beta^T`` and ``alpha^T J alpha = 0``.  So
+    ``z_p`` is read from the oscillation alone, ``z_p(t) = z_p(0) + Re(c .
+    (e^{-2i lam t} - 1))`` with ``c = alpha @ plant_w``, and never picks up
+    the ramp's rounding times ``t``.
 
     Returns ``z_p, z_o, avg, states, drift`` at ``times``.  ``drift`` is the
-    larger of the drift seen at ``times`` and a bound on ``|z_p(t) - z_p(0)|``
-    over all of ``[0, max(times)]``: ``z_p`` moves by ``(alpha . rate) t``
-    plus ``Re(c_k (e^{-2i lam_k t} - 1))`` per mode, each at most ``2 |c_k|``.
+    larger of the drift seen at ``times`` and the bound ``2 sum_k |c_k|`` on
+    ``|z_p(t) - z_p(0)|`` over every ``t``.
     """
     realization = augmented.realization
     n = realization.n_elements
@@ -304,16 +427,10 @@ def _exact_series(augmented, config, times, keep_states):
     alpha = augmented.plant.alpha
     z_p0 = float(alpha @ x_p0)
 
-    try:
-        steady = np.linalg.solve(
-            realization.drift, -realization.input_vector * z_p0
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "chain drift is singular; the driven steady offset does not exist"
-        ) from exc
+    steady = _steady_offset(realization, z_p0)
     err0 = config.initial_observer - steady
-    ham = observer_hamiltonian(realization.mu, realization.omega)
+    if ham is None:
+        ham = observer_hamiltonian(realization.mu, realization.omega)
     lam = ham.lam
     modes = ham.modes(err0)
 
@@ -321,17 +438,22 @@ def _exact_series(augmented, config, times, keep_states):
         return (rows[:, 0::2] - 1j * rows[:, 1::2]) @ modes
 
     plant_gain = augmented.drift[0:2, 2:]
-    rate = plant_gain @ steady  # constant plant velocity at the steady offset
     readout_w = project(realization.readout)
     # antiderivatives, less their constants
     integral_w = -readout_w / (2j * lam)
     plant_w = -project(plant_gain) / (2j * lam)
+    c = alpha @ plant_w
     integral_base = -integral_w.real.sum(axis=1)
-    x_p_base = x_p0 - plant_w.real.sum(axis=1)
+    z_p_base = z_p0 - float(c.real.sum())
     # Re(w . phase) for all rows at once: the interleaved real view of the
     # phase table times the real rows (Re w, -Im w) per mode.
-    rows = np.vstack([readout_w, integral_w, plant_w])
-    weights = np.empty((2 * n, 2 * n + 2))
+    rows = [readout_w, integral_w, c[None, :]]
+    if keep_states:
+        rate = plant_gain @ steady  # constant plant velocity at the steady offset
+        x_p_base = x_p0 - plant_w.real.sum(axis=1)
+        rows.append(plant_w)
+    rows = np.vstack(rows)
+    weights = np.empty((2 * n, rows.shape[0]))
     weights[0::2] = rows.real.T
     weights[1::2] = -rows.imag.T
 
@@ -348,21 +470,17 @@ def _exact_series(augmented, config, times, keep_states):
         sl = slice(start, start + tt.size)
         phases = np.exp(np.outer(tt, -2j * lam))  # (samples, n)
         values = phases.view(np.float64) @ weights
-        x_p = x_p_base + rate * tt[:, None] + values[:, 2 * n :]
-        z_p[sl] = x_p @ alpha
+        z_p[sl] = z_p_base + values[:, 2 * n]
         z_o[sl] = z_o_steady + values[:, :n]
         with np.errstate(divide="ignore", invalid="ignore"):
             avg[sl] = z_o_steady + (integral_base + values[:, n : 2 * n]) / tt[:, None]
         if keep_states:
-            kept[sl, 0:2] = x_p
+            kept[sl, 0:2] = x_p_base + rate * tt[:, None] + values[:, 2 * n + 1 :]
             kept[sl, 2:] = steady + (phases @ modes.T).view(np.float64)
     at_zero = times == 0.0
     avg[at_zero] = z_o[at_zero]
 
-    c = alpha @ plant_w
-    bound = abs(float(alpha @ rate)) * float(np.max(times)) + 2.0 * float(
-        np.sum(np.abs(c))
-    )
+    bound = 2.0 * float(np.sum(np.abs(c)))
     drift = max(bound, float(np.max(np.abs(z_p - z_p0))))
     return z_p, z_o, avg, kept, drift
 
@@ -425,9 +543,9 @@ def consensus_report(
 
     Compares each element's running average at every horizon against the
     plant observable, and checks both those errors and the exactly-evaluated
-    averaged deviation operator against the ``C/T`` certificate.  The exact
-    route evaluates the averages at the horizons alone; the ``rk4`` route
-    steps the full grid out to the largest horizon.
+    averaged deviation operator against the ``C/T`` certificate.  Both
+    routes keep the averages at the horizons alone; the ``rk4`` route steps
+    the full grid out to the largest horizon to get them.
 
     Every requested horizon must land on the sample grid.
 
@@ -450,18 +568,18 @@ def consensus_report(
 
     plant = augmented.plant
     z_p0 = float(plant.alpha @ config.initial_plant)
+    ham = observer_hamiltonian(realization.mu, realization.omega)
     if config.method == "rk4":
-        series = simulate(augmented, run_cfg)
-        averages = series.running_avg_z_o[indices]
-        drift = series.z_p_drift
+        _, _, avg, _, drift = _rk4_series(
+            augmented, run_cfg, np.array([0, *indices]), False
+        )
     else:
         times = np.array([0, *indices]) * dt
-        _, _, avg, _, drift = _exact_series(augmented, run_cfg, times, False)
-        _check_drift(drift, z_p0)
-        averages = avg[1:]
+        _, _, avg, _, drift = _exact_series(augmented, run_cfg, times, False, ham)
+    _check_drift(drift, z_p0)
+    averages = avg[1:]
 
     chain_form = build_symplectic(realization.n_elements)
-    ham = observer_hamiltonian(realization.mu, realization.omega)
     cert = convergence_certificate(ham, chain_form)
 
     target, _ = steady_vector(realization, plant, z_p0, tol=None)

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from qchain import cli
+from qchain import analysis, cli
 from qchain.errors import ConfigError
 
 CANONICAL = {
@@ -214,6 +214,65 @@ def test_verify_indefinite_chain_writes_valid_json(tmp_path, capsys):
     assert not bound["skipped"]
     with pytest.raises(ValueError):
         cli._dump_json({"residual": float("inf")}, None)
+
+
+def _verify_with_spectrum(tmp_path, capsys, monkeypatch, perturb):
+    """Failed checks and their residuals when verify's spectrum is perturbed."""
+    build = analysis.observer_hamiltonian
+
+    def perturbed(mu, omega=None):
+        ham = build(mu, omega)
+        lam, V = perturb(ham.lam.copy(), ham.V.copy())
+        return analysis.ObserverHamiltonian(
+            matrix=ham.matrix, mu=ham.mu, omega=ham.omega, lam=lam, V=V
+        )
+
+    monkeypatch.setattr(analysis, "observer_hamiltonian", perturbed)
+    rc, out, _ = _run(capsys, ["verify", _write(tmp_path, CANONICAL)])
+    monkeypatch.undo()
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    return rc, {n for n, c in checks.items() if not c["passed"]}, checks
+
+
+def test_verify_catches_a_perturbed_spectrum(tmp_path, capsys, monkeypatch):
+    # verify builds the chain spectrum once and reads every flow from it.
+    # One eigenvalue moved by 1e-6 breaks the closed-form flow's commutation
+    # identity; the energy cannot see it, because a phase error leaves the
+    # error's energy and its cross terms with the steady offset unchanged.
+    for k in range(3):
+
+        def nudge(lam, V, k=k):
+            lam[k] += 1e-6
+            return lam, V
+
+        rc, failed, checks = _verify_with_spectrum(tmp_path, capsys, monkeypatch, nudge)
+        assert rc == 1
+        assert failed == {"commutation_preservation"}
+        assert checks["energy_conservation"]["residual"] < 1e-12
+
+    # Two eigenvectors turned by 1e-6 no longer diagonalize the chain, so the
+    # probe states' energy drifts too.
+    def turn(lam, V):
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        V[:, :2] = V[:, :2] @ np.array([[c, -s], [s, c]])
+        return lam, V
+
+    rc, failed, checks = _verify_with_spectrum(tmp_path, capsys, monkeypatch, turn)
+    assert rc == 1
+    assert failed == {"commutation_preservation", "energy_conservation"}
+    energy = checks["energy_conservation"]
+    assert energy["residual"] > 1e2 * energy["tolerance"]
+
+
+def test_verify_singular_chain_exits_3(tmp_path, capsys):
+    singular = {
+        **CANONICAL,
+        "chain": {"mu": [1.0, 1.0], "omega_override": [1.0, 1.0]},
+    }
+    rc, out, err = _run(capsys, ["verify", _write(tmp_path, singular)])
+    assert rc == 3
+    assert out == ""
+    assert "chain drift is singular" in err
 
 
 def test_verify_single_element_skips_network_check(tmp_path, capsys):
@@ -419,3 +478,21 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == "canonical_n3"
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, qchain.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -60,7 +60,9 @@ def test_commutation_preserved_for_realizable_drift():
     R = rng.standard_normal((6, 6))
     R = 0.5 * (R + R.T)
     A = 2.0 * (form.matrix @ R)
-    report = core.check_commutation_preservation(A, form, [0.0, 0.3, 1.7, 12.0])
+    report = core.check_commutation_preservation(
+        lambda t: scipy.linalg.expm(A * t), form, [0.0, 0.3, 1.7, 12.0]
+    )
     assert report.passed
     assert report.max_residual <= 1e-10
     assert report.times.shape == report.residuals.shape == report.exp_norms.shape
@@ -72,7 +74,9 @@ def test_commutation_breaks_for_damped_drift():
     damped = np.array([[-0.3, 1.0], [-1.0, -0.3]])
     with pytest.raises(RealizabilityError):
         core.hamiltonian_from_drift(damped, form)
-    report = core.check_commutation_preservation(damped, form, [1.0])
+    report = core.check_commutation_preservation(
+        lambda t: scipy.linalg.expm(damped * t), form, [1.0]
+    )
     assert not report.passed
     assert report.max_residual == pytest.approx(1.0 - np.exp(-0.6), abs=1e-10)
 
@@ -80,12 +84,16 @@ def test_commutation_breaks_for_damped_drift():
 def test_commutation_probe_times_validated():
     form = core.build_symplectic(1)
     A = 2.0 * form.matrix
+
+    def flow(t):
+        return scipy.linalg.expm(A * t)
+
     with pytest.raises(ValueError):
-        core.check_commutation_preservation(A, form, [])
+        core.check_commutation_preservation(flow, form, [])
     with pytest.raises(ValueError):
-        core.check_commutation_preservation(A, form, [-1.0])
+        core.check_commutation_preservation(flow, form, [-1.0])
     with pytest.raises(ValueError):
-        core.check_commutation_preservation(np.eye(4), form, [1.0])
+        core.check_commutation_preservation(lambda t: np.eye(4), form, [1.0])
 
 
 def test_conservative_flow_matches_expm():

@@ -1,4 +1,4 @@
-"""Parity of the Jacobi-spectrum routes with the dense route they replaced.
+"""Parity of the Jacobi-spectrum routes with the dense routes they replaced.
 
 The reference is the earlier construction on the real ``2N x 2N`` chain
 Hamiltonian ``R``: :class:`qchain.core.ConservativeFlow` for the error flow,
@@ -7,10 +7,16 @@ average ``(1/2) (exp(2 Theta R T) - I) R^{-1} Theta^{-1}``, and the
 certificate from dense ``eigvalsh``.  That route needs ``R`` positive
 definite, so a detuning override that makes a draw indefinite is shrunk
 towards the design detunings until it is not.
+
+``verify``'s checks are compared with the dense routes they replaced too:
+the closed-form augmented flow with ``scipy.linalg.expm`` of the drift, and
+the one-SVD norm bound with the SVD norm of the chain flow at each probe
+time.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qchain import analysis, observer, sim
 from qchain.core import ConservativeFlow, build_symplectic
@@ -100,3 +106,95 @@ def test_time_average_and_certificate_match_dense_route(n, horizon, dt):
     got = (cert.lambda_min, cert.lambda_max, cert.exp_bound, cert.avg_constant)
     for value, want in zip(got, _reference_certificate(ham, form)):
         assert value == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# verify's checks from the chain spectrum
+
+#: Elements of the chains the flow and norm-bound parity tests draw.
+FLOW_SIZES = (1, 2, 3, 5, 10, 20, 30)
+
+
+def _verify_chain(rng, n, kind):
+    """Augmented system with a unit plant direction and gains in [0.5, 1.5].
+
+    ``kind`` picks the detunings: the design rule, the design rule times
+    1.1, or the design rule shifted down far enough to be indefinite.
+    """
+    mu = rng.uniform(0.5, 1.5, size=n)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    plant = observer.PlantSpec(alpha=np.array([np.cos(theta), np.sin(theta)]))
+    design = observer.detunings_from_gains(mu)
+    omega = {
+        "design": design,
+        "detuned": 1.1 * design,
+        "indefinite": design - rng.uniform(1.0, 3.0) * np.max(mu),
+    }[kind]
+    real = observer.build_observer(plant, mu, omega_override=omega)
+    aug = observer.assemble_augmented(real, plant)
+    return aug, analysis.observer_hamiltonian(real.mu, real.omega)
+
+
+@pytest.mark.parametrize("kind", ["design", "detuned", "indefinite"])
+def test_flow_matrix_matches_expm(kind):
+    rng = np.random.default_rng({"design": 1, "detuned": 2, "indefinite": 3}[kind])
+    for n in FLOW_SIZES:
+        aug, ham = _verify_chain(rng, n, kind)
+        assert (ham.lam[0] < 0) == (kind == "indefinite")
+        for t in (0.1, 1.0, 10.0, 100.0):
+            E = sim.flow_matrix(aug, t, ham)
+            ref = scipy.linalg.expm(aug.drift * t)
+            assert np.max(np.abs(E - ref)) <= 1e-10 * max(1.0, np.max(np.abs(E)))
+
+
+def test_flow_matrix_is_exact_on_a_stiff_draw():
+    """A draw outside the expm test's family, where scipy 1.17's ``expm``
+    errs by 3.8e-10 of max|E| at t = 100: the closed form still agrees with
+    a 40-digit exponential to rounding."""
+    mpmath = pytest.importorskip("mpmath")
+    plant = observer.PlantSpec(alpha=np.array([1.3040000451301372, 0.9470809631292422]))
+    real = observer.build_observer(plant, [1.7199053588004087, 1.8691333659165825])
+    aug = observer.assemble_augmented(real, plant)
+    E = sim.flow_matrix(aug, 100.0)
+    with mpmath.workdps(40):
+        exact = mpmath.expm(mpmath.matrix(aug.drift.tolist()) * 100)
+        exact = np.array(exact.tolist(), dtype=float)
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(E - exact)) <= 1e-14 * scale
+
+
+def test_flow_matrix_is_the_simulated_flow():
+    rng = np.random.default_rng(4)
+    for kind, n in (("design", 3), ("detuned", 10), ("indefinite", 30)):
+        aug, ham = _verify_chain(rng, n, kind)
+        x0 = rng.standard_normal(aug.dim)
+        cfg = sim.SimulationConfig(
+            initial_plant=x0[:2], initial_observer=x0[2:], horizon_T=100.0,
+            sample_dt=0.1,
+        )
+        times = np.array([0.0, 0.1, 1.0, 10.0, 100.0])
+        states = sim.states_at(aug, cfg, times, ham)
+        for t, state in zip(times, states):
+            want = sim.flow_matrix(aug, t, ham) @ x0
+            assert np.all(np.abs(state - want) <= 1e-10 * (1.0 + np.abs(want)))
+
+
+def test_one_svd_bounds_the_flow_at_every_probe_time():
+    """``sigma_max(V)^2`` is at least the SVD norm of ``U(t)`` at each probe time.
+
+    The computed ``U(t)`` carries the rounding of its own products, a few
+    ulps times ``N``, which the bound on the exact product need not cover.
+    """
+    rng = np.random.default_rng(5)
+    times = np.logspace(-2, 3, 50)
+    eps = np.finfo(float).eps
+    for kind in ("design", "detuned", "indefinite"):
+        for n in FLOW_SIZES:
+            _, ham = _verify_chain(rng, n, kind)
+            bound = np.linalg.norm(ham.V, 2) ** 2
+            if kind != "indefinite":
+                form = build_symplectic(n)
+                report = analysis.exp_norm_bound(ham, form, times)
+                assert np.all(report.norms == bound)
+            for t in times:
+                assert bound >= np.linalg.norm(ham.propagator(t), 2) - 4 * n * eps

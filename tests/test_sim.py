@@ -111,7 +111,7 @@ def test_rk4_matches_matrix_exponential():
     A = 0.4 * rng.standard_normal((6, 6))
     x0 = rng.standard_normal(6)
     dt, n_steps = 0.01, 400
-    out = sim._rk4_loop(A, x0, dt, n_steps)
+    out = np.vstack(list(sim._rk4_blocks(A, x0, dt, n_steps, np.eye(6))))
     assert out.shape == (n_steps + 1, 6)
     assert np.array_equal(out[0], x0)
     exact = scipy.linalg.expm(A * dt * n_steps) @ x0
@@ -137,7 +137,9 @@ def test_rk4_power_stepping_matches_plain_loop():
     rng = np.random.default_rng(5)
     x0 = rng.standard_normal(aug.dim)
     dt, n_steps = 0.01, 200_000
-    blocked = sim._rk4_loop(aug.drift, x0, dt, n_steps)
+    blocked = np.vstack(
+        list(sim._rk4_blocks(aug.drift, x0, dt, n_steps, np.eye(aug.dim)))
+    )
     A = aug.drift
     plain = np.empty_like(blocked)
     plain[0] = x = x0.copy()
@@ -225,6 +227,52 @@ def test_exact_route_drift_guard_needs_no_samples(monkeypatch):
     with pytest.raises(IntegratorAccuracyError) as info:
         sim.consensus_report(doctored, real, cfg, [2.0, 4.0])
     assert info.value.drift > 1e-4
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_exact_route_admits_horizon_1e9(n):
+    # z_p and its drift bound come from the modes alone, so neither grows
+    # with the horizon
+    rng = np.random.default_rng(n)
+    mu = [1.0, 1.0, 1.0] if n == 3 else rng.uniform(0.5, 1.5, size=n)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    _, real, aug = _make_system(mu, alpha=(np.cos(theta), np.sin(theta)))
+    T = 1e9
+    cfg = _config(
+        real, T, T / 1e4, plant_x=rng.standard_normal(2),
+        obs=rng.normal(0.0, 0.5, size=real.state_dim),
+    )
+    report = sim.consensus_report(aug, real, cfg, [1e5, 1e7, T])
+    assert report.passed
+    assert np.all(report.per_element_error <= report.trajectory_envelope)
+    # rounding only, far inside the 1e-9 (1 + |z|) tolerance
+    assert report.z_p_drift <= 1e-14 * (1.0 + abs(report.z_p))
+
+
+def test_rk4_streams_the_full_grid_rows():
+    # groups of 256-step blocks with the trapezoid sums carried across them
+    # give the numbers of stepping and averaging the whole grid at once, to
+    # the rounding of reading the readouts through the stacked powers
+    _, real, aug = _make_system([1.0, 0.8, 1.3])
+    rng = np.random.default_rng(31)
+    cfg = _config(real, 20.0, 0.01, plant_x=(0.4, 1.1),
+                  obs=rng.standard_normal(real.state_dim), method="rk4")
+    x0 = np.concatenate([cfg.initial_plant, cfg.initial_observer])
+    states = np.vstack(
+        list(sim._rk4_blocks(aug.drift, x0, 0.01, cfg.n_steps, np.eye(aug.dim)))
+    )
+    assert states.shape == (cfg.n_steps + 1, aug.dim)
+    z_o = states @ aug.observer_readout.T
+    avg = sim.running_average(cfg.times(), z_o)
+    for stride in (1, 7, 256, 2000):
+        series = sim.simulate(aug, cfg, keep_states=True, stride=stride)
+        idx = sim._sample_indices(cfg.n_steps + 1, stride)
+        assert np.array_equal(series.states, states[idx])
+        assert np.max(np.abs(series.z_o - z_o[idx])) <= 1e-13
+        assert np.max(np.abs(series.running_avg_z_o - avg[idx])) <= 1e-13
+    report = sim.consensus_report(aug, real, cfg, [2.56, 5.0, 20.0])
+    errors = np.abs(avg[[256, 500, 2000]] - report.z_p)
+    assert np.max(np.abs(report.per_element_error - errors)) <= 1e-13
 
 
 def test_observer_length_mismatch():
@@ -347,8 +395,10 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
     assert sim.simulate(aug, cfg).times.size == 10001
     with pytest.raises(ValueError, match="10001 samples of a chain with N = 3"):
         sim.simulate(aug, cfg, keep_states=True)
+    # rk4 streams its grid, so only the rows it keeps count
     with pytest.raises(ValueError, match="over the limit of 640064"):
-        sim.simulate(aug, replace(cfg, method="rk4"), stride=100)
+        sim.simulate(aug, replace(cfg, method="rk4"), keep_states=True)
+    assert sim.simulate(aug, replace(cfg, method="rk4"), stride=100).times.size == 101
     assert sim.simulate(aug, cfg, keep_states=True, stride=4).times.size == 2501
 
 
