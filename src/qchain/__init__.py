@@ -2,14 +2,16 @@
 
 The package is organised in layers:
 
-* :mod:`qchain.core` — symplectic structure, the drift-to-Hamiltonian map,
-  the commutation check, and the reference conservative propagator.
+* :mod:`qchain.core` — symplectic structure, the commutation check, and the
+  reference conservative propagator.
 * :mod:`qchain.network` — open cavity elements with two-quadrature field
   ports and algebraic elimination of their interconnections.
-* :mod:`qchain.observer` — closed-form construction of the observer chain
-  and its assembly with the plant.
-* :mod:`qchain.analysis` — positivity certificates and the ``C/T``
-  time-averaged convergence envelope.
+* :mod:`qchain.analysis` — the chain's Jacobi form ``H`` and its spectrum,
+  positivity certificates and the ``C/T`` time-averaged convergence
+  envelope.
+* :mod:`qchain.observer` — closed-form construction of the observer chain,
+  which builds ``H`` once and reads its drift and Hamiltonian from it, and
+  its assembly with the plant.
 * :mod:`qchain.sim` — exact and RK4 trajectory simulation plus consensus
   reporting.
 * :mod:`qchain.cli` — the ``qchain`` command line (build / verify /
@@ -20,7 +22,7 @@ The top level re-exports the names of the README's library example plus
 """
 
 from . import analysis, core, errors, network, observer, sim
-from .analysis import convergence_certificate, observer_hamiltonian
+from .analysis import convergence_certificate
 from .core import build_symplectic
 from .errors import QchainError
 from .observer import PlantSpec, assemble_augmented, build_observer
@@ -37,6 +39,5 @@ __all__ = [
     "build_symplectic",
     "consensus_report",
     "convergence_certificate",
-    "observer_hamiltonian",
     "simulate",
 ]

@@ -6,7 +6,9 @@ rotation generator (couplings).  In the amplitudes ``a_k = q_k + i p_k`` that
 structure turns the ``2N x 2N`` real matrix into the ``N x N`` Hermitian
 tridiagonal matrix ``H = D T D^H`` with the same spectrum (doubled), where
 ``T = tri(omega, mu_2..mu_N)`` is a real symmetric (Jacobi) matrix and the
-phase gauge is ``D = diag(i^k)``.  One eigendecomposition ``T = V Lambda V^T``
+phase gauge is ``D = diag(i^k)``.  ``H`` is the chain's one construction:
+the real Hamiltonian is ``R = real_embedding(H)`` and the chain drift
+``2 Theta R = real_embedding(-2i H)``.  One eigendecomposition ``T = V Lambda V^T``
 (``numpy.linalg.eigh`` on the dense Jacobi matrix) therefore carries the
 whole chain: the flow is the unitary ``a(t) = D V exp(-2i Lambda t) V^T D^H
 a(0)``, its integral replaces each phase by ``(1 - e^{-2i lam t}) / (2i
@@ -31,22 +33,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SymplecticForm, build_symplectic, hamiltonian_from_drift
-from .observer import chain_drift, detunings_from_gains
+from .core import SymplecticForm
+
+
+def detunings_from_gains(mu) -> np.ndarray:
+    """Design detunings: each element is detuned by the sum of its two gains.
+
+    ``omega_i = mu_i + mu_{i+1}`` with the convention that the gain past the
+    last element is zero, so the tail element sits at ``omega_N = mu_N``.
+    """
+    m = np.asarray(mu, dtype=float)
+    if m.ndim != 1 or m.size < 1:
+        raise ValueError("mu must be a non-empty 1-D array")
+    omega = m.copy()
+    omega[:-1] += m[1:]
+    return omega
 
 
 @dataclass(frozen=True, eq=False)
 class ObserverHamiltonian:
     """Symmetric generator of the observer chain, its parameters and spectrum.
 
-    ``matrix`` is the real ``2N x 2N`` Hamiltonian ``R`` with ``2 Theta R``
-    equal to the chain drift.  ``lam`` (ascending) and the orthonormal
+    ``H`` is the complex ``N x N`` Hermitian tridiagonal ``D T D^H`` acting
+    on the amplitudes ``a_k = q_k + i p_k``; every real chain matrix is an
+    embedding of it.  ``matrix`` is ``real_embedding(H)``, the real ``2N x
+    2N`` Hamiltonian ``R``, and ``2 Theta R`` equals the chain drift
+    ``real_embedding(-2i H)``.  ``lam`` (ascending) and the orthonormal
     columns of ``V`` diagonalize the Jacobi matrix ``T = tri(omega,
     mu_2..mu_N)``; every eigenvalue of ``matrix`` is an entry of ``lam``,
     doubled.
     """
 
-    matrix: np.ndarray
+    H: np.ndarray
     mu: np.ndarray
     omega: np.ndarray
     lam: np.ndarray
@@ -55,6 +73,11 @@ class ObserverHamiltonian:
     @property
     def n_elements(self) -> int:
         return self.mu.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The real ``2N x 2N`` Hamiltonian ``R = real_embedding(H)``."""
+        return real_embedding(self.H)
 
     @property
     def gauge(self) -> np.ndarray:
@@ -95,32 +118,45 @@ class ObserverHamiltonian:
 
 
 def observer_hamiltonian(mu, omega=None) -> ObserverHamiltonian:
-    """Build the chain Hamiltonian ``R`` with ``2 Theta R`` equal to the drift.
+    """Build the chain's Jacobi form ``H`` and its spectrum.
 
     ``omega=None`` applies the design detuning rule.  The head gain may be
     zero here — that boundary case is exactly where definiteness degenerates
-    and is worth probing — but interior gains must stay positive.  The
-    spectrum comes from ``numpy.linalg.eigh`` on the dense Jacobi matrix
-    ``tri(omega, mu_2..mu_N)``; every chain quantity the package reports is
-    read from it, so callers that need several of them build it once and
-    pass it on.
+    and is worth probing — but interior gains must stay positive, and every
+    gain and detuning must be finite.  The spectrum comes from
+    ``numpy.linalg.eigh`` on the dense Jacobi matrix ``tri(omega,
+    mu_2..mu_N)``; every chain quantity the package reports is read from
+    it, so :func:`qchain.observer.build_observer` builds it once and keeps
+    it on the realization.
     """
     m = np.asarray(mu, dtype=float)
     if m.ndim != 1 or m.size < 1:
         raise ValueError("mu must be a non-empty 1-D array")
-    if m[0] < 0 or np.any(m[1:] <= 0):
-        raise ValueError("head gain must be >= 0 and interior gains > 0")
+    if not np.all(np.isfinite(m)) or m[0] < 0 or np.any(m[1:] <= 0):
+        raise ValueError("gains must be finite, head gain >= 0 and interior gains > 0")
     om = detunings_from_gains(m) if omega is None else np.asarray(omega, dtype=float)
     if om.shape != m.shape:
         raise ValueError("omega must match the number of elements")
-    R = hamiltonian_from_drift(chain_drift(m, om), build_symplectic(m.size))
+    if not np.all(np.isfinite(om)):
+        raise ValueError("detunings must be finite")
     lam, V = np.linalg.eigh(_jacobi(m, om))
-    return ObserverHamiltonian(matrix=R, mu=m, omega=om, lam=lam, V=V)
+    return ObserverHamiltonian(H=jacobi_form(m, om), mu=m, omega=om, lam=lam, V=V)
 
 
 def _jacobi(mu: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Dense ``tri(omega, mu_2..mu_N)``."""
     return np.diag(omega) + np.diag(mu[1:], 1) + np.diag(mu[1:], -1)
+
+
+def jacobi_form(mu: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The chain's ``H = D T D^H``: ``T`` gauged by ``D = diag(i^k)``.
+
+    On the quadratures the gauge sends the identity to 1 and ``J`` to
+    ``-i``, so a detuning stays on the diagonal and each link gain becomes
+    ``-i mu`` above it.
+    """
+    d = np.conj(_alternating_phase_vector(mu.size))
+    return d[:, None] * _jacobi(mu, omega) * d.conj()
 
 
 def real_embedding(M: np.ndarray) -> np.ndarray:
@@ -132,11 +168,6 @@ def real_embedding(M: np.ndarray) -> np.ndarray:
     out[1::2, 0::2] = M.imag
     out[1::2, 1::2] = M.real
     return out
-
-
-def _check_form(ham: ObserverHamiltonian, form: SymplecticForm) -> None:
-    if form.n_modes != ham.n_elements:
-        raise ValueError("symplectic form does not match the chain length")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,14 +185,12 @@ class HermitianReduction:
 
 
 def hermitian_reduce(ham: ObserverHamiltonian) -> HermitianReduction:
-    """Gauge the Jacobi matrix into ``H = D T D^H`` (identity -> 1, J -> -i)."""
-    m, om = ham.mu, ham.omega
+    """Split the chain's ``H`` into the head-gain corner and the remainder."""
+    m, H = ham.mu, ham.H
     n = m.size
-    d = ham.gauge
-    tri = d[:, None] * _jacobi(m, om) * d.conj()
     corner = np.zeros((n, n), dtype=complex)
     corner[0, 0] = m[0]
-    return HermitianReduction(matrix=tri, corner=corner, remainder=tri - corner, mu=m)
+    return HermitianReduction(matrix=H, corner=corner, remainder=H - corner, mu=m)
 
 
 def _sos_matrix(mu: np.ndarray) -> np.ndarray:
@@ -270,6 +299,18 @@ def check_positive_definite(ham: ObserverHamiltonian) -> tuple[bool, float, floa
     return lo > 0.0, lo, hi
 
 
+def _positive_spectrum(
+    ham: ObserverHamiltonian, form: SymplecticForm
+) -> tuple[float, float]:
+    """Extreme eigenvalues of a positive definite chain matching ``form``."""
+    ok, lo, hi = check_positive_definite(ham)
+    if not ok:
+        raise ValueError(f"chain Hamiltonian is not positive definite (min {lo:.3e})")
+    if form.n_modes != ham.n_elements:
+        raise ValueError("symplectic form does not match the chain length")
+    return lo, hi
+
+
 @dataclass(frozen=True, eq=False)
 class BoundReport:
     """Propagator norm bounds against the uniform spectral bound.
@@ -306,10 +347,7 @@ def exp_norm_bound(
         If the Hamiltonian is not positive definite (the bound needs both
         extreme eigenvalues positive).
     """
-    ok, lo, hi = check_positive_definite(ham)
-    if not ok:
-        raise ValueError(f"chain Hamiltonian is not positive definite (min {lo:.3e})")
-    _check_form(ham, form)
+    lo, hi = _positive_spectrum(ham, form)
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(ts < 0):
         raise ValueError("probe times must be non-negative")
@@ -342,10 +380,7 @@ def time_average_integral(
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    ok, lo, _ = check_positive_definite(ham)
-    if not ok:
-        raise ValueError(f"chain Hamiltonian is not positive definite (min {lo:.3e})")
-    _check_form(ham, form)
+    _positive_spectrum(ham, form)
     return real_embedding(ham.integral(horizon))
 
 
@@ -377,10 +412,7 @@ def convergence_certificate(
     ValueError
         If the Hamiltonian is not positive definite.
     """
-    ok, lo, hi = check_positive_definite(ham)
-    if not ok:
-        raise ValueError(f"chain Hamiltonian is not positive definite (min {lo:.3e})")
-    _check_form(ham, form)
+    lo, hi = _positive_spectrum(ham, form)
     bound = float(np.sqrt(hi / lo))
     return ConvergenceCertificate(
         lambda_min=lo,

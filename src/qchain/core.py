@@ -10,11 +10,13 @@ p_m)``.  The kinematics are fixed by the block-diagonal symplectic form
 Symmetry of ``R`` is exactly the condition for the flow to preserve the
 canonical commutation relations, ``exp(A t) Theta exp(A^T t) = Theta``, and it
 also conserves the energy ``(1/2) x^T R x``.  This module provides the
-structure matrix, the recovery of ``R`` from ``A``, the commutation check on
-any propagator ``t -> E(t)`` (``qchain verify`` hands it the closed-form flow
-of :func:`qchain.sim.flow_matrix`), and a generic exact propagator for
+structure matrix, the commutation check on any propagator ``t -> E(t)``
+(``qchain verify`` hands it the closed-form flow of
+:func:`qchain.sim.flow_matrix`), and a generic exact propagator for
 positive-definite ``R`` that the tests use as an independent reference for
-the chain's Jacobi-form flow.
+the chain's Jacobi-form flow.  The chain's own ``R`` and drift are not
+derived here: both are real embeddings of its Jacobi form
+(:func:`qchain.analysis.observer_hamiltonian`).
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 #: Default absolute tolerance for symmetry of a supplied Hamiltonian matrix.
 HAMILTONIAN_SYMMETRY_TOL = 1e-12
-
-#: Default tolerance when recovering a Hamiltonian from a drift matrix.
-REALIZABILITY_TOL = 1e-10
 
 
 def _as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -92,35 +91,6 @@ def build_symplectic(n_modes: int) -> SymplecticForm:
     if n != n_modes or n < 1:
         raise ValueError("n_modes must be a positive integer")
     return SymplecticForm(n_modes=n, matrix=_block_diag_J(n))
-
-
-def hamiltonian_from_drift(
-    drift, form: SymplecticForm, tol: float = REALIZABILITY_TOL
-) -> np.ndarray:
-    """Recover ``R = -(1/2) * Theta * A`` and verify the drift is realizable.
-
-    A linear drift preserves the commutation structure exactly when the
-    recovered ``R`` is symmetric.  The check is absolute with tolerance
-    ``tol`` on ``max |R - R^T|``.
-
-    Raises
-    ------
-    RealizabilityError
-        If the recovered matrix is asymmetric beyond ``tol``: no quadratic
-        Hamiltonian generates this drift.
-    """
-    A = _as_square_matrix(drift, "drift")
-    if A.shape[0] != form.dim:
-        raise ValueError(f"drift has dimension {A.shape[0]}, form expects {form.dim}")
-    R = -0.5 * (form.matrix @ A)
-    asym = float(np.max(np.abs(R - R.T))) if R.size else 0.0
-    if asym > tol:
-        raise RealizabilityError(
-            "drift is not generated by a symmetric Hamiltonian "
-            f"(max |R - R^T| = {asym:.3e} > {tol:.1e})",
-            asymmetry=asym,
-        )
-    return R
 
 
 @dataclass(frozen=True, eq=False)

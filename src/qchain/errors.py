@@ -16,9 +16,9 @@ class QchainError(Exception):
 class RealizabilityError(QchainError, ValueError):
     """The dynamics are not generated by any symmetric Hamiltonian.
 
-    Raised when recovering a Hamiltonian from a drift matrix leaves an
-    asymmetric remainder beyond tolerance, i.e. the flow cannot preserve
-    canonical commutation relations.
+    Raised when a supplied Hamiltonian matrix is asymmetric beyond
+    tolerance, i.e. the flow it generates cannot preserve canonical
+    commutation relations.
     """
 
     def __init__(self, message: str, asymmetry: float | None = None):

@@ -11,6 +11,11 @@ holds a rotated copy of the plant observable, and a per-element readout
 recovers ``z`` from each mode with unit gain — the consensus the rest of the
 package certifies and simulates.
 
+The chain's Jacobi form ``H`` and its spectrum come from
+:func:`qchain.analysis.observer_hamiltonian`, built once per realization;
+the chain drift and the chain block of the augmented Hamiltonian are both
+real embeddings of that one ``H``.
+
 All builders here are purely algebraic (no field ports); the network module
 realises the same closed loop by eliminating travelling fields, and agreement
 between the two routes is part of the test suite.
@@ -22,12 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    J2,
-    SymplecticForm,
-    build_symplectic,
-    hamiltonian_from_drift,
+from .analysis import (
+    ObserverHamiltonian,
+    detunings_from_gains,
+    jacobi_form,
+    observer_hamiltonian,
+    real_embedding,
 )
+from .core import J2, SymplecticForm, build_symplectic
 from .errors import ConstructionInconsistencyError, ReadoutOrientationError
 
 #: Default absolute tolerance on the steady-configuration defining identity.
@@ -124,41 +131,19 @@ def kappas_from_gains(mu, spread: float = 1.0) -> ChainParams:
     return ChainParams(n_elements=m.size, mu_1=float(m[0]), kappas=tuple(kappas))
 
 
-def detunings_from_gains(mu) -> np.ndarray:
-    """Design detunings: each element is detuned by the sum of its two gains.
-
-    ``omega_i = mu_i + mu_{i+1}`` with the convention that the gain past the
-    last element is zero, so the tail element sits at ``omega_N = mu_N``.
-    """
-    m = np.asarray(mu, dtype=float)
-    if m.ndim != 1 or m.size < 1:
-        raise ValueError("mu must be a non-empty 1-D array")
-    omega = m.copy()
-    omega[:-1] += m[1:]
-    return omega
-
-
 def chain_drift(mu, omega) -> np.ndarray:
     """Block-tridiagonal drift of the observer chain alone.
 
     Diagonal blocks rotate each mode at twice its detuning; off-diagonal
     blocks exchange neighbours at twice the link gain, skew-paired so the
-    whole matrix is generated by a symmetric Hamiltonian.
+    whole matrix is generated by a symmetric Hamiltonian.  It is the real
+    form of ``-2i H`` for the chain's Jacobi form ``H``.
     """
     m = np.asarray(mu, dtype=float)
     om = np.asarray(omega, dtype=float)
     if m.shape != om.shape or m.ndim != 1 or m.size < 1:
         raise ValueError("mu and omega must be 1-D arrays of equal positive length")
-    n = m.size
-    A = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        s = slice(2 * i, 2 * i + 2)
-        A[s, s] = 2.0 * om[i] * J2
-        if i + 1 < n:
-            nxt = slice(2 * i + 2, 2 * i + 4)
-            A[s, nxt] = -2.0 * m[i + 1] * np.eye(2)
-            A[nxt, s] = 2.0 * m[i + 1] * np.eye(2)
-    return A
+    return real_embedding(-2j * jacobi_form(m, om))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +152,12 @@ class ObserverRealization:
 
     Fields
     ------
-    mu, omega:
-        Coupling gains and detunings actually in force (``omega`` may differ
-        from the design rule if an override was requested).
+    hamiltonian:
+        The chain's Jacobi form and spectrum; its ``mu`` and ``omega`` are
+        the gains and detunings in force (``omega`` may differ from the
+        design rule if an override was requested).
     drift:
-        ``(2N, 2N)`` chain drift.
+        ``(2N, 2N)`` chain drift ``real_embedding(-2i H)``.
     input_vector:
         ``(2N,)`` drive direction multiplying the plant observable ``z``.
     readout:
@@ -183,13 +169,20 @@ class ObserverRealization:
         is ``steady_pattern @ alpha * z``.
     """
 
-    mu: np.ndarray
-    omega: np.ndarray
+    hamiltonian: ObserverHamiltonian
     drift: np.ndarray
     input_vector: np.ndarray
     readout: np.ndarray
     coupling: np.ndarray
     steady_pattern: np.ndarray
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.hamiltonian.mu
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.hamiltonian.omega
 
     @property
     def n_elements(self) -> int:
@@ -216,7 +209,7 @@ def build_observer(
         Optional explicit detunings replacing the design rule.  Intended for
         probing how the construction degrades; any override that differs from
         :func:`detunings_from_gains` breaks the steady configuration, which
-        :func:`steady_vector` will report.
+        :func:`steady_vector` will report.  It must be finite.
     """
     m = np.asarray(mu, dtype=float)
     if m.ndim != 1 or m.size < 1:
@@ -224,16 +217,11 @@ def build_observer(
     if np.any(~np.isfinite(m)) or np.any(m <= 0):
         raise ValueError("all coupling gains must be positive and finite")
     n = m.size
-    if omega_override is None:
-        omega = detunings_from_gains(m)
-    else:
-        omega = np.asarray(omega_override, dtype=float)
-        if omega.shape != m.shape:
-            raise ValueError("omega_override must match the number of elements")
+    ham = observer_hamiltonian(m, omega_override)
 
     alpha = plant.alpha
     beta = -m[0] * alpha
-    drift = chain_drift(m, omega)
+    drift = real_embedding(-2j * ham.H)
 
     input_vector = np.zeros(2 * n)
     input_vector[0:2] = 2.0 * (J2 @ beta)
@@ -253,8 +241,7 @@ def build_observer(
 
     coupling = np.outer(alpha, beta)
     return ObserverRealization(
-        mu=m,
-        omega=omega,
+        hamiltonian=ham,
         drift=drift,
         input_vector=input_vector,
         readout=readout,
@@ -343,9 +330,10 @@ def assemble_augmented(
     """Join plant and observer into the augmented conservative system.
 
     The plant block is static; the cross blocks are ``2 J`` times the
-    symmetric coupling, acting in both directions; the observer block is the
-    chain drift.  The assembled drift is checked against ``2 Theta R`` for
-    the assembled Hamiltonian before returning.
+    symmetric coupling, acting in both directions; the observer blocks are
+    the chain drift and the chain Hamiltonian, both embeddings of the
+    realization's ``H``.  The assembled drift is checked against ``2 Theta
+    R`` for the assembled Hamiltonian before returning.
     """
     n = realization.state_dim
     dim = n + 2
@@ -356,11 +344,10 @@ def assemble_augmented(
     drift[2:4, 0:2] = cross
 
     form = build_symplectic(realization.n_elements + 1)
-    chain_form = build_symplectic(realization.n_elements)
     hamiltonian = np.zeros((dim, dim))
     hamiltonian[0:2, 2:4] = realization.coupling
     hamiltonian[2:4, 0:2] = realization.coupling
-    hamiltonian[2:, 2:] = hamiltonian_from_drift(realization.drift, chain_form)
+    hamiltonian[2:, 2:] = realization.hamiltonian.matrix
 
     resid = float(np.max(np.abs(drift - 2.0 * (form.matrix @ hamiltonian))))
     if resid > 1e-13:

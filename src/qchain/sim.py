@@ -26,14 +26,13 @@ steps in blocks and keeps only the rows a caller reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .analysis import (
     ConvergenceCertificate,
     convergence_certificate,
-    observer_hamiltonian,
     real_embedding,
     time_average_integral,
 )
@@ -177,7 +176,20 @@ def _sample_indices(n_samples: int, stride: int) -> np.ndarray:
     return idx
 
 
-def _check_drift(drift: float, z_p0: float) -> None:
+def _evaluate(augmented, config, times, keep_states):
+    """``z_p, z_o, avg, states, drift`` at ``times`` on the config's route.
+
+    The ``rk4`` route steps the ``sample_dt`` grid, so there ``times`` must
+    be grid samples.  Raises :class:`IntegratorAccuracyError` if the plant
+    observable drifted beyond ``Z_DRIFT_TOL * (1 + |z(0)|)``.
+    """
+    if config.method == "rk4":
+        idx = np.rint(times / config.sample_dt).astype(np.int64)
+        out = _rk4_series(augmented, config, idx, keep_states)
+    else:
+        out = _exact_series(augmented, config, times, keep_states)
+    drift = out[-1]
+    z_p0 = float(augmented.plant.alpha @ config.initial_plant)
     tol = Z_DRIFT_TOL * (1.0 + abs(z_p0))
     if drift > tol:
         raise IntegratorAccuracyError(
@@ -185,6 +197,7 @@ def _check_drift(drift: float, z_p0: float) -> None:
             f"(tolerance {tol:.3e})",
             drift=drift,
         )
+    return out
 
 
 def simulate(
@@ -228,13 +241,7 @@ def simulate(
             "increase sample_dt or csv_stride, or shorten the horizons"
         )
     times = idx * config.sample_dt
-    if config.method == "rk4":
-        z_p, z_o, avg, kept, drift = _rk4_series(augmented, config, idx, keep_states)
-    else:
-        z_p, z_o, avg, kept, drift = _exact_series(
-            augmented, config, times, keep_states
-        )
-    _check_drift(drift, float(augmented.plant.alpha @ config.initial_plant))
+    z_p, z_o, avg, kept, drift = _evaluate(augmented, config, times, keep_states)
     return TimeSeries(
         times=times,
         z_p=z_p,
@@ -246,12 +253,10 @@ def simulate(
     )
 
 
-def states_at(augmented: AugmentedSystem, config: SimulationConfig, times, ham=None):
+def states_at(augmented: AugmentedSystem, config: SimulationConfig, times):
     """Full augmented states at any ``times`` on the exact route.
 
-    ``ham`` is the chain's :class:`~qchain.analysis.ObserverHamiltonian`,
-    built here when not given.  Returns an array of shape ``(len(times),
-    augmented.dim)``.
+    Returns an array of shape ``(len(times), augmented.dim)``.
 
     Raises
     ------
@@ -259,12 +264,11 @@ def states_at(augmented: AugmentedSystem, config: SimulationConfig, times, ham=N
         If the conserved plant observable drifted beyond tolerance.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    *_, states, drift = _exact_series(augmented, config, ts, True, ham)
-    _check_drift(drift, float(augmented.plant.alpha @ config.initial_plant))
-    return states
+    exact = replace(config, method="exact")
+    return _evaluate(augmented, exact, ts, True)[3]
 
 
-def flow_matrix(augmented: AugmentedSystem, t: float, ham=None) -> np.ndarray:
+def flow_matrix(augmented: AugmentedSystem, t: float) -> np.ndarray:
     """Closed-form propagator ``exp(A t)`` of the augmented drift ``A``.
 
     The split of :func:`_exact_series`, applied to every initial state at
@@ -276,7 +280,7 @@ def flow_matrix(augmented: AugmentedSystem, t: float, ham=None) -> np.ndarray:
                 [(s - P s) alpha^T,             P  ]]
 
     It needs a nonsingular chain (``lam != 0``), not a positive definite
-    one.  ``ham`` is built here when not given.
+    one.
 
     Raises
     ------
@@ -284,8 +288,7 @@ def flow_matrix(augmented: AugmentedSystem, t: float, ham=None) -> np.ndarray:
         If the chain drift is singular.
     """
     realization = augmented.realization
-    if ham is None:
-        ham = observer_hamiltonian(realization.mu, realization.omega)
+    ham = realization.hamiltonian
     s = _steady_offset(realization, 1.0)
     P = real_embedding(ham.propagator(t))
     integral = real_embedding(ham.integral(t))
@@ -396,7 +399,7 @@ def _steady_offset(realization, z):
         ) from exc
 
 
-def _exact_series(augmented, config, times, keep_states, ham=None):
+def _exact_series(augmented, config, times, keep_states):
     """Structured exact evaluation; see the module docstring for the split.
 
     In the chain amplitudes ``a = q + i p`` the error is ``a(t) = M exp(-2i
@@ -407,8 +410,7 @@ def _exact_series(augmented, config, times, keep_states, ham=None):
     the plant quadratures for ``keep_states``) are projected onto the modes
     first and each chunk of ``times`` evaluates one phase table for all of
     them.  The running average at ``t > 0`` is the readouts' antiderivative
-    over ``t``; at ``t = 0`` it is the readout.  ``ham`` is the chain's
-    :class:`~qchain.analysis.ObserverHamiltonian`, built here when not given.
+    over ``t``; at ``t = 0`` it is the readout.
 
     The plant moves by the constant ``rate`` times ``t`` plus the modes'
     oscillation, and ``alpha . rate = 0`` identically, since the plant's
@@ -429,8 +431,7 @@ def _exact_series(augmented, config, times, keep_states, ham=None):
 
     steady = _steady_offset(realization, z_p0)
     err0 = config.initial_observer - steady
-    if ham is None:
-        ham = observer_hamiltonian(realization.mu, realization.omega)
+    ham = realization.hamiltonian
     lam = ham.lam
     modes = ham.modes(err0)
 
@@ -522,12 +523,7 @@ class ConsensusReport:
             "matrix_residual": self.matrix_residual.tolist(),
             "certificate_envelope": self.certificate_envelope.tolist(),
             "slope": self.slope if np.isfinite(self.slope) else None,
-            "certificate": {
-                "lambda_min": self.certificate.lambda_min,
-                "lambda_max": self.certificate.lambda_max,
-                "exp_bound": self.certificate.exp_bound,
-                "avg_constant": self.certificate.avg_constant,
-            },
+            "certificate": asdict(self.certificate),
             "method": self.method,
             "passed": self.passed,
         }
@@ -568,15 +564,9 @@ def consensus_report(
 
     plant = augmented.plant
     z_p0 = float(plant.alpha @ config.initial_plant)
-    ham = observer_hamiltonian(realization.mu, realization.omega)
-    if config.method == "rk4":
-        _, _, avg, _, drift = _rk4_series(
-            augmented, run_cfg, np.array([0, *indices]), False
-        )
-    else:
-        times = np.array([0, *indices]) * dt
-        _, _, avg, _, drift = _exact_series(augmented, run_cfg, times, False, ham)
-    _check_drift(drift, z_p0)
+    ham = realization.hamiltonian
+    times = np.array([0, *indices]) * dt
+    _, _, avg, _, drift = _evaluate(augmented, run_cfg, times, False)
     averages = avg[1:]
 
     chain_form = build_symplectic(realization.n_elements)

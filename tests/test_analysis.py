@@ -1,5 +1,9 @@
 """Certificate-layer tests: energy matrix, complex reduction, norm bounds, averaging."""
 
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -11,6 +15,39 @@ from qchain.core import ConservativeFlow, build_symplectic
 
 def _complex_amplitudes(x):
     return x[0::2] + 1j * x[1::2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_energy_matrix_rejects_non_finite_inputs(bad):
+    # NaN < 0 is false, so a plain sign check would let these through to a
+    # silently wrong spectrum
+    with pytest.raises(ValueError, match="finite"):
+        analysis.observer_hamiltonian([1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        analysis.observer_hamiltonian([bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        analysis.observer_hamiltonian([1.0, 1.0], omega=[bad, 1.0])
+
+
+def test_analysis_does_not_import_observer():
+    """``observer`` builds on ``analysis``, never the other way round.
+
+    The package ``__init__`` imports every layer, so ``qchain`` is replaced
+    by a bare package object and ``qchain.analysis`` is imported alone.
+    """
+    package_dir = str(pathlib.Path(analysis.__file__).parent)
+    code = (
+        "import sys, types; "
+        "pkg = types.ModuleType('qchain'); pkg.__path__ = [sys.argv[1]]; "
+        "sys.modules['qchain'] = pkg; "
+        "import qchain.analysis; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qchain.'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, package_dir], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["qchain.analysis", "qchain.core", "qchain.errors"]
 
 
 def test_energy_matrix_literal():

@@ -4,6 +4,7 @@ Commands run in-process through ``cli.main`` with tmp-path configs; one test
 goes through a real subprocess to cover the console entry point.
 """
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from qchain import analysis, cli
+from qchain import cli, observer
 from qchain.errors import ConfigError
 
 CANONICAL = {
@@ -218,16 +219,14 @@ def test_verify_indefinite_chain_writes_valid_json(tmp_path, capsys):
 
 def _verify_with_spectrum(tmp_path, capsys, monkeypatch, perturb):
     """Failed checks and their residuals when verify's spectrum is perturbed."""
-    build = analysis.observer_hamiltonian
+    build = observer.observer_hamiltonian
 
     def perturbed(mu, omega=None):
         ham = build(mu, omega)
         lam, V = perturb(ham.lam.copy(), ham.V.copy())
-        return analysis.ObserverHamiltonian(
-            matrix=ham.matrix, mu=ham.mu, omega=ham.omega, lam=lam, V=V
-        )
+        return dataclasses.replace(ham, lam=lam, V=V)
 
-    monkeypatch.setattr(analysis, "observer_hamiltonian", perturbed)
+    monkeypatch.setattr(observer, "observer_hamiltonian", perturbed)
     rc, out, _ = _run(capsys, ["verify", _write(tmp_path, CANONICAL)])
     monkeypatch.undo()
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -262,6 +261,39 @@ def test_verify_catches_a_perturbed_spectrum(tmp_path, capsys, monkeypatch):
     assert failed == {"commutation_preservation", "energy_conservation"}
     energy = checks["energy_conservation"]
     assert energy["residual"] > 1e2 * energy["tolerance"]
+
+
+def test_each_command_builds_one_spectrum(tmp_path, capsys, monkeypatch):
+    # build_observer builds the chain's Jacobi form and spectrum; every later
+    # reader takes them from the realization
+    counts = {"observer_hamiltonian": 0, "eigh": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        observer,
+        "observer_hamiltonian",
+        counted(observer.observer_hamiltonian, "observer_hamiltonian"),
+    )
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
+    path = _write(tmp_path, CANONICAL)
+    sweep = ["--param", "mu_1", "--values", "0.5", "1", "2"]
+    for argv, want in (
+        (["build", path], 1),
+        (["verify", path], 1),
+        (["simulate", path, "--csv", str(tmp_path / "s.csv")], 1),
+        (["sweep", path, *sweep], 3),
+    ):
+        for key in counts:
+            counts[key] = 0
+        rc, _, _ = _run(capsys, argv)
+        assert rc == 0
+        assert counts == {"observer_hamiltonian": want, "eigh": want}, argv
 
 
 def test_verify_singular_chain_exits_3(tmp_path, capsys):

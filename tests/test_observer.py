@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qchain import observer
+from qchain.analysis import real_embedding
+from qchain.core import J2, build_symplectic
 from qchain.errors import ConstructionInconsistencyError, ReadoutOrientationError
 
 
@@ -102,6 +104,63 @@ def test_build_observer_rejects_bad_gains():
         observer.build_observer(plant, [1.0, np.inf])
     with pytest.raises(ValueError):
         observer.build_observer(plant, [1.0, 1.0], omega_override=[1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_observer_rejects_non_finite_detunings(bad):
+    plant = observer.PlantSpec(alpha=np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        observer.build_observer(plant, [1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        observer.build_observer(plant, [1.0, 1.0], omega_override=[bad, 1.0])
+
+
+def _block_loop_drift(mu, omega):
+    """The chain drift assembled 2x2 block by 2x2 block, as the paper writes it."""
+    n = len(mu)
+    A = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        s = slice(2 * i, 2 * i + 2)
+        A[s, s] = 2.0 * omega[i] * J2
+        if i + 1 < n:
+            nxt = slice(2 * i + 2, 2 * i + 4)
+            A[s, nxt] = -2.0 * mu[i + 1] * np.eye(2)
+            A[nxt, s] = 2.0 * mu[i + 1] * np.eye(2)
+    return A
+
+
+@pytest.mark.parametrize("kind", ["design", "detuned", "indefinite"])
+def test_every_chain_matrix_is_an_embedding_of_H(kind):
+    """The drift, ``R`` and the augmented chain block all come from one ``H``.
+
+    Each equals the block-by-block construction and ``-(1/2) Theta A`` in
+    value exactly (the signs of zero entries may differ).
+    """
+    rng = np.random.default_rng({"design": 41, "detuned": 42, "indefinite": 43}[kind])
+    for _ in range(40):
+        n = int(rng.integers(1, 61))
+        mu = rng.uniform(0.1, 3.0, size=n)
+        design = observer.detunings_from_gains(mu)
+        omega = {
+            "design": design,
+            "detuned": design * rng.uniform(0.9, 1.1, size=n),
+            "indefinite": design - rng.uniform(1.0, 3.0) * np.max(mu),
+        }[kind]
+        plant = observer.PlantSpec(alpha=rng.standard_normal(2))
+        real = observer.build_observer(plant, mu, omega_override=omega)
+        aug = observer.assemble_augmented(real, plant)
+        ham = real.hamiltonian
+        if kind != "detuned":  # a detuned chain may be either
+            assert (ham.lam[0] < 0) == (kind == "indefinite")
+        drift = observer.chain_drift(mu, omega)
+        assert drift.tobytes() == real_embedding(-2j * ham.H).tobytes()
+        assert drift.tobytes() == real.drift.tobytes()
+        assert ham.matrix.tobytes() == real_embedding(ham.H).tobytes()
+        assert aug.hamiltonian[2:, 2:].tobytes() == ham.matrix.tobytes()
+        assert np.array_equal(drift, _block_loop_drift(mu, omega))
+        theta = build_symplectic(n).matrix
+        assert np.array_equal(ham.matrix, -0.5 * (theta @ drift))
+        assert np.array_equal(2.0 * (theta @ ham.matrix), drift)
 
 
 def test_steady_vector_solves_chain():
