@@ -30,7 +30,6 @@ import numpy as np
 from .analysis import (
     ObserverHamiltonian,
     detunings_from_gains,
-    jacobi_form,
     observer_hamiltonian,
     real_embedding,
 )
@@ -129,21 +128,6 @@ def kappas_from_gains(mu, spread: float = 1.0) -> ChainParams:
     for g in m[1:]:
         kappas.extend((4.0 * g * spread, 4.0 * g / spread))
     return ChainParams(n_elements=m.size, mu_1=float(m[0]), kappas=tuple(kappas))
-
-
-def chain_drift(mu, omega) -> np.ndarray:
-    """Block-tridiagonal drift of the observer chain alone.
-
-    Diagonal blocks rotate each mode at twice its detuning; off-diagonal
-    blocks exchange neighbours at twice the link gain, skew-paired so the
-    whole matrix is generated by a symmetric Hamiltonian.  It is the real
-    form of ``-2i H`` for the chain's Jacobi form ``H``.
-    """
-    m = np.asarray(mu, dtype=float)
-    om = np.asarray(omega, dtype=float)
-    if m.shape != om.shape or m.ndim != 1 or m.size < 1:
-        raise ValueError("mu and omega must be 1-D arrays of equal positive length")
-    return real_embedding(-2j * jacobi_form(m, om))
 
 
 @dataclass(frozen=True, eq=False)

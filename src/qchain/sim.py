@@ -40,11 +40,11 @@ from .core import build_symplectic
 from .errors import IntegratorAccuracyError
 from .observer import AugmentedSystem, ObserverRealization, steady_vector
 
-#: Hard cap on the number of stored samples in one simulation.
-MAX_SAMPLES = 10_000_001
-
 #: Largest float64 sample storage, in bytes, that one simulation may hold.
 MAX_SERIES_BYTES = 2 * 2**30
+
+#: Most steps the rk4 route may take: it steps the whole grid, whatever it keeps.
+MAX_RK4_STEPS = 10_000_000
 
 #: Largest default sample step.
 DEFAULT_DT_CAP = 0.01
@@ -55,9 +55,6 @@ Z_DRIFT_TOL = 1e-9
 #: Phase-table entries (samples times chain elements) evaluated per chunk.
 #: A 256 KB table keeps each chunk's temporaries cache-sized and reusable.
 _CHUNK_ENTRIES = 2**14
-
-#: Rows formatted per write of a CSV export.
-_CSV_BLOCK_ROWS = 4096
 
 #: Steps per block of RK4 power stepping.
 _RK4_BLOCK = 256
@@ -97,9 +94,15 @@ class SimulationConfig:
             raise ValueError("sample_dt must be smaller than horizon_T")
         if self.method not in ("exact", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if round(self.horizon_T / self.sample_dt) + 1 > MAX_SAMPLES:
+        steps = self.horizon_T / self.sample_dt
+        if not steps < 2.0**62:
             raise ValueError(
-                f"grid would exceed {MAX_SAMPLES} samples; increase sample_dt"
+                "the sample grid has too many steps to index; increase sample_dt"
+            )
+        if self.method == "rk4" and round(steps) > MAX_RK4_STEPS:
+            raise ValueError(
+                f"the rk4 route would take over {MAX_RK4_STEPS} steps; "
+                "increase sample_dt or use the exact method"
             )
         object.__setattr__(self, "initial_plant", xp)
         object.__setattr__(self, "initial_observer", xo)
@@ -166,13 +169,15 @@ def running_average(times, values) -> np.ndarray:
     return avg[:, 0] if squeeze else avg
 
 
+def _sample_count(n_samples: int, stride: int) -> int:
+    """How many indices :func:`_sample_indices` returns."""
+    return (n_samples - 1) // stride + 1 + ((n_samples - 1) % stride != 0)
+
+
 def _sample_indices(n_samples: int, stride: int) -> np.ndarray:
     """Every ``stride``-th sample index, always ending with the final one."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    idx = np.arange(0, n_samples, stride)
-    if idx[-1] != n_samples - 1:
-        idx = np.append(idx, n_samples - 1)
+    idx = np.arange(_sample_count(n_samples, stride)) * stride
+    idx[-1] = n_samples - 1
     return idx
 
 
@@ -230,9 +235,11 @@ def simulate(
             f"initial_observer has length {config.initial_observer.size}, "
             f"chain needs {realization.state_dim}"
         )
-    idx = _sample_indices(config.n_steps + 1, stride)
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    n_samples = config.n_steps + 1
+    rows = _sample_count(n_samples, stride)  # counted before allocating
     n = realization.n_elements
-    rows = idx.size
     columns = 2 + 2 * n + (2 + 2 * n if keep_states else 0)
     if 8 * rows * columns > MAX_SERIES_BYTES:
         raise ValueError(
@@ -240,7 +247,7 @@ def simulate(
             f"{8 * rows * columns} bytes, over the limit of {MAX_SERIES_BYTES}; "
             "increase sample_dt or csv_stride, or shorten the horizons"
         )
-    times = idx * config.sample_dt
+    times = _sample_indices(n_samples, stride) * config.sample_dt
     z_p, z_o, avg, kept, drift = _evaluate(augmented, config, times, keep_states)
     return TimeSeries(
         times=times,
@@ -614,9 +621,9 @@ def write_timeseries_csv(series: TimeSeries, path) -> None:
     """Write every sample of the series as CSV.
 
     Columns: ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.  Thin the rows
-    with ``simulate(..., stride=k)``.  Values are formatted with 17
-    significant digits so the file round-trips exactly; rows are formatted a
-    block at a time.
+    with ``simulate(..., stride=k)``.  Every value is written as ``"%.17g" %
+    v`` writes it, so the file round-trips exactly; blocks of about 2^16
+    values go through :func:`_format_17g`.
     """
     n = series.n_elements
     header = (
@@ -625,10 +632,165 @@ def write_timeseries_csv(series: TimeSeries, path) -> None:
         + [f"avg_z_o_{i}" for i in range(1, n + 1)]
     )
     columns = (series.times, series.z_p, series.z_o, series.running_avg_z_o)
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for start in range(0, series.times.size, _CSV_BLOCK_ROWS):
-            rows = slice(start, start + _CSV_BLOCK_ROWS)
+    block_rows = max(1, 2**16 // len(header))  # temporaries of a few MB
+    seps = np.full((block_rows, len(header)), ord(","), dtype=np.uint8)
+    seps[:, -1] = ord("\n")
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for start in range(0, series.times.size, block_rows):
+            rows = slice(start, start + block_rows)
             block = np.column_stack([c[rows] for c in columns])
-            f.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+            f.write(_format_17g(block, seps[: block.shape[0]]))
+
+
+def _pow10_ceilings():
+    """The smallest double ``>= 10^k`` for ``k = -4..17``."""
+    out = []
+    for k in range(-4, 18):
+        d = float(f"1e{k}")
+        num, den = d.as_integer_ratio()
+        if k < 0 and num * 10**-k < den:  # the nearest double is below 10^k
+            d = float(np.nextafter(d, np.inf))
+        out.append(d)
+    return np.array(out)
+
+
+def _veltkamp_split(a):
+    """``hi + lo == a`` with each half fitting in 26 bits (Dekker 1971)."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _digit_words():
+    """The four ASCII digits of each ``q < 10^4`` as one ``uint32`` word.
+
+    Entries ``10^4 + q`` hold the same digits with their trailing zeros
+    replaced by NUL (all four for ``q = 0``).
+    """
+    q = np.arange(10**4)
+    chars = np.stack([48 + q // 10**j % 10 for j in (3, 2, 1, 0)], axis=1)
+    zeros = sum(q % 10**j == 0 for j in (1, 2, 3, 4))
+    stripped = np.where(np.arange(4) < 4 - zeros[:, None], chars, 0)
+    return np.concatenate([chars, stripped]).astype(np.uint8).view(np.uint32).ravel()
+
+
+# Tables of the %.17g kernel: a finite double with 1e-4 <= |x| < 1e17 prints in
+# fixed notation, from its 17 significant digits D and its decimal exponent k.
+_POW10_CEIL = _pow10_ceilings()
+_POW10 = 10.0 ** np.arange(21)  # exact: every 10^p with p <= 22 is a double
+_POW10_HI, _POW10_LO = _veltkamp_split(_POW10)
+_DIGITS4 = _digit_words()
+_LEADING_ZEROS = np.frombuffer(b"0.000", dtype=np.uint8)
+
+
+def _format_17g(values, seps) -> bytes:
+    """The bytes of ``"%.17g" % v`` for every value, each followed by its separator.
+
+    ``seps`` holds one ``uint8`` character per value.  Zeros and values with
+    ``1e-4 <= |v| < 1e17`` print in fixed notation from their 17 significant
+    digits ``D`` and decimal exponent ``k`` (:func:`_decimal_form`) and are
+    formatted here, exactly; every other value is formatted by ``%`` itself,
+    all of them in one call.  Values are sorted by ``k``, which fixes where
+    the digits and the point go in a row of bytes, so each group is placed
+    with slice copies (:func:`_place_digits`).  The rows are scattered back
+    in order and get their sign and separator, and the NUL and space padding
+    is deleted.
+    """
+    v = np.ravel(values)
+    ax = np.abs(v)
+    slow = ~(((ax >= _POW10_CEIL[0]) & (ax < 1e17)) | (ax == 0.0))
+    fast = np.flatnonzero(~slow)  # where the kernel formats
+    k, D, ok = _decimal_form(ax[fast])
+    slow[fast[~ok]] = True
+    order = np.argsort(k.astype(np.int8), kind="stable")
+    rows = np.empty((v.size, 25), dtype=np.uint8)
+    rows[fast[order]] = _place_digits(
+        _digit_chars(D[order]), np.bincount(k + 4, minlength=21)
+    )
+    rows[:, 0] = np.signbit(v).view(np.uint8) * np.uint8(45)
+    rows[:, -1] = np.ravel(seps)
+    if slow.any():
+        # one % call, each value space-padded to 24 bytes: the longest
+        # %.17g text is 24 bytes, as in -1.2345678901234567e-308
+        slow_v = v[slow].tolist()
+        text = (b"%-24.17g" * len(slow_v)) % tuple(slow_v)
+        rows[slow, :-1] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
+    return rows.tobytes().translate(None, b"\0 ")
+
+
+def _decimal_form(ax):
+    """``k, D, ok`` for zeros and magnitudes ``1e-4 <= ax < 1e17``.
+
+    ``ax ~ D 10^(k-16)`` with 17 significant digits:
+
+    1. ``k = floor(log10 ax)``, corrected against the exact powers of ten.
+    2. ``ax 10^(16-k) = hi + lo`` exactly, by Dekker's two-product.
+    3. ``D = hi + rint(lo)`` is ``ax 10^(16-k)`` rounded half to even,
+       because ``hi >= 2^53`` is an even integer.
+
+    A zero gets ``D = 0`` and ``k = 0``.  ``ok`` marks the zeros and the
+    values whose ``D`` lies in ``[10^16, 10^17)``.  No double rounds up to a
+    power of ten at 17 digits, so ``D < 10^17`` always; a ``D`` out of range
+    would take the fallback.
+    """
+    zero = ax == 0.0
+    x = np.where(zero, 1.0, ax)
+    k = np.floor(np.log10(x)).astype(np.int64)
+    np.clip(k, -4, 16, out=k)
+    k -= x < _POW10_CEIL[k + 4]
+    k += x >= _POW10_CEIL[k + 5]
+    p = 16 - k
+    hi = x * _POW10[p]
+    x_hi, x_lo = _veltkamp_split(x)
+    p_hi, p_lo = _POW10_HI[p], _POW10_LO[p]
+    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ok = zero | ((D >= 10**16) & (D < 10**17))
+    D[zero] = 0  # its x = 1 put it in the k = 0 group
+    return k, D, ok
+
+
+def _digit_chars(D):
+    """The 17 ASCII digits of each ``D``, trailing zeros NUL, as ``(n, 17)``."""
+    upper, lower = np.divmod(D, 10**8)
+    lead, upper = np.divmod(upper.astype(np.int32), 10**8)
+    g1, g2 = np.divmod(upper, 10**4)
+    g3, g4 = np.divmod(lower.astype(np.int32), 10**4)
+    digits = np.empty((D.size, 20), dtype=np.uint8)
+    words = digits.view(np.uint32)
+    tail = g4 == 0  # every digit after the current word is zero
+    words[:, 4] = _DIGITS4[10**4 + g4]
+    words[:, 3] = _DIGITS4[g3 + 10**4 * tail]
+    tail &= g3 == 0
+    words[:, 2] = _DIGITS4[g2 + 10**4 * tail]
+    tail &= g2 == 0
+    words[:, 1] = _DIGITS4[g1 + 10**4 * tail]
+    digits[:, 3] = 48 + lead
+    return digits[:, 3:]
+
+
+def _place_digits(digits, counts):
+    """Fixed-notation rows for digits sorted by ``k``; ``counts[k + 4]`` per group.
+
+    A row has 25 bytes, room for ``-1.2345678901234567e-308`` and its
+    separator.  Column 0 is left for the sign and the last for the
+    separator; unused bytes are NUL.
+    """
+    rows = np.zeros((digits.shape[0], 25), dtype=np.uint8)
+    stop = 0
+    for k, count in zip(range(-4, 17), counts.tolist()):
+        group = slice(stop, stop + count)
+        stop += count
+        if count == 0:
+            continue
+        if k < 0:  # 0.000ddd
+            rows[group, 1 : 2 - k] = _LEADING_ZEROS[: 1 - k]
+            rows[group, 2 - k : 19 - k] = digits[group]
+            continue
+        # integer digits keep their zeros; the point only if a fraction follows
+        np.maximum(digits[group, : k + 1], 48, out=rows[group, 1 : k + 2])
+        if k < 16:
+            rows[group, k + 2] = (digits[group, k + 1] != 0) * np.uint8(46)
+            rows[group, k + 3 : 19] = digits[group, k + 1 :]
+    return rows

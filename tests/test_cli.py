@@ -363,6 +363,13 @@ def test_simulate_over_memory_budget_exits_3(tmp_path, capsys, monkeypatch):
     assert not csv_path.exists()
 
 
+def test_simulate_rk4_step_cap_exits_3(tmp_path, capsys):
+    long_rk4 = {**CANONICAL, "method": "rk4", "horizons": [1e9]}
+    rc, _, err = _run(capsys, ["simulate", _write(tmp_path, long_rk4)])
+    assert rc == 3
+    assert "rk4 route would take over 10000000 steps" in err
+
+
 def test_simulate_steady_start_has_tiny_errors(tmp_path, capsys):
     steady = {
         **CANONICAL,

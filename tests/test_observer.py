@@ -66,7 +66,8 @@ def test_detuning_rule():
 
 
 def test_chain_drift_literal():
-    A = observer.chain_drift([1.0, 1.0], [2.0, 1.0])
+    plant = observer.PlantSpec(alpha=np.array([1.0, 0.0]))
+    A = observer.build_observer(plant, [1.0, 1.0], omega_override=[2.0, 1.0]).drift
     expected = np.array(
         [
             [0.0, 4.0, -2.0, 0.0],
@@ -152,9 +153,8 @@ def test_every_chain_matrix_is_an_embedding_of_H(kind):
         ham = real.hamiltonian
         if kind != "detuned":  # a detuned chain may be either
             assert (ham.lam[0] < 0) == (kind == "indefinite")
-        drift = observer.chain_drift(mu, omega)
+        drift = real.drift
         assert drift.tobytes() == real_embedding(-2j * ham.H).tobytes()
-        assert drift.tobytes() == real.drift.tobytes()
         assert ham.matrix.tobytes() == real_embedding(ham.H).tobytes()
         assert aug.hamiltonian[2:, 2:].tobytes() == ham.matrix.tobytes()
         assert np.array_equal(drift, _block_loop_drift(mu, omega))

@@ -5,12 +5,15 @@ expm and trapezoid, the rk4 integrator, and the frozen certificate numbers of
 the three-element design chain.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchain import observer, sim
 from qchain.errors import IntegratorAccuracyError
@@ -65,8 +68,16 @@ def test_config_validation():
         sim.SimulationConfig(z2, np.zeros(2), 1.0, 1.0)
     with pytest.raises(ValueError):
         sim.SimulationConfig(z2, np.zeros(2), 1.0, 0.01, method="euler")
-    with pytest.raises(ValueError):
-        sim.SimulationConfig(z2, np.zeros(2), 1e6, 0.01)  # over the sample cap
+    # no sample cap, but every step must have a 64-bit index
+    assert sim.SimulationConfig(z2, np.zeros(2), 1e6, 0.01).n_steps == 10**8
+    # the rk4 route steps its whole grid, so its step count stays capped
+    rk4 = sim.SimulationConfig(z2, np.zeros(2), 1e5, 0.01, method="rk4")
+    assert rk4.n_steps == sim.MAX_RK4_STEPS
+    with pytest.raises(ValueError, match="rk4 route would take over 10000000 steps"):
+        sim.SimulationConfig(z2, np.zeros(2), 1e5 + 0.01, 0.01, method="rk4")
+    for dt in (1e-10, 1e-300):
+        with pytest.raises(ValueError, match="too many steps"):
+            sim.SimulationConfig(z2, np.zeros(2), 1e10, dt)
 
 
 def test_default_sample_dt():
@@ -402,6 +413,24 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
     assert sim.simulate(aug, cfg, keep_states=True, stride=4).times.size == 2501
 
 
+def test_exact_report_has_no_sample_cap(monkeypatch):
+    _, real, aug = _make_system([1.0, 1.0, 1.0])
+    cfg = _config(real, 2e5, 0.01, plant_x=(0.3, 0.9))  # 20,000,001 samples
+    report = sim.consensus_report(aug, real, cfg, [2e3, 2e4, 2e5])
+    assert report.passed
+    assert report.horizons.tolist() == [2e3, 2e4, 2e5]
+
+    # the stride-1 series (1.28 GB) is still refused by the byte budget,
+    # before anything is evaluated or allocated
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated a series over the budget")
+
+    monkeypatch.setattr(sim, "MAX_SERIES_BYTES", 2**30)
+    monkeypatch.setattr(sim, "_evaluate", no_evaluation)
+    with pytest.raises(ValueError, match="20000001 samples of a chain with N = 3"):
+        sim.simulate(aug, cfg)
+
+
 def test_strided_series_rows_match_full_series(tmp_path):
     _, real, aug = _make_system([1.0, 1.0, 1.0])
     cfg = _config(real, 10.0, 0.01, plant_x=(0.3, 0.9))
@@ -438,3 +467,97 @@ def test_block_writer_matches_per_value_format(tmp_path):
     lines = ["t,z_p,z_o_1,z_o_2,avg_z_o_1,avg_z_o_2"]
     lines += [",".join(format(float(v), ".17g") for v in row) for row in table]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+
+# ---------------------------------------------------------------------------
+# the exact %.17g kernel of the CSV writer
+
+
+def _assert_formats_like_percent(values):
+    values = np.asarray(values, dtype=float).ravel()
+    out = sim._format_17g(values, np.full(values.size, ord(","), dtype=np.uint8))
+    assert out.split(b",") == [b"%.17g" % v for v in values.tolist()] + [b""]
+
+
+def _ulps_around_powers_of_ten():
+    """+-20 ulps around every power of ten from 1e-6 to 1e18."""
+    bits = np.array([float(f"1e{m}") for m in range(-6, 19)]).view(np.int64)
+    return (bits[:, None] + np.arange(-20, 21)).ravel().view(np.float64)
+
+
+def _halfway_ties():
+    """Doubles exactly halfway between two 17-digit decimals, from 1e-4 to 1e16.
+
+    ``x 10^(16-k)`` is an odd multiple of 1/2 for ``x = o / 2^(17-k)`` with
+    ``o`` odd, so both rounding directions of a tie occur.
+    """
+    rng = np.random.default_rng(5)
+    ties = []
+    for k in range(-4, 16):
+        scale = 2 ** (17 - k)
+        lo, hi = 10.0**k * scale, min(10.0 ** (k + 1) * scale, 2.0**53)
+        ties += [(o | 1) / scale for o in rng.integers(int(lo), int(hi), 200).tolist()]
+    for x in ties:
+        num, den = x.as_integer_ratio()
+        scaled = num * 10 ** (16 - int(("%.16e" % x).split("e")[1]))
+        assert 2 * scaled % den == 0 and scaled % den != 0, x
+    return ties
+
+
+_EDGE_VALUES = {
+    "powers of ten": _ulps_around_powers_of_ten(),
+    "halfway ties": _halfway_ties(),
+    # the nearest any double comes to rounding up to a power of ten
+    "below powers of ten": [np.nextafter(float(f"1e{m}"), 0.0) for m in range(-8, 25)],
+    "zeros, subnormals, extremes": [
+        0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-300,
+        1e300, 1.7976931348623157e308, 9.999999999999999e-05, 1e-4, 1e17,
+        99999999999999984.0,
+    ],
+    # a block with nothing for the kernel: every value takes the % fallback
+    "fallback only": [
+        5e-324, 1e-300, 3.3e-05, 9.999999999999999e-05, 1e17, 1.25e20, 1e300,
+    ],
+    "every layout group": [
+        m * 10.0**k
+        for k in range(-4, 17)
+        for m in (1.0, 1.5, 1.2345678901234567, 9.87654321, 3.0000000000000004)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_VALUES))
+def test_format_kernel_matches_percent_format_on_edges(name):
+    values = np.asarray(_EDGE_VALUES[name], dtype=float)
+    _assert_formats_like_percent(np.concatenate([values, -values]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_format_kernel_matches_percent_format_on_floats(values):
+    _assert_formats_like_percent(values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40))
+def test_format_kernel_matches_percent_format_on_bit_patterns(bits):
+    _assert_formats_like_percent(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_csv_writer_raises_no_warnings(tmp_path):
+    table = np.array([[0.0, -0.0, 5e-324, 1e300], [np.inf, np.nan, -1e-310, -2.5]])
+    series = sim.TimeSeries(
+        times=table[:, 0],
+        z_p=table[:, 1],
+        z_o=table[:, 2:3],
+        running_avg_z_o=table[:, 3:4],
+        z_p_drift=0.0,
+        method="exact",
+    )
+    path = tmp_path / "extremes.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim.write_timeseries_csv(series, path)
+    rows = [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    assert path.read_text().splitlines()[1:] == rows
