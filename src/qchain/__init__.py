@@ -8,7 +8,8 @@ The package is organised in layers:
   ports and algebraic elimination of their interconnections.
 * :mod:`qchain.analysis` — the chain's Jacobi form ``H`` and its spectrum,
   positivity certificates and the ``C/T`` time-averaged convergence
-  envelope.
+  envelope, all taking that spectrum as their only chain argument; it
+  imports no other qchain module.
 * :mod:`qchain.observer` — closed-form construction of the observer chain,
   which builds ``H`` once and reads its drift and Hamiltonian from it, and
   its assembly with the plant.
@@ -23,7 +24,6 @@ The top level re-exports the names of the README's library example plus
 
 from . import analysis, core, errors, network, observer, sim
 from .analysis import convergence_certificate
-from .core import build_symplectic
 from .errors import QchainError
 from .observer import PlantSpec, assemble_augmented, build_observer
 from .sim import SimulationConfig, consensus_report, simulate
@@ -36,7 +36,6 @@ __all__ = [
     "SimulationConfig",
     "assemble_augmented",
     "build_observer",
-    "build_symplectic",
     "consensus_report",
     "convergence_certificate",
     "simulate",

@@ -18,13 +18,18 @@ lam)``, and the time average, norm bound and certificate are closed forms in
 
 ``H`` splits into
 
-* a rank-one corner holding the head gain, and
+* a rank-one corner, the head gain ``mu_1`` in its top-left entry, and
 * a remainder that is a manifest sum of squares over the links,
 
-which together prove positive definiteness whenever the head gain is nonzero.
-From the extreme eigenvalues one gets a uniform bound on the propagator norm
-and, via an exact integral identity, an ``O(1/T)`` envelope on time-averaged
-deviations — the quantitative content of the consensus guarantee.
+which together prove positive definiteness whenever the head gain is nonzero
+(:func:`split_report`).  From the extreme eigenvalues one gets a uniform
+bound on the propagator norm and, via an exact integral identity, an
+``O(1/T)`` envelope on time-averaged deviations — the quantitative content
+of the consensus guarantee.
+
+Every check and bound here takes the :class:`ObserverHamiltonian` alone:
+it holds the chain length, the gains and the spectrum, so the module
+imports no other qchain module.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import SymplecticForm
 
 
 def detunings_from_gains(mu) -> np.ndarray:
@@ -170,29 +173,6 @@ def real_embedding(M: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianReduction:
-    """Complex ``N x N`` image of the chain Hamiltonian and its split.
-
-    ``matrix = corner + remainder`` where ``corner`` carries the head gain in
-    its top-left entry and ``remainder`` is the sum-of-squares part.
-    """
-
-    matrix: np.ndarray
-    corner: np.ndarray
-    remainder: np.ndarray
-    mu: np.ndarray
-
-
-def hermitian_reduce(ham: ObserverHamiltonian) -> HermitianReduction:
-    """Split the chain's ``H`` into the head-gain corner and the remainder."""
-    m, H = ham.mu, ham.H
-    n = m.size
-    corner = np.zeros((n, n), dtype=complex)
-    corner[0, 0] = m[0]
-    return HermitianReduction(matrix=H, corner=corner, remainder=H - corner, mu=m)
-
-
 def _sos_matrix(mu: np.ndarray) -> np.ndarray:
     """Sum over links of ``mu_{k+1} u u^H`` with ``u = -i e_k + e_{k+1}``."""
     n = mu.size
@@ -228,32 +208,36 @@ class SplitReport:
 
 
 def split_report(
-    red: HermitianReduction, seed: int = 0
+    ham: ObserverHamiltonian, seed: int = 0
 ) -> tuple[SplitReport, list[str]]:
     """Verify the corner-plus-squares decomposition actually proves positivity.
 
-    Checks, in order: the remainder equals the explicit sum of link squares;
-    random quadratic forms (``SPLIT_DRAWS`` of them) match the sum-of-squares
-    evaluation; the remainder has no eigenvalue below zero (up to rounding);
-    the alternating phase vector is annihilated by the remainder while the
-    corner assigns it the head gain.
+    The corner is the head gain ``mu_1`` in the top-left entry of ``H``, and
+    the remainder is ``H`` with it taken off.  Checks, in order: the
+    remainder equals the explicit sum of link squares; random quadratic
+    forms (``SPLIT_DRAWS`` of them) match the sum-of-squares evaluation; the
+    remainder has no eigenvalue below zero (up to rounding); the alternating
+    phase vector is annihilated by the remainder while the corner assigns it
+    the head gain.
 
     Returns the report plus a list of human-readable failure descriptions,
     empty for chains that follow the design detuning rule; a detuning
     override is precisely what trips them.
     """
-    mu = red.mu
+    mu = ham.mu
     n = mu.size
-    scale = 1.0 + float(np.max(np.abs(red.matrix)))
+    scale = 1.0 + float(np.max(np.abs(ham.H)))
+    remainder = ham.H.copy()
+    remainder[0, 0] -= mu[0]
     sos = _sos_matrix(mu)
-    recon = float(np.max(np.abs(red.remainder - sos)))
+    recon = float(np.max(np.abs(remainder - sos)))
 
     rng = np.random.default_rng(seed)
     draw_err = 0.0
     for _ in range(SPLIT_DRAWS):
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a /= np.linalg.norm(a)
-        direct = float(np.real(a.conj() @ red.remainder @ a))
+        direct = float(np.real(a.conj() @ remainder @ a))
         squares = float(
             sum(
                 mu[k + 1] * abs(1j * a[k] + a[k + 1]) ** 2
@@ -262,10 +246,10 @@ def split_report(
         )
         draw_err = max(draw_err, abs(direct - squares))
 
-    min_eig = float(np.linalg.eigvalsh(red.remainder)[0])
+    min_eig = float(np.linalg.eigvalsh(remainder)[0])
     v = _alternating_phase_vector(n)
-    null_resid = float(np.linalg.norm(red.remainder @ v))
-    corner_energy = float(np.real(v.conj() @ red.corner @ v))
+    null_resid = float(np.linalg.norm(remainder @ v))
+    corner_energy = float(mu[0] * abs(v[0]) ** 2)
 
     failures = []
     if recon > 1e-13 * scale:
@@ -299,15 +283,11 @@ def check_positive_definite(ham: ObserverHamiltonian) -> tuple[bool, float, floa
     return lo > 0.0, lo, hi
 
 
-def _positive_spectrum(
-    ham: ObserverHamiltonian, form: SymplecticForm
-) -> tuple[float, float]:
-    """Extreme eigenvalues of a positive definite chain matching ``form``."""
+def _positive_spectrum(ham: ObserverHamiltonian) -> tuple[float, float]:
+    """Extreme eigenvalues of a positive definite chain."""
     ok, lo, hi = check_positive_definite(ham)
     if not ok:
         raise ValueError(f"chain Hamiltonian is not positive definite (min {lo:.3e})")
-    if form.n_modes != ham.n_elements:
-        raise ValueError("symplectic form does not match the chain length")
     return lo, hi
 
 
@@ -326,12 +306,7 @@ class BoundReport:
     passed: bool
 
 
-def exp_norm_bound(
-    ham: ObserverHamiltonian,
-    form: SymplecticForm,
-    times,
-    probe_seed: int = 0,
-) -> BoundReport:
+def exp_norm_bound(ham: ObserverHamiltonian, times, probe_seed: int = 0) -> BoundReport:
     """Check ``||exp(2 Theta R t)||_2 <= sqrt(l_max / l_min)`` at probe times.
 
     The flow is ``D V exp(-2i Lambda t) V^T D^H`` in the amplitudes, with
@@ -347,7 +322,7 @@ def exp_norm_bound(
         If the Hamiltonian is not positive definite (the bound needs both
         extreme eigenvalues positive).
     """
-    lo, hi = _positive_spectrum(ham, form)
+    lo, hi = _positive_spectrum(ham)
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(ts < 0):
         raise ValueError("probe times must be non-negative")
@@ -355,7 +330,7 @@ def exp_norm_bound(
     bound = float(np.sqrt(hi / lo))
 
     rng = np.random.default_rng(probe_seed)
-    x0 = rng.standard_normal(form.dim)
+    x0 = rng.standard_normal(2 * ham.n_elements)
     amplitudes = np.exp(np.outer(ts, -2j * ham.lam)) @ ham.modes(x0).T
     states = amplitudes.view(np.float64)  # (q_1, p_1, ...)
     energies = 0.5 * np.sum((states @ ham.matrix) * states, axis=1)
@@ -368,9 +343,7 @@ def exp_norm_bound(
     )
 
 
-def time_average_integral(
-    ham: ObserverHamiltonian, form: SymplecticForm, horizon: float
-) -> np.ndarray:
+def time_average_integral(ham: ObserverHamiltonian, horizon: float) -> np.ndarray:
     """Exact matrix integral of the propagator over ``[0, horizon]``.
 
     Uses the closed form ``D V diag((1 - exp(-2i lam T)) / (2i lam)) V^T D^H``
@@ -380,7 +353,7 @@ def time_average_integral(
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    _positive_spectrum(ham, form)
+    _positive_spectrum(ham)
     return real_embedding(ham.integral(horizon))
 
 
@@ -398,9 +371,7 @@ class ConvergenceCertificate:
     avg_constant: float
 
 
-def convergence_certificate(
-    ham: ObserverHamiltonian, form: SymplecticForm
-) -> ConvergenceCertificate:
+def convergence_certificate(ham: ObserverHamiltonian) -> ConvergenceCertificate:
     """Assemble the certificate from the extreme eigenvalues.
 
     The propagator norm is uniformly bounded by ``sqrt(l_max / l_min)``, so
@@ -412,7 +383,7 @@ def convergence_certificate(
     ValueError
         If the Hamiltonian is not positive definite.
     """
-    lo, hi = _positive_spectrum(ham, form)
+    lo, hi = _positive_spectrum(ham)
     bound = float(np.sqrt(hi / lo))
     return ConvergenceCertificate(
         lambda_min=lo,

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import analysis, network, observer, sim
-from .core import build_symplectic, check_commutation_preservation
+from .core import check_commutation_preservation
 from .errors import ConfigError, IntegratorAccuracyError, QchainError
 
 log = logging.getLogger("qchain")
@@ -305,8 +305,7 @@ def cmd_build(args) -> int:
         return 0
     plant, realization = realize(cfg)
     augmented = observer.assemble_augmented(realization, plant)
-    form = build_symplectic(realization.n_elements)
-    cert = analysis.convergence_certificate(realization.hamiltonian, form)
+    cert = analysis.convergence_certificate(realization.hamiltonian)
     report = {
         "report_version": REPORT_VERSION,
         "name": cfg.name,
@@ -328,7 +327,6 @@ def _verify_checks(cfg, args) -> list[dict]:
     seed = cfg.seed if args.seed is None else args.seed
     plant, realization = realize(cfg)
     augmented = observer.assemble_augmented(realization, plant)
-    n_el = realization.n_elements
     checks = []
 
     def add(name, residual, tol, passed, skipped=False, **extra):
@@ -369,7 +367,7 @@ def _verify_checks(cfg, args) -> list[dict]:
     energy_drift = float(np.max(np.abs(energies - e0)) / max(1.0, abs(e0)))
     add("energy_conservation", energy_drift, 1e-9 * scale, energy_drift <= 1e-9 * scale)
 
-    if n_el >= 2:
+    if realization.n_elements >= 2:
         if cfg.kappas is not None:
             kappas = cfg.kappas
         else:
@@ -389,8 +387,7 @@ def _verify_checks(cfg, args) -> list[dict]:
     ok, lo, hi = analysis.check_positive_definite(ham)
     add("positive_definite", max(0.0, -lo), 0.0, ok, lambda_min=lo, lambda_max=hi)
 
-    red = analysis.hermitian_reduce(ham)
-    split, failures = analysis.split_report(red, seed=seed)
+    split, failures = analysis.split_report(ham, seed=seed)
     split_resid = max(
         split.remainder_reconstruction,
         split.null_residual,
@@ -401,15 +398,14 @@ def _verify_checks(cfg, args) -> list[dict]:
     add(
         "hermitian_split",
         split_resid,
-        1e-11 * (1.0 + float(np.max(np.abs(red.matrix)))) * scale,
+        1e-11 * (1.0 + float(np.max(np.abs(ham.H)))) * scale,
         split.passed,
         failures=failures,
     )
 
-    form = build_symplectic(n_el)
     if ok:
         times = np.logspace(-2, 3, 50)
-        bound_report = analysis.exp_norm_bound(ham, form, times, probe_seed=seed)
+        bound_report = analysis.exp_norm_bound(ham, times, probe_seed=seed)
         margin = float(np.max(bound_report.norms / bound_report.bound - 1.0))
         add(
             "exp_norm_bound",
@@ -429,13 +425,17 @@ def _verify_checks(cfg, args) -> list[dict]:
         steady_resid <= 1e-12 * scale,
     )
 
-    gains = realization.readout @ (realization.steady_pattern @ plant.alpha)
+    gains = observer.consensus_readout(realization, plant)
     gain_dev = float(np.max(np.abs(gains - 1.0)))
     add("consensus_readout", gain_dev, 1e-12 * scale, gain_dev <= 1e-12 * scale)
     return checks
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0):
+        raise ConfigError("expected a positive finite number", "verify.tolerance_scale")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("expected a non-negative integer", "verify.seed")
     cfg = load_config(args.config)
     checks = _verify_checks(cfg, args)
     passed = all(c["passed"] for c in checks if not c["skipped"])
@@ -465,7 +465,7 @@ def cmd_simulate(args) -> int:
         sim_cfg.sample_dt,
     )
     try:
-        report = sim.consensus_report(augmented, realization, sim_cfg, cfg.horizons)
+        report = sim.consensus_report(augmented, sim_cfg, cfg.horizons)
         if args.csv:
             series = sim.simulate(augmented, sim_cfg, stride=cfg.csv_stride)
             sim.write_timeseries_csv(series, args.csv)
@@ -502,7 +502,7 @@ def cmd_sweep(args) -> int:
         plant, realization = realize(swept)
         augmented = observer.assemble_augmented(realization, plant)
         report = sim.consensus_report(
-            augmented, realization, _sim_config(swept, realization), swept.horizons
+            augmented, _sim_config(swept, realization), swept.horizons
         )
         cert = report.certificate
         rows.append(

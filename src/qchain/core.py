@@ -14,9 +14,10 @@ structure matrix, the commutation check on any propagator ``t -> E(t)``
 (``qchain verify`` hands it the closed-form flow of
 :func:`qchain.sim.flow_matrix`), and a generic exact propagator for
 positive-definite ``R`` that the tests use as an independent reference for
-the chain's Jacobi-form flow.  The chain's own ``R`` and drift are not
-derived here: both are real embeddings of its Jacobi form
-(:func:`qchain.analysis.observer_hamiltonian`).
+the chain's Jacobi-form flow.  The form belongs to the augmented system,
+whose commutation check needs it; the chain's own ``R``, drift, certificate
+and time average are not derived here and take no form: all are read off
+its Jacobi form (:func:`qchain.analysis.observer_hamiltonian`).
 """
 
 from __future__ import annotations

@@ -46,10 +46,6 @@ class ConstructionInconsistencyError(QchainError, ValueError):
         self.residual = residual
 
 
-class ReadoutOrientationError(QchainError, ValueError):
-    """A consensus readout row does not reproduce the plant observable with unit gain."""
-
-
 class IntegratorAccuracyError(QchainError):
     """A simulated trajectory violated a conservation law beyond tolerance."""
 

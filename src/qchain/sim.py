@@ -36,9 +36,8 @@ from .analysis import (
     real_embedding,
     time_average_integral,
 )
-from .core import build_symplectic
 from .errors import IntegratorAccuracyError
-from .observer import AugmentedSystem, ObserverRealization, steady_vector
+from .observer import AugmentedSystem, steady_vector
 
 #: Largest float64 sample storage, in bytes, that one simulation may hold.
 MAX_SERIES_BYTES = 2 * 2**30
@@ -537,10 +536,7 @@ class ConsensusReport:
 
 
 def consensus_report(
-    augmented: AugmentedSystem,
-    realization: ObserverRealization,
-    config: SimulationConfig,
-    horizons,
+    augmented: AugmentedSystem, config: SimulationConfig, horizons
 ) -> ConsensusReport:
     """Measure consensus convergence at several horizons and check envelopes.
 
@@ -569,15 +565,14 @@ def consensus_report(
             raise ValueError(f"horizon {h} does not land on the sample grid")
         indices.append(k)
 
-    plant = augmented.plant
+    plant, realization = augmented.plant, augmented.realization
     z_p0 = float(plant.alpha @ config.initial_plant)
     ham = realization.hamiltonian
     times = np.array([0, *indices]) * dt
     _, _, avg, _, drift = _evaluate(augmented, run_cfg, times, False)
     averages = avg[1:]
 
-    chain_form = build_symplectic(realization.n_elements)
-    cert = convergence_certificate(ham, chain_form)
+    cert = convergence_certificate(ham)
 
     target, _ = steady_vector(realization, plant, z_p0, tol=None)
     err0_norm = float(np.linalg.norm(config.initial_observer - target))
@@ -591,7 +586,7 @@ def consensus_report(
     for j, h in enumerate(hs):
         cert_env[j] = cert.avg_constant / h
         traj_env[j] = cert_env[j] * err0_norm + floor
-        averaged = time_average_integral(ham, chain_form, h) / h
+        averaged = time_average_integral(ham, h) / h
         mat_resid[j] = np.linalg.norm(realization.readout @ averaged, 2)
 
     slope = float("nan")

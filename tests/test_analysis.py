@@ -32,7 +32,8 @@ def test_energy_matrix_rejects_non_finite_inputs(bad):
 def test_analysis_does_not_import_observer():
     """``observer`` builds on ``analysis``, never the other way round.
 
-    The package ``__init__`` imports every layer, so ``qchain`` is replaced
+    ``analysis`` reads everything from the chain spectrum, so it imports no
+    other qchain module at all.  The package ``__init__`` imports every layer, so ``qchain`` is replaced
     by a bare package object and ``qchain.analysis`` is imported alone.
     """
     package_dir = str(pathlib.Path(analysis.__file__).parent)
@@ -47,7 +48,7 @@ def test_analysis_does_not_import_observer():
         [sys.executable, "-c", code, package_dir], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["qchain.analysis", "qchain.core", "qchain.errors"]
+    assert proc.stdout.split() == ["qchain.analysis"]
 
 
 def test_energy_matrix_literal():
@@ -88,10 +89,7 @@ def test_energy_matrix_validates_gains():
 
 def test_hermitian_reduction_literal():
     ham = analysis.observer_hamiltonian([1.0, 1.0])
-    red = analysis.hermitian_reduce(ham)
-    assert np.allclose(red.matrix, [[2.0, -1.0j], [1.0j, 1.0]], atol=1e-15)
-    assert np.allclose(red.corner, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
-    assert np.allclose(red.matrix, red.corner + red.remainder, atol=1e-15)
+    assert np.allclose(ham.H, [[2.0, -1.0j], [1.0j, 1.0]], atol=1e-15)
 
 
 def test_reduction_preserves_spectrum():
@@ -100,28 +98,25 @@ def test_reduction_preserves_spectrum():
         n = int(rng.integers(1, 9))
         mu = rng.uniform(0.05, 4.0, size=n)
         ham = analysis.observer_hamiltonian(mu)
-        red = analysis.hermitian_reduce(ham)
         real_evals = np.sort(np.linalg.eigvalsh(ham.matrix))
-        complex_evals = np.sort(np.linalg.eigvalsh(red.matrix))
+        complex_evals = np.sort(np.linalg.eigvalsh(ham.H))
         assert np.allclose(real_evals, np.sort(np.repeat(complex_evals, 2)), atol=1e-12)
 
 
 def test_reduction_preserves_quadratic_form():
     rng = np.random.default_rng(29)
     ham = analysis.observer_hamiltonian([0.8, 1.4, 0.6, 2.0])
-    red = analysis.hermitian_reduce(ham)
     for _ in range(25):
         x = rng.standard_normal(8)
         a = _complex_amplitudes(x)
         real_form = x @ ham.matrix @ x
-        complex_form = np.real(np.conj(a) @ red.matrix @ a)
+        complex_form = np.real(np.conj(a) @ ham.H @ a)
         assert abs(real_form - complex_form) <= 1e-12 * max(1.0, abs(real_form))
 
 
 def test_split_certifies_design_chain():
     ham = analysis.observer_hamiltonian([0.8, 1.4, 0.6, 2.0])
-    red = analysis.hermitian_reduce(ham)
-    report, failures = analysis.split_report(red)
+    report, failures = analysis.split_report(ham)
     assert report.passed
     assert failures == []
     assert report.remainder_reconstruction <= 1e-12
@@ -132,8 +127,7 @@ def test_split_certifies_design_chain():
 
 def test_split_rejects_detuned_chain():
     ham = analysis.observer_hamiltonian([1.0, 1.0], omega=[2.0, 1.25])
-    red = analysis.hermitian_reduce(ham)
-    report, failures = analysis.split_report(red)
+    report, failures = analysis.split_report(ham)
     assert not report.passed
     assert failures
     assert report.remainder_reconstruction == pytest.approx(0.25, abs=1e-12)
@@ -172,9 +166,8 @@ def test_positive_definite_check():
 
 def test_exp_norm_bound_canonical():
     ham = analysis.observer_hamiltonian([1.0, 1.0, 1.0])
-    form = build_symplectic(3)
     times = np.logspace(-2, 3, 50)
-    report = analysis.exp_norm_bound(ham, form, times, probe_seed=3)
+    report = analysis.exp_norm_bound(ham, times, probe_seed=3)
     assert report.passed
     assert report.bound == pytest.approx(4.048917339522306, rel=1e-12)
     assert np.all(report.norms <= report.bound * (1.0 + 1e-9))
@@ -185,11 +178,9 @@ def test_exp_norm_bound_canonical():
 def test_exp_norm_bound_requires_definite_energy():
     ham = analysis.observer_hamiltonian([1.0, 1.0], omega=[-2.0, 1.0])
     with pytest.raises(ValueError):
-        analysis.exp_norm_bound(ham, build_symplectic(2), [1.0])
+        analysis.exp_norm_bound(ham, [1.0])
     with pytest.raises(ValueError):
-        analysis.exp_norm_bound(
-            analysis.observer_hamiltonian([1.0, 1.0]), build_symplectic(2), [-1.0]
-        )
+        analysis.exp_norm_bound(analysis.observer_hamiltonian([1.0, 1.0]), [-1.0])
 
 
 def test_time_average_integral_against_quadrature():
@@ -200,25 +191,23 @@ def test_time_average_integral_against_quadrature():
     times = np.linspace(0.0, T, 2001)
     stack = np.stack([flow.matrix(t) for t in times])
     reference = scipy.integrate.simpson(stack, x=times, axis=0)
-    result = analysis.time_average_integral(ham, form, T)
+    result = analysis.time_average_integral(ham, T)
     assert np.max(np.abs(result - reference)) <= 1e-10
 
 
 def test_time_average_integral_validates():
     ham = analysis.observer_hamiltonian([0.7, 1.2])
-    form = build_symplectic(2)
     with pytest.raises(ValueError):
-        analysis.time_average_integral(ham, form, 0.0)
+        analysis.time_average_integral(ham, 0.0)
     with pytest.raises(ValueError):
         analysis.time_average_integral(
-            analysis.observer_hamiltonian([1.0, 1.0], omega=[-2.0, 1.0]), form, 1.0
+            analysis.observer_hamiltonian([1.0, 1.0], omega=[-2.0, 1.0]), 1.0
         )
 
 
 def test_convergence_certificate_values():
     ham = analysis.observer_hamiltonian([1.0, 1.0, 1.0])
-    form = build_symplectic(3)
-    cert = analysis.convergence_certificate(ham, form)
+    cert = analysis.convergence_certificate(ham)
     assert cert.lambda_min == pytest.approx(0.19806226419516165, rel=1e-12)
     assert cert.lambda_max == pytest.approx(3.2469796037174667, rel=1e-12)
     assert cert.avg_constant == pytest.approx(12.745783150664494, rel=1e-12)
@@ -229,23 +218,22 @@ def test_convergence_certificate_values():
 
 def test_certificate_two_element_value():
     ham = analysis.observer_hamiltonian([1.0, 1.0])
-    cert = analysis.convergence_certificate(ham, build_symplectic(2))
+    cert = analysis.convergence_certificate(ham)
     assert cert.exp_bound == pytest.approx((3.0 + np.sqrt(5.0)) / 2.0, rel=1e-9)
 
 
 def test_averaged_propagator_obeys_certificate():
     ham = analysis.observer_hamiltonian([1.0, 1.0, 1.0])
-    form = build_symplectic(3)
-    cert = analysis.convergence_certificate(ham, form)
+    cert = analysis.convergence_certificate(ham)
     for T in (0.5, 3.0, 42.0, 777.0):
-        avg = analysis.time_average_integral(ham, form, T) / T
+        avg = analysis.time_average_integral(ham, T) / T
         assert np.linalg.norm(avg, 2) <= (cert.avg_constant / T) * (1.0 + 1e-9)
 
 
 def test_certificate_rejects_indefinite_energy():
     ham = analysis.observer_hamiltonian([1.0, 1.0], omega=[-2.0, 1.0])
     with pytest.raises(ValueError):
-        analysis.convergence_certificate(ham, build_symplectic(2))
+        analysis.convergence_certificate(ham)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +253,7 @@ def test_uniform_certificate_grows_like_n_cubed():
     expected = {1: 1.0, 3: 12.745783150664494, 10: 318.5560118265, 100: 263924.6302142}
     for n, value in expected.items():
         ham = analysis.observer_hamiltonian(np.ones(n))
-        cert = analysis.convergence_certificate(ham, build_symplectic(n))
+        cert = analysis.convergence_certificate(ham)
         assert cert.avg_constant == pytest.approx(value, rel=1e-9)
     # at N = 100, lam_min ~ pi^2 / (4 N^2) and lam_max ~ 4 give C ~ 8 N^3 / pi^3
     assert cert.avg_constant / n**3 == pytest.approx(8.0 / np.pi**3, rel=0.03)
@@ -283,9 +271,7 @@ def test_chain_propagator_is_unitary():
             assert np.max(np.abs(U.conj().T @ U - np.eye(n))) <= 1e-12
     # so the norm bound sqrt(l_max / l_min) >= 1 of criterion 5 is never tight
     report = analysis.exp_norm_bound(
-        analysis.observer_hamiltonian([1.0, 1.0, 1.0]),
-        build_symplectic(3),
-        np.logspace(-2, 3, 50),
+        analysis.observer_hamiltonian([1.0, 1.0, 1.0]), np.logspace(-2, 3, 50)
     )
     assert np.max(np.abs(report.norms - 1.0)) <= 1e-12
     assert report.bound > 4.0

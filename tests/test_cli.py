@@ -182,6 +182,23 @@ def test_verify_seed_override(tmp_path, capsys):
     assert json.loads(out)["seed"] == 123
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--tolerance-scale", "nan", "verify.tolerance_scale"),
+        ("--tolerance-scale", "inf", "verify.tolerance_scale"),
+        ("--tolerance-scale", "-1", "verify.tolerance_scale"),
+        ("--tolerance-scale", "0", "verify.tolerance_scale"),
+        ("--seed", "-1", "verify.seed"),
+    ],
+)
+def test_verify_rejects_bad_overrides(tmp_path, capsys, flag, value, field):
+    rc, out, err = _run(capsys, ["verify", _write(tmp_path, CANONICAL), flag, value])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"config error: {field}: ")
+
+
 def test_verify_flags_detuned_chain(tmp_path, capsys):
     detuned = {
         **CANONICAL,

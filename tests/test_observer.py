@@ -6,7 +6,7 @@ import pytest
 from qchain import observer
 from qchain.analysis import real_embedding
 from qchain.core import J2, build_symplectic
-from qchain.errors import ConstructionInconsistencyError, ReadoutOrientationError
+from qchain.errors import ConstructionInconsistencyError
 
 
 def test_plant_spec_validation():
@@ -208,8 +208,8 @@ def test_consensus_readout_detects_misorientation():
     plant = observer.PlantSpec(alpha=np.array([1.0, 0.0]))
     real = observer.build_observer(plant, [1.0, 1.0])
     doctored = replace(real, readout=1.01 * real.readout)
-    with pytest.raises(ReadoutOrientationError):
-        observer.consensus_readout(doctored, plant)
+    gains = observer.consensus_readout(doctored, plant)
+    assert np.max(np.abs(gains - 1.0)) > 1e-3
 
 
 def test_augmented_literal_single_element():

@@ -99,10 +99,10 @@ def test_time_average_and_certificate_match_dense_route(n, horizon, dt):
     ham = analysis.observer_hamiltonian(mu, omega)
     form = build_symplectic(n)
     for h in (0.5, 10.0 * dt, horizon):
-        exact = analysis.time_average_integral(ham, form, h)
+        exact = analysis.time_average_integral(ham, h)
         ref = _reference_time_average(ham, form, h)
         assert np.max(np.abs(exact - ref)) <= 1e-10 * np.max(np.abs(ref))
-    cert = analysis.convergence_certificate(ham, form)
+    cert = analysis.convergence_certificate(ham)
     got = (cert.lambda_min, cert.lambda_max, cert.exp_bound, cert.avg_constant)
     for value, want in zip(got, _reference_certificate(ham, form)):
         assert value == pytest.approx(want, rel=1e-12)
@@ -193,8 +193,7 @@ def test_one_svd_bounds_the_flow_at_every_probe_time():
             _, ham = _verify_chain(rng, n, kind)
             bound = np.linalg.norm(ham.V, 2) ** 2
             if kind != "indefinite":
-                form = build_symplectic(n)
-                report = analysis.exp_norm_bound(ham, form, times)
+                report = analysis.exp_norm_bound(ham, times)
                 assert np.all(report.norms == bound)
             for t in times:
                 assert bound >= np.linalg.norm(ham.propagator(t), 2) - 4 * n * eps

@@ -236,7 +236,7 @@ def test_exact_route_drift_guard_needs_no_samples(monkeypatch):
     z_p = sim._exact_series(doctored, cfg, np.array([0.0, 2.0, 4.0]), False)[0]
     assert np.max(np.abs(z_p - 1.0)) <= 1e-12  # invisible at the horizons
     with pytest.raises(IntegratorAccuracyError) as info:
-        sim.consensus_report(doctored, real, cfg, [2.0, 4.0])
+        sim.consensus_report(doctored, cfg, [2.0, 4.0])
     assert info.value.drift > 1e-4
 
 
@@ -253,7 +253,7 @@ def test_exact_route_admits_horizon_1e9(n):
         real, T, T / 1e4, plant_x=rng.standard_normal(2),
         obs=rng.normal(0.0, 0.5, size=real.state_dim),
     )
-    report = sim.consensus_report(aug, real, cfg, [1e5, 1e7, T])
+    report = sim.consensus_report(aug, cfg, [1e5, 1e7, T])
     assert report.passed
     assert np.all(report.per_element_error <= report.trajectory_envelope)
     # rounding only, far inside the 1e-9 (1 + |z|) tolerance
@@ -281,7 +281,7 @@ def test_rk4_streams_the_full_grid_rows():
         assert np.array_equal(series.states, states[idx])
         assert np.max(np.abs(series.z_o - z_o[idx])) <= 1e-13
         assert np.max(np.abs(series.running_avg_z_o - avg[idx])) <= 1e-13
-    report = sim.consensus_report(aug, real, cfg, [2.56, 5.0, 20.0])
+    report = sim.consensus_report(aug, cfg, [2.56, 5.0, 20.0])
     errors = np.abs(avg[[256, 500, 2000]] - report.z_p)
     assert np.max(np.abs(report.per_element_error - errors)) <= 1e-13
 
@@ -311,7 +311,7 @@ def test_steady_start_is_stationary():
 def test_consensus_report_canonical():
     _, real, aug = _make_system([1.0, 1.0, 1.0])
     cfg = _config(real, 100.0, 0.01)
-    report = sim.consensus_report(aug, real, cfg, [1e2, 1e3, 1e4])
+    report = sim.consensus_report(aug, cfg, [1e2, 1e3, 1e4])
     assert report.passed
     assert report.method == "exact"
     assert report.z_p == pytest.approx(1.0, abs=1e-12)
@@ -334,7 +334,7 @@ def test_consensus_report_matches_series_averages():
     cfg = _config(real, 1e3, 0.01, plant_x=(0.8, 0.5))
     series = sim.simulate(aug, cfg)
     horizons = [1e2, 5e2, 1e3]
-    report = sim.consensus_report(aug, real, cfg, horizons)
+    report = sim.consensus_report(aug, cfg, horizons)
     z = series.z_p[0]
     ks = [int(round(h / cfg.sample_dt)) for h in horizons]
     want = np.abs(series.running_avg_z_o[ks] - z)
@@ -347,11 +347,11 @@ def test_consensus_report_horizon_validation():
     _, real, aug = _make_system([1.0, 1.0])
     cfg = _config(real, 10.0, 0.01)
     with pytest.raises(ValueError):
-        sim.consensus_report(aug, real, cfg, [])
+        sim.consensus_report(aug, cfg, [])
     with pytest.raises(ValueError):
-        sim.consensus_report(aug, real, cfg, [10.0, 10.0])
+        sim.consensus_report(aug, cfg, [10.0, 10.0])
     with pytest.raises(ValueError):
-        sim.consensus_report(aug, real, cfg, [33.333])  # off the 0.01 grid
+        sim.consensus_report(aug, cfg, [33.333])  # off the 0.01 grid
 
 
 def test_consensus_report_flags_detuned_chain():
@@ -361,7 +361,7 @@ def test_consensus_report_flags_detuned_chain():
     )
     aug = observer.assemble_augmented(real, plant)
     cfg = _config(real, 100.0, 0.05)
-    report = sim.consensus_report(aug, real, cfg, [1e3, 5e3])
+    report = sim.consensus_report(aug, cfg, [1e3, 5e3])
     assert not report.passed
     assert np.max(report.per_element_error[-1] / report.trajectory_envelope[-1]) > 1.5
 
@@ -416,7 +416,7 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
 def test_exact_report_has_no_sample_cap(monkeypatch):
     _, real, aug = _make_system([1.0, 1.0, 1.0])
     cfg = _config(real, 2e5, 0.01, plant_x=(0.3, 0.9))  # 20,000,001 samples
-    report = sim.consensus_report(aug, real, cfg, [2e3, 2e4, 2e5])
+    report = sim.consensus_report(aug, cfg, [2e3, 2e4, 2e5])
     assert report.passed
     assert report.horizons.tolist() == [2e3, 2e4, 2e5]
 
