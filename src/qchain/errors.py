@@ -13,19 +13,6 @@ class QchainError(Exception):
     """Base class for all qchain-specific failures."""
 
 
-class RealizabilityError(QchainError, ValueError):
-    """The dynamics are not generated by any symmetric Hamiltonian.
-
-    Raised when a supplied Hamiltonian matrix is asymmetric beyond
-    tolerance, i.e. the flow it generates cannot preserve canonical
-    commutation relations.
-    """
-
-    def __init__(self, message: str, asymmetry: float | None = None):
-        super().__init__(message)
-        self.asymmetry = asymmetry
-
-
 class UnknownPortError(QchainError, ValueError):
     """An interconnection references a field port no subsystem exposes."""
 

@@ -126,8 +126,8 @@ class OpenSystem:
         return self.drift.shape[0]
 
 
-def make_plant_ndpa(alpha, beta, kappa_1b, omega_1, element: int = 1) -> OpenSystem:
-    """Plant plus amplifier element at the head of the chain.
+def make_plant_ndpa(alpha, beta, kappa_1b, omega_1) -> OpenSystem:
+    """Plant plus amplifier element at the head of the chain, element 1.
 
     The element carries four state variables: the two plant quadratures
     followed by the two amplifier-cavity quadratures.  The plant has no free
@@ -147,8 +147,6 @@ def make_plant_ndpa(alpha, beta, kappa_1b, omega_1, element: int = 1) -> OpenSys
         Mirror transmissivity of the single open mirror ( > 0).
     omega_1:
         Detuning of the amplifier cavity.
-    element:
-        Chain position, 1 by default.
     """
     a = np.asarray(alpha, dtype=float)
     b = np.asarray(beta, dtype=float)
@@ -166,8 +164,8 @@ def make_plant_ndpa(alpha, beta, kappa_1b, omega_1, element: int = 1) -> OpenSys
     gain_in[2:4, :] = -root * np.eye(2)
     gain_out = np.zeros((2, 4))
     gain_out[:, 2:4] = root * np.eye(2)
-    w_b = inport(element, "b")
-    y_a = outport(element, "a")
+    w_b = inport(1, "b")
+    y_a = outport(1, "a")
     return OpenSystem(
         drift=drift,
         input_gains={w_b: gain_in},

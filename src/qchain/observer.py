@@ -110,23 +110,19 @@ def gains_from_kappas(params: ChainParams) -> np.ndarray:
     return mu
 
 
-def kappas_from_gains(mu, spread: float = 1.0) -> ChainParams:
+def kappas_from_gains(mu) -> ChainParams:
     """Mirror transmissivities realising the given gains.
 
-    The balanced choice (``spread=1``) puts ``4 mu_i`` on both mirrors of each
-    link; any positive ``spread`` tilts the split as ``(4 mu_i * spread,
-    4 mu_i / spread)`` while realising the same gains.
+    The balanced choice puts ``4 mu_i`` on both mirrors of each link.
     """
     m = np.asarray(mu, dtype=float)
     if m.ndim != 1 or m.size < 1:
         raise ValueError("mu must be a non-empty 1-D array")
     if np.any(m <= 0):
         raise ValueError("all gains must be positive")
-    if not spread > 0:
-        raise ValueError("spread must be positive")
     kappas = []
     for g in m[1:]:
-        kappas.extend((4.0 * g * spread, 4.0 * g / spread))
+        kappas.extend((4.0 * g, 4.0 * g))
     return ChainParams(n_elements=m.size, mu_1=float(m[0]), kappas=tuple(kappas))
 
 

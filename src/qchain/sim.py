@@ -147,27 +147,6 @@ class TimeSeries:
         return self.z_o.shape[1]
 
 
-def running_average(times, values) -> np.ndarray:
-    """Trapezoidal running time-average of sampled values.
-
-    ``avg[k] = (1/t_k) * integral_0^{t_k} v dt`` with ``avg[0] = v[0]``.
-    Accepts ``(T,)`` or ``(T, k)`` values and preserves the shape.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    squeeze = v.ndim == 1
-    if squeeze:
-        v = v[:, None]
-    if t.ndim != 1 or v.shape[0] != t.size:
-        raise ValueError("values must have one row per time sample")
-    increments = 0.5 * (v[1:] + v[:-1]) * np.diff(t)[:, None]
-    cum = np.vstack([np.zeros((1, v.shape[1])), np.cumsum(increments, axis=0)])
-    avg = np.empty_like(cum)
-    avg[0] = v[0]
-    avg[1:] = cum[1:] / t[1:, None]
-    return avg[:, 0] if squeeze else avg
-
-
 def _sample_count(n_samples: int, stride: int) -> int:
     """How many indices :func:`_sample_indices` returns."""
     return (n_samples - 1) // stride + 1 + ((n_samples - 1) % stride != 0)
@@ -184,9 +163,16 @@ def _evaluate(augmented, config, times, keep_states):
     """``z_p, z_o, avg, states, drift`` at ``times`` on the config's route.
 
     The ``rk4`` route steps the ``sample_dt`` grid, so there ``times`` must
-    be grid samples.  Raises :class:`IntegratorAccuracyError` if the plant
-    observable drifted beyond ``Z_DRIFT_TOL * (1 + |z(0)|)``.
+    be grid samples.  Raises :class:`ValueError` if the initial observer
+    state does not fit the chain, and :class:`IntegratorAccuracyError` if the
+    plant observable drifted beyond ``Z_DRIFT_TOL * (1 + |z(0)|)``.
     """
+    state_dim = augmented.realization.state_dim
+    if config.initial_observer.size != state_dim:
+        raise ValueError(
+            f"initial_observer has length {config.initial_observer.size}, "
+            f"chain needs {state_dim}"
+        )
     if config.method == "rk4":
         idx = np.rint(times / config.sample_dt).astype(np.int64)
         out = _rk4_series(augmented, config, idx, keep_states)
@@ -224,21 +210,16 @@ def simulate(
     ------
     ValueError
         If the samples kept (times, readouts and averages, plus the full
-        state for ``keep_states``) would exceed ``MAX_SERIES_BYTES``.
+        state for ``keep_states``) would exceed ``MAX_SERIES_BYTES``, or if
+        the initial observer state does not fit the chain.
     IntegratorAccuracyError
         If the conserved plant observable drifted beyond tolerance.
     """
-    realization = augmented.realization
-    if config.initial_observer.size != realization.state_dim:
-        raise ValueError(
-            f"initial_observer has length {config.initial_observer.size}, "
-            f"chain needs {realization.state_dim}"
-        )
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n_samples = config.n_steps + 1
     rows = _sample_count(n_samples, stride)  # counted before allocating
-    n = realization.n_elements
+    n = augmented.realization.n_elements
     columns = 2 + 2 * n + (2 + 2 * n if keep_states else 0)
     if 8 * rows * columns > MAX_SERIES_BYTES:
         raise ValueError(
@@ -349,8 +330,8 @@ def _rk4_series(augmented, config, idx, keep_states):
 
     Each group of steps extends the trapezoid sums of the running averages
     and the z drift, so memory is one group plus the kept rows whatever the
-    grid length, and the sums are :func:`running_average`'s over the whole
-    grid.  ``idx`` must be ascending.  Returns ``z_p, z_o, avg,
+    grid length, and the sums are the trapezoid rule's over the whole grid.
+    ``idx`` must be ascending.  Returns ``z_p, z_o, avg,
     states, drift`` like :func:`_exact_series`; ``drift`` is the largest
     ``|z_p - z_p(0)|`` over every step.
     """

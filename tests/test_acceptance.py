@@ -23,7 +23,8 @@ import scipy.integrate
 import scipy.linalg
 
 from qchain import analysis, cli, network, observer, sim
-from qchain.core import ConservativeFlow, build_symplectic
+from flow_reference import ConservativeFlow
+from qchain.core import build_symplectic
 
 
 def _chain(mu, alpha=(1.0, 0.0)):

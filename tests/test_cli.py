@@ -411,13 +411,22 @@ def test_simulate_single_element(tmp_path, capsys):
 
 
 def test_simulate_bad_observer_length(tmp_path, capsys):
-    bad = {
-        **CANONICAL,
-        "initial": {"plant": [1.0, 0.0], "observer": [0.0, 0.0]},
-    }
-    rc, _, err = _run(capsys, ["simulate", _write(tmp_path, bad)])
-    assert rc == 3
-    assert "construction error" in err
+    # both chains have N = 3 and need 6 entries; a wrong length is a config
+    # error for every command, before anything is built
+    design = {"mu": [1.0, 1.0, 1.0]}
+    physical = {"mu_1": 1.0, "kappas": [4.0, 4.0, 4.0, 4.0]}
+    for chain, length in ((design, 2), (design, 4), (design, 8), (physical, 4)):
+        bad = {
+            **CANONICAL,
+            "chain": chain,
+            "initial": {"plant": [1.0, 0.0], "observer": [0.0] * length},
+        }
+        path = _write(tmp_path, bad)
+        for argv in (["build", path], ["verify", path], ["simulate", path],
+                     ["sweep", path, "--param", "mu_1", "--values", "1"]):
+            rc, out, err = _run(capsys, argv)
+            assert (rc, out) == (2, ""), (length, argv[0])
+            assert "config error: initial.observer: expected exactly 6 entries" in err
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_elimination_matches_closed_form_construction():
     for n_el in (2, 3, 5):
         mu = rng.uniform(0.3, 2.0, size=n_el)
         spread = float(rng.uniform(0.5, 2.0))
-        params = observer.kappas_from_gains(mu, spread=spread)
+        kappas = [k for g in mu[1:] for k in (4.0 * g * spread, 4.0 * g / spread)]
         omegas = observer.detunings_from_gains(mu)
         alpha = rng.standard_normal(2)
         alpha /= np.linalg.norm(alpha)
@@ -160,7 +160,7 @@ def test_elimination_matches_closed_form_construction():
         real = observer.build_observer(plant, mu)
         aug = observer.assemble_augmented(real, plant)
         systems, links = network.build_chain(
-            alpha, -mu[0] * alpha, omegas, params.kappas
+            alpha, -mu[0] * alpha, omegas, kappas
         )
         reduced = network.connect(systems, links)
         assert np.max(np.abs(reduced.drift - aug.drift)) <= 1e-12

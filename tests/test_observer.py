@@ -46,7 +46,8 @@ def test_kappas_round_trip():
         n = int(rng.integers(1, 7))
         mu = rng.uniform(0.05, 5.0, size=n)
         spread = float(rng.uniform(0.25, 4.0))
-        params = observer.kappas_from_gains(mu, spread=spread)
+        kappas = [k for g in mu[1:] for k in (4.0 * g * spread, 4.0 * g / spread)]
+        params = observer.ChainParams(n_elements=n, mu_1=float(mu[0]), kappas=kappas)
         assert np.allclose(observer.gains_from_kappas(params), mu, rtol=1e-13)
 
 
@@ -56,8 +57,6 @@ def test_balanced_kappas_literal():
     assert params.kappas == (4.0, 4.0, 2.0, 2.0)
     with pytest.raises(ValueError):
         observer.kappas_from_gains([2.0, 0.0])
-    with pytest.raises(ValueError):
-        observer.kappas_from_gains([2.0, 1.0], spread=0.0)
 
 
 def test_detuning_rule():

@@ -1,10 +1,10 @@
 """Parity of the Jacobi-spectrum routes with the dense routes they replaced.
 
 The reference is the earlier construction on the real ``2N x 2N`` chain
-Hamiltonian ``R``: :class:`qchain.core.ConservativeFlow` for the error flow,
-its antiderivative through ``R^{-1} Theta^{-1}`` by dense solves, the time
-average ``(1/2) (exp(2 Theta R T) - I) R^{-1} Theta^{-1}``, and the
-certificate from dense ``eigvalsh``.  That route needs ``R`` positive
+Hamiltonian ``R``: ``ConservativeFlow`` (``tests/flow_reference.py``) for
+the error flow, its antiderivative through ``R^{-1} Theta^{-1}`` by dense
+solves, the time average ``(1/2) (exp(2 Theta R T) - I) R^{-1}
+Theta^{-1}``, and the certificate from dense ``eigvalsh``.  That route needs ``R`` positive
 definite, so a detuning override that makes a draw indefinite is shrunk
 towards the design detunings until it is not.
 
@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from flow_reference import ConservativeFlow
 from qchain import analysis, observer, sim
-from qchain.core import ConservativeFlow, build_symplectic
+from qchain.core import build_symplectic
 
 #: (elements, horizon, sample step) of each random draw.
 CASES = [(1, 100.0, 0.01), (2, 1e3, 0.05), (5, 1e3, 0.05), (13, 300.0, 0.02),
@@ -49,7 +50,7 @@ def _reference_states(aug, cfg):
     steady = np.linalg.solve(real.drift, -real.input_vector * z_p0)
     err0 = cfg.initial_observer - steady
     flow = ConservativeFlow(R, form)
-    k_err = np.linalg.solve(R, form.inverse() @ err0)
+    k_err = np.linalg.solve(R, -form.matrix @ err0)
     integral = 0.5 * (flow.propagate(k_err, times) - k_err)
     gain = aug.drift[0:2, 2:]
     x_p = cfg.initial_plant + np.outer(times, gain @ steady) + integral @ gain.T
@@ -58,7 +59,7 @@ def _reference_states(aug, cfg):
 
 def _reference_time_average(ham, form, horizon):
     flow = ConservativeFlow(ham.matrix, form)
-    k = np.linalg.solve(ham.matrix, form.inverse())
+    k = np.linalg.solve(ham.matrix, -form.matrix)
     return 0.5 * (flow.matrix(horizon) - np.eye(form.dim)) @ k
 
 
@@ -66,7 +67,7 @@ def _reference_certificate(ham, form):
     evals = np.linalg.eigvalsh(ham.matrix)
     lo, hi = evals[0], evals[-1]
     bound = np.sqrt(hi / lo)
-    k = np.linalg.solve(ham.matrix, form.inverse())
+    k = np.linalg.solve(ham.matrix, -form.matrix)
     return lo, hi, bound, 0.5 * (bound + 1.0) * np.linalg.norm(k, 2)
 
 

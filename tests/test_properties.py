@@ -24,6 +24,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flow_reference import running_average
 from qchain import cli, observer, sim
 
 EXPECTED_CHECKS = [
@@ -105,7 +106,7 @@ def any_configs(draw):
     observer = draw(
         st.one_of(
             st.sampled_from(["zero", "steady"]),
-            st.lists(finite, min_size=1, max_size=8),
+            st.lists(finite, min_size=2 * n, max_size=2 * n),
         )
     )
     steps = draw(st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1,
@@ -158,5 +159,5 @@ def test_exact_and_rk4_routes_agree_on_design_chains(n, data, theta, horizon):
     stepped = sim.simulate(aug, replace(cfg, method="rk4"))
     assert np.max(np.abs(exact.z_p - stepped.z_p)) <= 1e-6
     assert np.max(np.abs(exact.z_o - stepped.z_o)) <= 1e-6
-    trapezoid = sim.running_average(exact.times, exact.z_o)
+    trapezoid = running_average(exact.times, exact.z_o)
     assert np.max(np.abs(trapezoid - stepped.running_avg_z_o)) <= 1e-6

@@ -15,6 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flow_reference import running_average
 from qchain import observer, sim
 from qchain.errors import IntegratorAccuracyError
 
@@ -92,22 +93,22 @@ def test_default_sample_dt():
 
 def test_running_average_constant_and_linear():
     t = np.linspace(0.0, 4.0, 41)
-    assert np.allclose(sim.running_average(t, np.full(41, 3.5)), 3.5, atol=1e-14)
-    ramp = sim.running_average(t, t)
+    assert np.allclose(running_average(t, np.full(41, 3.5)), 3.5, atol=1e-14)
+    ramp = running_average(t, t)
     assert np.allclose(ramp, t / 2.0, atol=1e-13)
-    two_col = sim.running_average(t, np.stack([np.full(41, 3.5), t], axis=1))
+    two_col = running_average(t, np.stack([np.full(41, 3.5), t], axis=1))
     assert two_col.shape == (41, 2)
     assert np.allclose(two_col[:, 0], 3.5, atol=1e-14)
     assert np.allclose(two_col[:, 1], t / 2.0, atol=1e-13)
     with pytest.raises(ValueError):
-        sim.running_average(t, np.zeros(40))
+        running_average(t, np.zeros(40))
 
 
 def test_running_average_matches_scipy_trapezoid():
     rng = np.random.default_rng(19)
     t = np.linspace(0.0, 7.0, 201)
     v = rng.standard_normal((201, 3))
-    avg = sim.running_average(t, v)
+    avg = running_average(t, v)
     for k in (1, 57, 200):
         ref = scipy.integrate.trapezoid(v[: k + 1], x=t[: k + 1], axis=0) / t[k]
         assert np.max(np.abs(avg[k] - ref)) <= 1e-9
@@ -139,7 +140,7 @@ def test_exact_and_rk4_routes_agree():
     assert np.max(np.abs(exact.z_o - stepped.z_o)) <= 1e-6
     # rk4 averages are trapezoidal, so compare them with the trapezoid of the
     # exact samples; the exact averages differ from both by the trapezoid error
-    trapezoid = sim.running_average(exact.times, exact.z_o)
+    trapezoid = running_average(exact.times, exact.z_o)
     assert np.max(np.abs(trapezoid - stepped.running_avg_z_o)) <= 1e-6
 
 
@@ -232,7 +233,6 @@ def test_exact_route_drift_guard_needs_no_samples(monkeypatch):
         raise AssertionError("the exact route sampled the series")
 
     monkeypatch.setattr(sim, "simulate", no_sampling)
-    monkeypatch.setattr(sim, "running_average", no_sampling)
     z_p = sim._exact_series(doctored, cfg, np.array([0.0, 2.0, 4.0]), False)[0]
     assert np.max(np.abs(z_p - 1.0)) <= 1e-12  # invisible at the horizons
     with pytest.raises(IntegratorAccuracyError) as info:
@@ -274,7 +274,7 @@ def test_rk4_streams_the_full_grid_rows():
     )
     assert states.shape == (cfg.n_steps + 1, aug.dim)
     z_o = states @ aug.observer_readout.T
-    avg = sim.running_average(cfg.times(), z_o)
+    avg = running_average(cfg.times(), z_o)
     for stride in (1, 7, 256, 2000):
         series = sim.simulate(aug, cfg, keep_states=True, stride=stride)
         idx = sim._sample_indices(cfg.n_steps + 1, stride)
@@ -289,9 +289,16 @@ def test_rk4_streams_the_full_grid_rows():
 def test_observer_length_mismatch():
     _, real, aug = _make_system([1.0, 1.0])
     cfg = _config(real, 1.0, 0.01, obs=np.zeros(real.state_dim))
-    bad = replace(cfg, initial_observer=np.zeros(real.state_dim + 2))
-    with pytest.raises(ValueError):
-        sim.simulate(aug, bad)
+    bad = replace(cfg, initial_observer=np.zeros(real.state_dim + 4))
+    named = "initial_observer has length 8, chain needs 4"
+    for method in ("exact", "rk4"):
+        run = replace(bad, method=method)
+        with pytest.raises(ValueError, match=named):
+            sim.simulate(aug, run)
+        with pytest.raises(ValueError, match=named):
+            sim.consensus_report(aug, run, [0.5, 1.0])
+    with pytest.raises(ValueError, match=named):
+        sim.states_at(aug, bad, [0.0, 1.0])
 
 
 def test_steady_start_is_stationary():

@@ -1,0 +1,64 @@
+"""Everything the package defines is used by the package itself.
+
+Walks ``src/qchain`` with :mod:`ast` and requires, for every module-level
+function, every class, every non-dunder method and every UPPER_CASE
+module constant, at least one reference in ``src/qchain`` other than its
+definition.  A reference is a name read, an attribute read or an import
+alias, so the names ``qchain/__init__.py`` re-exports are covered by their
+import.  Code only the tests call belongs in the tests (see
+``tests/flow_reference.py``).  Attributes match by name alone, so the guard
+can miss a dead method that shares its name with a live attribute.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qchain"
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(module: str, tree: ast.Module):
+    """``(qualified name, bare name)`` of each definition the guard covers."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{module}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef):
+            yield f"{module}.{node.name}", node.name
+            for item in node.body:
+                if isinstance(
+                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not _is_dunder(item.name):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield f"{module}.{target.id}", target.id
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_every_definition_is_referenced_in_the_package():
+    trees = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    used = {name for tree in trees.values() for name in _references(tree)}
+    unused = [
+        qualified
+        for module, tree in trees.items()
+        for qualified, name in _definitions(module, tree)
+        if name not in used
+    ]
+    assert unused == []
