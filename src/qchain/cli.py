@@ -467,8 +467,8 @@ def cmd_simulate(args) -> int:
     try:
         report = sim.consensus_report(augmented, sim_cfg, cfg.horizons)
         if args.csv:
-            series = sim.simulate(augmented, sim_cfg, stride=cfg.csv_stride)
-            sim.write_timeseries_csv(series, args.csv)
+            stream = sim.stream_series(augmented, sim_cfg, stride=cfg.csv_stride)
+            sim.write_timeseries_csv(stream, args.csv)
     except IntegratorAccuracyError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1

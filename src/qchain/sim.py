@@ -26,6 +26,9 @@ steps in blocks and keeps only the rows a caller reads.
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -54,6 +57,18 @@ Z_DRIFT_TOL = 1e-9
 #: Phase-table entries (samples times chain elements) evaluated per chunk.
 #: A 256 KB table keeps each chunk's temporaries cache-sized and reusable.
 _CHUNK_ENTRIES = 2**14
+
+#: Threads that make and format the chunks of a CSV export: the CPUs this
+#: process may run on, up to two.
+if hasattr(os, "sched_getaffinity"):
+    _CSV_WORKERS = min(2, len(os.sched_getaffinity(0)))
+else:
+    _CSV_WORKERS = min(2, os.cpu_count() or 1)
+
+#: Most values per :func:`_format_17g` call, so about two per chunk.  Its
+#: temporaries take about 130 bytes per value; halving a chunk halves the
+#: memory of each CSV worker, and smaller calls pay more interpreter time.
+_FORMAT_VALUES = 2**15
 
 #: Steps per block of RK4 power stepping.
 _RK4_BLOCK = 256
@@ -147,16 +162,85 @@ class TimeSeries:
         return self.z_o.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
+class SeriesStream:
+    """A sampled series made one chunk of rows at a time, as it is written.
+
+    ``chunk(i)`` returns the ``i``-th chunk of rows as one float array with
+    the columns ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``; ``n_chunks``
+    chunks hold every row.  ``chunk`` may be called from several threads at
+    once.
+    """
+
+    n_elements: int
+    n_chunks: int
+    chunk: Callable[[int], np.ndarray]
+
+    @classmethod
+    def of(cls, series: TimeSeries) -> "SeriesStream":
+        """The rows of a materialised series, in chunks of the exact route's size."""
+        rows = max(1, _CHUNK_ENTRIES // series.n_elements)
+        columns = (series.times, series.z_p, series.z_o, series.running_avg_z_o)
+
+        def chunk(i):
+            sl = slice(i * rows, (i + 1) * rows)
+            return np.column_stack([c[sl] for c in columns])
+
+        return cls(series.n_elements, -(-series.times.size // rows), chunk)
+
+
 def _sample_count(n_samples: int, stride: int) -> int:
     """How many indices :func:`_sample_indices` returns."""
     return (n_samples - 1) // stride + 1 + ((n_samples - 1) % stride != 0)
 
 
-def _sample_indices(n_samples: int, stride: int) -> np.ndarray:
-    """Every ``stride``-th sample index, always ending with the final one."""
-    idx = np.arange(_sample_count(n_samples, stride)) * stride
-    idx[-1] = n_samples - 1
-    return idx
+def _sample_indices(n_samples: int, stride: int, start: int = 0, stop=None):
+    """Every ``stride``-th sample index, always ending with the final one.
+
+    Only entries ``start:stop`` of that list are made.
+    """
+    if stop is None:
+        stop = _sample_count(n_samples, stride)
+    return np.minimum(np.arange(start, stop) * stride, n_samples - 1)
+
+
+def _series_rows(augmented, config, stride: int, keep_states: bool) -> int:
+    """Rows of the ``stride``-thinned series, refused over ``MAX_SERIES_BYTES``.
+
+    Counted before anything is evaluated or allocated.
+    """
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    rows = _sample_count(config.n_steps + 1, stride)
+    n = augmented.realization.n_elements
+    columns = 2 + 2 * n + (2 + 2 * n if keep_states else 0)
+    if 8 * rows * columns > MAX_SERIES_BYTES:
+        raise ValueError(
+            f"{rows} samples of a chain with N = {n} would hold "
+            f"{8 * rows * columns} bytes, over the limit of {MAX_SERIES_BYTES}; "
+            "increase sample_dt or csv_stride, or shorten the horizons"
+        )
+    return rows
+
+
+def _check_observer(augmented, config) -> None:
+    state_dim = augmented.realization.state_dim
+    if config.initial_observer.size != state_dim:
+        raise ValueError(
+            f"initial_observer has length {config.initial_observer.size}, "
+            f"chain needs {state_dim}"
+        )
+
+
+def _check_drift(drift: float, z_p0: float) -> None:
+    """Raise unless ``drift <= Z_DRIFT_TOL * (1 + |z_p0|)``."""
+    tol = Z_DRIFT_TOL * (1.0 + abs(z_p0))
+    if drift > tol:
+        raise IntegratorAccuracyError(
+            f"plant observable drifted by {drift:.3e} over the run "
+            f"(tolerance {tol:.3e})",
+            drift=drift,
+        )
 
 
 def _evaluate(augmented, config, times, keep_states):
@@ -167,26 +251,13 @@ def _evaluate(augmented, config, times, keep_states):
     state does not fit the chain, and :class:`IntegratorAccuracyError` if the
     plant observable drifted beyond ``Z_DRIFT_TOL * (1 + |z(0)|)``.
     """
-    state_dim = augmented.realization.state_dim
-    if config.initial_observer.size != state_dim:
-        raise ValueError(
-            f"initial_observer has length {config.initial_observer.size}, "
-            f"chain needs {state_dim}"
-        )
+    _check_observer(augmented, config)
     if config.method == "rk4":
         idx = np.rint(times / config.sample_dt).astype(np.int64)
         out = _rk4_series(augmented, config, idx, keep_states)
     else:
         out = _exact_series(augmented, config, times, keep_states)
-    drift = out[-1]
-    z_p0 = float(augmented.plant.alpha @ config.initial_plant)
-    tol = Z_DRIFT_TOL * (1.0 + abs(z_p0))
-    if drift > tol:
-        raise IntegratorAccuracyError(
-            f"plant observable drifted by {drift:.3e} over the run "
-            f"(tolerance {tol:.3e})",
-            drift=drift,
-        )
+    _check_drift(out[-1], float(augmented.plant.alpha @ config.initial_plant))
     return out
 
 
@@ -215,19 +286,8 @@ def simulate(
     IntegratorAccuracyError
         If the conserved plant observable drifted beyond tolerance.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    n_samples = config.n_steps + 1
-    rows = _sample_count(n_samples, stride)  # counted before allocating
-    n = augmented.realization.n_elements
-    columns = 2 + 2 * n + (2 + 2 * n if keep_states else 0)
-    if 8 * rows * columns > MAX_SERIES_BYTES:
-        raise ValueError(
-            f"{rows} samples of a chain with N = {n} would hold "
-            f"{8 * rows * columns} bytes, over the limit of {MAX_SERIES_BYTES}; "
-            "increase sample_dt or csv_stride, or shorten the horizons"
-        )
-    times = _sample_indices(n_samples, stride) * config.sample_dt
+    _series_rows(augmented, config, stride, keep_states)
+    times = _sample_indices(config.n_steps + 1, stride) * config.sample_dt
     z_p, z_o, avg, kept, drift = _evaluate(augmented, config, times, keep_states)
     return TimeSeries(
         times=times,
@@ -238,6 +298,47 @@ def simulate(
         method=config.method,
         states=kept,
     )
+
+
+def stream_series(
+    augmented: AugmentedSystem, config: SimulationConfig, stride: int = 1
+) -> SeriesStream:
+    """The rows of ``simulate(augmented, config, stride=stride)``, as a stream.
+
+    On the exact route each chunk of rows is evaluated only when it is read
+    (:class:`_ExactRoute`, in the chunks :func:`simulate` uses, so the bytes
+    are the same), and memory is one chunk whatever the row count.  The
+    ``rk4`` route steps its grid in order, so its series is materialised.
+
+    Raises
+    ------
+    ValueError
+        As :func:`simulate` does, before anything is evaluated: the series
+        would exceed ``MAX_SERIES_BYTES``, or the initial observer state
+        does not fit the chain.
+    IntegratorAccuracyError
+        Before any row is evaluated if the drift bound ``2 sum_k |c_k|``
+        exceeds the tolerance, and from ``chunk`` if the drift seen in a
+        chunk does.
+    """
+    if config.method == "rk4":
+        return SeriesStream.of(simulate(augmented, config, stride=stride))
+    rows = _series_rows(augmented, config, stride, False)
+    _check_observer(augmented, config)
+    route = _ExactRoute(augmented, config, False)
+    _check_drift(route.bound, route.z_p0)
+    n_samples = config.n_steps + 1
+    size = route.chunk_rows
+
+    def chunk(i):
+        idx = _sample_indices(n_samples, stride, i * size, min((i + 1) * size, rows))
+        block = np.empty((idx.size, 2 + 2 * route.n))
+        block[:, 0] = idx * config.sample_dt
+        route.evaluate(block[:, 0], block[:, 1:])
+        _check_drift(float(np.max(np.abs(block[:, 1] - route.z_p0))), route.z_p0)
+        return block
+
+    return SeriesStream(route.n, -(-rows // size), chunk)
 
 
 def states_at(augmented: AugmentedSystem, config: SimulationConfig, times):
@@ -258,7 +359,7 @@ def states_at(augmented: AugmentedSystem, config: SimulationConfig, times):
 def flow_matrix(augmented: AugmentedSystem, t: float) -> np.ndarray:
     """Closed-form propagator ``exp(A t)`` of the augmented drift ``A``.
 
-    The split of :func:`_exact_series`, applied to every initial state at
+    The split of :class:`_ExactRoute`, applied to every initial state at
     once.  With ``P(t)`` the chain flow, ``I(t)`` its integral over ``[0,
     t]`` (both real embeddings of the Jacobi-spectrum forms), ``G`` the
     plant's gain on the chain and ``s`` the steady offset per unit ``z``::
@@ -386,8 +487,8 @@ def _steady_offset(realization, z):
         ) from exc
 
 
-def _exact_series(augmented, config, times, keep_states):
-    """Structured exact evaluation; see the module docstring for the split.
+class _ExactRoute:
+    """The exact route's set-up for one run; :meth:`evaluate` reads it at any times.
 
     In the chain amplitudes ``a = q + i p`` the error is ``a(t) = M exp(-2i
     lam t)`` with ``M = ObserverHamiltonian.modes(err0)``, and its
@@ -395,7 +496,7 @@ def _exact_series(augmented, config, times, keep_states):
     row ``r`` reads ``r . x = Re(r_c . a)`` with ``r_c = r[0::2] - i r[1::2]``,
     so the readouts, their antiderivatives and the plant observable (plus
     the plant quadratures for ``keep_states``) are projected onto the modes
-    first and each chunk of ``times`` evaluates one phase table for all of
+    once, here, and each chunk of times evaluates one phase table for all of
     them.  The running average at ``t > 0`` is the readouts' antiderivative
     over ``t``; at ``t = 0`` it is the readout.
 
@@ -404,73 +505,96 @@ def _exact_series(augmented, config, times, keep_states):
     gain rows are ``2 J alpha beta^T`` and ``alpha^T J alpha = 0``.  So
     ``z_p`` is read from the oscillation alone, ``z_p(t) = z_p(0) + Re(c .
     (e^{-2i lam t} - 1))`` with ``c = alpha @ plant_w``, and never picks up
-    the ramp's rounding times ``t``.
+    the ramp's rounding times ``t``.  ``bound = 2 sum_k |c_k|`` bounds
+    ``|z_p(t) - z_p(0)|`` over every ``t``, before any time is evaluated.
+
+    Callers split their times into chunks of ``chunk_rows``, so every chunk
+    is one phase table of about ``_CHUNK_ENTRIES`` entries and a time gives
+    the same bytes whichever caller evaluates it.
+    """
+
+    def __init__(self, augmented, config, keep_states):
+        realization = augmented.realization
+        n = realization.n_elements
+        x_p0 = config.initial_plant
+        alpha = augmented.plant.alpha
+        self.z_p0 = float(alpha @ x_p0)
+
+        steady = _steady_offset(realization, self.z_p0)
+        err0 = config.initial_observer - steady
+        ham = realization.hamiltonian
+        self.lam = ham.lam
+        modes = ham.modes(err0)
+
+        def project(rows):
+            return (rows[:, 0::2] - 1j * rows[:, 1::2]) @ modes
+
+        plant_gain = augmented.drift[0:2, 2:]
+        readout_w = project(realization.readout)
+        # antiderivatives, less their constants
+        integral_w = -readout_w / (2j * self.lam)
+        plant_w = -project(plant_gain) / (2j * self.lam)
+        c = alpha @ plant_w
+        self.bound = 2.0 * float(np.sum(np.abs(c)))
+        self.integral_base = -integral_w.real.sum(axis=1)
+        self.z_p_base = self.z_p0 - float(c.real.sum())
+        # Re(w . phase) for all rows at once: the interleaved real view of the
+        # phase table times the real rows (Re w, -Im w) per mode.
+        rows = [readout_w, integral_w, c[None, :]]
+        if keep_states:
+            # constant plant velocity at the steady offset
+            self.rate = plant_gain @ steady
+            self.x_p_base = x_p0 - plant_w.real.sum(axis=1)
+            self.steady, self.modes = steady, modes
+            rows.append(plant_w)
+        rows = np.vstack(rows)
+        self.weights = np.empty((2 * n, rows.shape[0]))
+        self.weights[0::2] = rows.real.T
+        self.weights[1::2] = -rows.imag.T
+        self.z_o_steady = realization.readout @ steady
+        self.n = n
+        self.chunk_rows = max(1, _CHUNK_ENTRIES // n)
+
+    def evaluate(self, tt, out, kept=None):
+        """Fill ``out`` with the ``z_p, z_o, avg`` columns at the times ``tt``.
+
+        ``tt`` is one chunk, at most ``chunk_rows`` times, and ``out`` has
+        ``1 + 2 N`` columns; ``kept`` receives the full states when the
+        route was set up with ``keep_states``.
+        """
+        n = self.n
+        phases = np.exp(np.outer(tt, -2j * self.lam))  # (samples, n)
+        values = phases.view(np.float64) @ self.weights
+        out[:, 0] = self.z_p_base + values[:, 2 * n]
+        out[:, 1 : n + 1] = self.z_o_steady + values[:, :n]
+        integral = self.integral_base + values[:, n : 2 * n]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[:, n + 1 :] = self.z_o_steady + integral / tt[:, None]
+        at_zero = tt == 0.0
+        out[at_zero, n + 1 :] = out[at_zero, 1 : n + 1]
+        if kept is not None:
+            ramp = self.rate * tt[:, None]
+            kept[:, 0:2] = self.x_p_base + ramp + values[:, 2 * n + 1 :]
+            kept[:, 2:] = self.steady + (phases @ self.modes.T).view(np.float64)
+
+
+def _exact_series(augmented, config, times, keep_states):
+    """Structured exact evaluation (:class:`_ExactRoute`) at every time.
 
     Returns ``z_p, z_o, avg, states, drift`` at ``times``.  ``drift`` is the
     larger of the drift seen at ``times`` and the bound ``2 sum_k |c_k|`` on
     ``|z_p(t) - z_p(0)|`` over every ``t``.
     """
-    realization = augmented.realization
-    n = realization.n_elements
-    x_p0 = config.initial_plant
-    alpha = augmented.plant.alpha
-    z_p0 = float(alpha @ x_p0)
-
-    steady = _steady_offset(realization, z_p0)
-    err0 = config.initial_observer - steady
-    ham = realization.hamiltonian
-    lam = ham.lam
-    modes = ham.modes(err0)
-
-    def project(rows):
-        return (rows[:, 0::2] - 1j * rows[:, 1::2]) @ modes
-
-    plant_gain = augmented.drift[0:2, 2:]
-    readout_w = project(realization.readout)
-    # antiderivatives, less their constants
-    integral_w = -readout_w / (2j * lam)
-    plant_w = -project(plant_gain) / (2j * lam)
-    c = alpha @ plant_w
-    integral_base = -integral_w.real.sum(axis=1)
-    z_p_base = z_p0 - float(c.real.sum())
-    # Re(w . phase) for all rows at once: the interleaved real view of the
-    # phase table times the real rows (Re w, -Im w) per mode.
-    rows = [readout_w, integral_w, c[None, :]]
-    if keep_states:
-        rate = plant_gain @ steady  # constant plant velocity at the steady offset
-        x_p_base = x_p0 - plant_w.real.sum(axis=1)
-        rows.append(plant_w)
-    rows = np.vstack(rows)
-    weights = np.empty((2 * n, rows.shape[0]))
-    weights[0::2] = rows.real.T
-    weights[1::2] = -rows.imag.T
-
-    T = times.size
-    z_p = np.empty(T)
-    z_o = np.empty((T, n))
-    avg = np.empty((T, n))
-    kept = np.empty((T, 2 + realization.state_dim)) if keep_states else None
-    z_o_steady = realization.readout @ steady
-    chunk = max(1, _CHUNK_ENTRIES // n)
-
-    for start in range(0, T, chunk):
-        tt = times[start : start + chunk]
-        sl = slice(start, start + tt.size)
-        phases = np.exp(np.outer(tt, -2j * lam))  # (samples, n)
-        values = phases.view(np.float64) @ weights
-        z_p[sl] = z_p_base + values[:, 2 * n]
-        z_o[sl] = z_o_steady + values[:, :n]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            avg[sl] = z_o_steady + (integral_base + values[:, n : 2 * n]) / tt[:, None]
-        if keep_states:
-            kept[sl, 0:2] = x_p_base + rate * tt[:, None] + values[:, 2 * n + 1 :]
-            kept[sl, 2:] = steady + (phases @ modes.T).view(np.float64)
-    at_zero = times == 0.0
-    avg[at_zero] = z_o[at_zero]
-
-    bound = 2.0 * float(np.sum(np.abs(c)))
-    drift = max(bound, float(np.max(np.abs(z_p - z_p0))))
-    return z_p, z_o, avg, kept, drift
+    route = _ExactRoute(augmented, config, keep_states)
+    n = route.n
+    table = np.empty((times.size, 1 + 2 * n))
+    kept = np.empty((times.size, augmented.dim)) if keep_states else None
+    for start in range(0, times.size, route.chunk_rows):
+        sl = slice(start, start + route.chunk_rows)
+        route.evaluate(times[sl], table[sl], kept[sl] if keep_states else None)
+    z_p = table[:, 0]
+    drift = max(route.bound, float(np.max(np.abs(z_p - route.z_p0))))
+    return z_p, table[:, 1 : n + 1], table[:, n + 1 :], kept, drift
 
 
 @dataclass(frozen=True, eq=False)
@@ -593,30 +717,76 @@ def consensus_report(
     )
 
 
-def write_timeseries_csv(series: TimeSeries, path) -> None:
-    """Write every sample of the series as CSV.
+def write_timeseries_csv(series: TimeSeries | SeriesStream, path) -> None:
+    """Write every row of the series as CSV.
 
     Columns: ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.  Thin the rows
-    with ``simulate(..., stride=k)``.  Every value is written as ``"%.17g" %
-    v`` writes it, so the file round-trips exactly; blocks of about 2^16
-    values go through :func:`_format_17g`.
+    with ``stride=k`` in :func:`simulate` or :func:`stream_series`.  Every
+    value is written as ``"%.17g" % v`` writes it (:func:`_format_17g`), so
+    the file round-trips exactly.  The chunks of a series of more than one
+    chunk are made and formatted on ``_CSV_WORKERS`` threads and written in
+    order, so a :class:`SeriesStream` is written in the memory of a few
+    chunks.  If a chunk raises, the chunks not yet started are cancelled, the
+    partial file is deleted and the error propagates.
     """
+    if isinstance(series, TimeSeries):
+        series = SeriesStream.of(series)
     n = series.n_elements
     header = (
         ["t", "z_p"]
         + [f"z_o_{i}" for i in range(1, n + 1)]
         + [f"avg_z_o_{i}" for i in range(1, n + 1)]
     )
-    columns = (series.times, series.z_p, series.z_o, series.running_avg_z_o)
-    block_rows = max(1, 2**16 // len(header))  # temporaries of a few MB
-    seps = np.full((block_rows, len(header)), ord(","), dtype=np.uint8)
-    seps[:, -1] = ord("\n")
-    with open(path, "wb") as f:
-        f.write((",".join(header) + "\n").encode())
-        for start in range(0, series.times.size, block_rows):
-            rows = slice(start, start + block_rows)
-            block = np.column_stack([c[rows] for c in columns])
-            f.write(_format_17g(block, seps[: block.shape[0]]))
+
+    def formatted(i):
+        block = series.chunk(i)
+        seps = np.full(block.shape, ord(","), dtype=np.uint8)
+        seps[:, -1] = ord("\n")
+        parts = -(-block.size // _FORMAT_VALUES)
+        return b"".join(
+            _format_17g(*part)
+            for part in zip(np.array_split(block, parts), np.array_split(seps, parts))
+        )
+
+    f = open(path, "wb")
+    try:
+        with f:
+            f.write((",".join(header) + "\n").encode())
+            _write_in_order(f, formatted, series.n_chunks)
+    except BaseException:
+        # the partial CSV; never a device or a link such as /dev/stdout
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
+
+
+def _write_in_order(f, task, count: int) -> None:
+    """Write ``task(i)`` for ``i < count`` to ``f``, in order.
+
+    One task runs inline.  More run on ``_CSV_WORKERS`` threads, at most two
+    per worker in flight (numpy releases the interpreter lock for most of
+    the work).  If a task raises, the tasks not yet started are
+    cancelled, and every thread is joined before the error propagates.
+    """
+    if count <= 1 or _CSV_WORKERS <= 1:
+        for i in range(count):
+            f.write(task(i))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(_CSV_WORKERS, thread_name_prefix="qchain-csv") as pool:
+        pending = deque()
+        try:
+            for i in range(count):
+                pending.append(pool.submit(task, i))
+                if len(pending) == 2 * _CSV_WORKERS:
+                    f.write(pending.popleft().result())
+            while pending:
+                f.write(pending.popleft().result())
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
 
 
 def _pow10_ceilings():
@@ -645,10 +815,12 @@ def _digit_words():
     replaced by NUL (all four for ``q = 0``).
     """
     q = np.arange(10**4)
-    chars = np.stack([48 + q // 10**j % 10 for j in (3, 2, 1, 0)], axis=1)
+    words = np.empty((2, 10**4, 4), dtype=np.uint8)
+    for j in range(4):
+        words[:, :, j] = 48 + q // 10 ** (3 - j) % 10
     zeros = sum(q % 10**j == 0 for j in (1, 2, 3, 4))
-    stripped = np.where(np.arange(4) < 4 - zeros[:, None], chars, 0)
-    return np.concatenate([chars, stripped]).astype(np.uint8).view(np.uint32).ravel()
+    words[1] *= np.arange(4) < 4 - zeros[:, None]
+    return words.view(np.uint32).ravel()
 
 
 # Tables of the %.17g kernel: a finite double with 1e-4 <= |x| < 1e17 prints in
@@ -670,8 +842,8 @@ def _format_17g(values, seps) -> bytes:
     all of them in one call.  Values are sorted by ``k``, which fixes where
     the digits and the point go in a row of bytes, so each group is placed
     with slice copies (:func:`_place_digits`).  The rows are scattered back
-    in order and get their sign and separator, and the NUL and space padding
-    is deleted.
+    in order and get their sign and separator, and the NUL padding is
+    deleted.
     """
     v = np.ravel(values)
     ax = np.abs(v)
@@ -687,12 +859,15 @@ def _format_17g(values, seps) -> bytes:
     rows[:, 0] = np.signbit(v).view(np.uint8) * np.uint8(45)
     rows[:, -1] = np.ravel(seps)
     if slow.any():
-        # one % call, each value space-padded to 24 bytes: the longest
-        # %.17g text is 24 bytes, as in -1.2345678901234567e-308
+        # one % call, each value padded to 24 bytes: the longest %.17g text
+        # is 24 bytes, as in -1.2345678901234567e-308
         slow_v = v[slow].tolist()
-        text = (b"%-24.17g" * len(slow_v)) % tuple(slow_v)
+        text = ((b"%-24.17g" * len(slow_v)) % tuple(slow_v)).replace(b" ", b"\0")
         rows[slow, :-1] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
-    return rows.tobytes().translate(None, b"\0 ")
+    # numpy drops the padding without the interpreter lock; bytes.translate
+    # would hold it
+    flat = rows.ravel()
+    return flat[flat != 0].tobytes()
 
 
 def _decimal_form(ax):
@@ -729,10 +904,16 @@ def _decimal_form(ax):
 
 def _digit_chars(D):
     """The 17 ASCII digits of each ``D``, trailing zeros NUL, as ``(n, 17)``."""
-    upper, lower = np.divmod(D, 10**8)
-    lead, upper = np.divmod(upper.astype(np.int32), 10**8)
-    g1, g2 = np.divmod(upper, 10**4)
-    g3, g4 = np.divmod(lower.astype(np.int32), 10**4)
+    # x // m, then x - q m: a divmod by a Python int costs about four times more
+    upper = D // 10**8
+    lower = (D - upper * 10**8).astype(np.int32)
+    upper = upper.astype(np.int32)
+    lead = upper // 10**8
+    upper -= lead * 10**8
+    g1 = upper // 10**4
+    g2 = upper - g1 * 10**4
+    g3 = lower // 10**4
+    g4 = lower - g3 * 10**4
     digits = np.empty((D.size, 20), dtype=np.uint8)
     words = digits.view(np.uint32)
     tail = g4 == 0  # every digit after the current word is zero

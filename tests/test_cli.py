@@ -10,11 +10,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from qchain import cli, observer
+from qchain import cli, observer, sim
 from qchain.errors import ConfigError
 
 CANONICAL = {
@@ -378,6 +379,108 @@ def test_simulate_over_memory_budget_exits_3(tmp_path, capsys, monkeypatch):
     assert rc == 3
     assert "10001 samples of a chain with N = 3" in err
     assert not csv_path.exists()
+
+
+def _uniform_chain(n, rows, stride, method="exact"):
+    """A config whose ``stride``-thinned grid holds exactly ``rows`` rows."""
+    dt = 0.125
+    return {
+        **CANONICAL,
+        "chain": {"mu": [1.0] * n},
+        "initial": {"plant": [0.3, 0.9], "observer": "zero"},
+        "horizons": [(rows - 1) * stride * dt],
+        "sample_dt": dt,
+        "csv_stride": stride,
+        "method": method,
+    }
+
+
+def _materialised_csv(path, out):
+    cfg = cli.load_config(path)
+    plant, realization = cli.realize(cfg)
+    augmented = observer.assemble_augmented(realization, plant)
+    series = sim.simulate(
+        augmented, cli._sim_config(cfg, realization), stride=cfg.csv_stride
+    )
+    sim.write_timeseries_csv(series, out)
+    return out.read_bytes()
+
+
+def _assert_streams_materialised_bytes(tmp_path, capsys, monkeypatch, raw, rows):
+    path = _write(tmp_path, raw)
+    monkeypatch.setattr(sim, "_CSV_WORKERS", 1)
+    want = _materialised_csv(path, tmp_path / "want.csv")
+    assert want.count(b"\n") == rows + 1
+    for workers in (1, 2):
+        monkeypatch.setattr(sim, "_CSV_WORKERS", workers)
+        got = tmp_path / f"got{workers}.csv"
+        rc, _, err = _run(capsys, ["simulate", path, "--csv", str(got)])
+        assert (rc, err) == (0, "")
+        assert got.read_bytes() == want, (raw["csv_stride"], rows, workers)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 40, 100])
+@pytest.mark.parametrize("n", [1, 3, 10, 30])
+def test_simulate_csv_streams_the_materialised_bytes(
+    tmp_path, capsys, monkeypatch, n, stride
+):
+    # one chunk, one chunk plus a row, the shortest grid (two steps, since
+    # sample_dt < horizon_T and the horizon lies on the grid), then
+    # single-row chunks
+    chunk = max(1, sim._CHUNK_ENTRIES // n)
+    for rows in (chunk, chunk + 1, 2 if stride > 1 else 3):
+        raw = _uniform_chain(n, rows, stride)
+        _assert_streams_materialised_bytes(tmp_path, capsys, monkeypatch, raw, rows)
+    monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1)
+    raw = _uniform_chain(n, 5, stride)
+    _assert_streams_materialised_bytes(tmp_path, capsys, monkeypatch, raw, 5)
+
+
+def test_simulate_csv_rk4_goes_through_the_same_writer(tmp_path, capsys, monkeypatch):
+    rows = sim._CHUNK_ENTRIES // 3 + 1
+    raw = _uniform_chain(3, rows, 7, method="rk4")
+    _assert_streams_materialised_bytes(tmp_path, capsys, monkeypatch, raw, rows)
+
+
+def test_simulate_csv_drift_failure_leaves_no_file_and_no_thread(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(sim, "_CSV_WORKERS", 2)
+    baseline = threading.active_count()
+    csv_path = tmp_path / "series.csv"
+    config = _write(tmp_path, {**CANONICAL, "horizons": [1000.0]})
+    argv = ["simulate", config, "--csv"]
+    rc, _, _ = _run(capsys, [*argv, str(csv_path)])
+    assert rc == 0
+    assert csv_path.read_bytes().count(b"\n") == 100002  # 19 chunks
+    assert threading.active_count() == baseline
+
+    # the drift bound passes, but the stream drifts from its third chunk on
+    evaluate = sim._ExactRoute.evaluate
+    chunks = []
+
+    def drifting(self, tt, out, kept=None):
+        evaluate(self, tt, out, kept)
+        if tt.size > 2:  # the report reads two rows
+            chunks.append(tt[0])
+            out[:, 0] += tt[0] > 100.0
+
+    monkeypatch.setattr(sim._ExactRoute, "evaluate", drifting)
+    failed = tmp_path / "failed.csv"
+    rc, out, err = _run(capsys, [*argv, str(failed)])
+    assert rc == 1
+    assert out == ""
+    assert "simulation failed: plant observable drifted by 1.000e+00" in err
+    assert not failed.exists()
+    assert len(chunks) < 19  # the chunks not yet started were cancelled
+    assert threading.active_count() == baseline
+
+    # a link, such as /dev/stdout, is never deleted
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    rc, _, _ = _run(capsys, [*argv, str(link)])
+    assert rc == 1
+    assert link.is_symlink()
 
 
 def test_simulate_rk4_step_cap_exits_3(tmp_path, capsys):

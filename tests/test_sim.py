@@ -5,6 +5,8 @@ expm and trapezoid, the rk4 integrator, and the frozen certificate numbers of
 the three-element design chain.
 """
 
+import concurrent.futures
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -238,6 +240,10 @@ def test_exact_route_drift_guard_needs_no_samples(monkeypatch):
     with pytest.raises(IntegratorAccuracyError) as info:
         sim.consensus_report(doctored, cfg, [2.0, 4.0])
     assert info.value.drift > 1e-4
+    # a stream checks the bound before it evaluates any row
+    monkeypatch.setattr(sim._ExactRoute, "evaluate", no_sampling)
+    with pytest.raises(IntegratorAccuracyError):
+        sim.stream_series(doctored, cfg)
 
 
 @pytest.mark.parametrize("n", [3, 100])
@@ -450,6 +456,35 @@ def test_strided_series_rows_match_full_series(tmp_path):
     keep = list(range(0, 1001, 7)) + [1000]
     assert strided_rows.shape == (len(keep), 8)
     assert np.max(np.abs(strided_rows - full_rows[keep])) <= 1e-12
+
+
+def test_stream_writes_in_the_memory_of_a_few_chunks(tmp_path, monkeypatch):
+    # 100,001 rows of 22 values: the series alone would take 17.6 MB
+    monkeypatch.setattr(sim, "_CSV_WORKERS", 2)
+    _, real, aug = _make_system(np.linspace(0.5, 1.5, 10))
+    cfg = _config(real, 1000.0, 0.01, plant_x=(0.3, 0.9))
+    path = tmp_path / "stream.csv"
+    tracemalloc.start()
+    try:
+        sim.write_timeseries_csv(sim.stream_series(aug, cfg), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes().count(b"\n") == 100002
+    assert peak <= 12e6
+
+
+def test_one_chunk_export_starts_no_thread(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool for one chunk")
+
+    monkeypatch.setattr(sim, "_CSV_WORKERS", 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    _, real, aug = _make_system([1.0, 1.0, 1.0])
+    cfg = _config(real, 10.0, 0.01)
+    path = tmp_path / "one.csv"
+    sim.write_timeseries_csv(sim.stream_series(aug, cfg, stride=5), path)
+    assert path.read_bytes().count(b"\n") == 202
 
 
 def test_block_writer_matches_per_value_format(tmp_path):
