@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from ._fmt17 import _format_17g
 from .analysis import (
     ConvergenceCertificate,
     convergence_certificate,
@@ -787,167 +788,3 @@ def _write_in_order(f, task, count: int) -> None:
             for future in pending:
                 future.cancel()
             raise
-
-
-def _pow10_ceilings():
-    """The smallest double ``>= 10^k`` for ``k = -4..17``."""
-    out = []
-    for k in range(-4, 18):
-        d = float(f"1e{k}")
-        num, den = d.as_integer_ratio()
-        if k < 0 and num * 10**-k < den:  # the nearest double is below 10^k
-            d = float(np.nextafter(d, np.inf))
-        out.append(d)
-    return np.array(out)
-
-
-def _veltkamp_split(a):
-    """``hi + lo == a`` with each half fitting in 26 bits (Dekker 1971)."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _digit_words():
-    """The four ASCII digits of each ``q < 10^4`` as one ``uint32`` word.
-
-    Entries ``10^4 + q`` hold the same digits with their trailing zeros
-    replaced by NUL (all four for ``q = 0``).
-    """
-    q = np.arange(10**4)
-    words = np.empty((2, 10**4, 4), dtype=np.uint8)
-    for j in range(4):
-        words[:, :, j] = 48 + q // 10 ** (3 - j) % 10
-    zeros = sum(q % 10**j == 0 for j in (1, 2, 3, 4))
-    words[1] *= np.arange(4) < 4 - zeros[:, None]
-    return words.view(np.uint32).ravel()
-
-
-# Tables of the %.17g kernel: a finite double with 1e-4 <= |x| < 1e17 prints in
-# fixed notation, from its 17 significant digits D and its decimal exponent k.
-_POW10_CEIL = _pow10_ceilings()
-_POW10 = 10.0 ** np.arange(21)  # exact: every 10^p with p <= 22 is a double
-_POW10_HI, _POW10_LO = _veltkamp_split(_POW10)
-_DIGITS4 = _digit_words()
-_LEADING_ZEROS = np.frombuffer(b"0.000", dtype=np.uint8)
-
-
-def _format_17g(values, seps) -> bytes:
-    """The bytes of ``"%.17g" % v`` for every value, each followed by its separator.
-
-    ``seps`` holds one ``uint8`` character per value.  Zeros and values with
-    ``1e-4 <= |v| < 1e17`` print in fixed notation from their 17 significant
-    digits ``D`` and decimal exponent ``k`` (:func:`_decimal_form`) and are
-    formatted here, exactly; every other value is formatted by ``%`` itself,
-    all of them in one call.  Values are sorted by ``k``, which fixes where
-    the digits and the point go in a row of bytes, so each group is placed
-    with slice copies (:func:`_place_digits`).  The rows are scattered back
-    in order and get their sign and separator, and the NUL padding is
-    deleted.
-    """
-    v = np.ravel(values)
-    ax = np.abs(v)
-    slow = ~(((ax >= _POW10_CEIL[0]) & (ax < 1e17)) | (ax == 0.0))
-    fast = np.flatnonzero(~slow)  # where the kernel formats
-    k, D, ok = _decimal_form(ax[fast])
-    slow[fast[~ok]] = True
-    order = np.argsort(k.astype(np.int8), kind="stable")
-    rows = np.empty((v.size, 25), dtype=np.uint8)
-    rows[fast[order]] = _place_digits(
-        _digit_chars(D[order]), np.bincount(k + 4, minlength=21)
-    )
-    rows[:, 0] = np.signbit(v).view(np.uint8) * np.uint8(45)
-    rows[:, -1] = np.ravel(seps)
-    if slow.any():
-        # one % call, each value padded to 24 bytes: the longest %.17g text
-        # is 24 bytes, as in -1.2345678901234567e-308
-        slow_v = v[slow].tolist()
-        text = ((b"%-24.17g" * len(slow_v)) % tuple(slow_v)).replace(b" ", b"\0")
-        rows[slow, :-1] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
-    # numpy drops the padding without the interpreter lock; bytes.translate
-    # would hold it
-    flat = rows.ravel()
-    return flat[flat != 0].tobytes()
-
-
-def _decimal_form(ax):
-    """``k, D, ok`` for zeros and magnitudes ``1e-4 <= ax < 1e17``.
-
-    ``ax ~ D 10^(k-16)`` with 17 significant digits:
-
-    1. ``k = floor(log10 ax)``, corrected against the exact powers of ten.
-    2. ``ax 10^(16-k) = hi + lo`` exactly, by Dekker's two-product.
-    3. ``D = hi + rint(lo)`` is ``ax 10^(16-k)`` rounded half to even,
-       because ``hi >= 2^53`` is an even integer.
-
-    A zero gets ``D = 0`` and ``k = 0``.  ``ok`` marks the zeros and the
-    values whose ``D`` lies in ``[10^16, 10^17)``.  No double rounds up to a
-    power of ten at 17 digits, so ``D < 10^17`` always; a ``D`` out of range
-    would take the fallback.
-    """
-    zero = ax == 0.0
-    x = np.where(zero, 1.0, ax)
-    k = np.floor(np.log10(x)).astype(np.int64)
-    np.clip(k, -4, 16, out=k)
-    k -= x < _POW10_CEIL[k + 4]
-    k += x >= _POW10_CEIL[k + 5]
-    p = 16 - k
-    hi = x * _POW10[p]
-    x_hi, x_lo = _veltkamp_split(x)
-    p_hi, p_lo = _POW10_HI[p], _POW10_LO[p]
-    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
-    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    ok = zero | ((D >= 10**16) & (D < 10**17))
-    D[zero] = 0  # its x = 1 put it in the k = 0 group
-    return k, D, ok
-
-
-def _digit_chars(D):
-    """The 17 ASCII digits of each ``D``, trailing zeros NUL, as ``(n, 17)``."""
-    # x // m, then x - q m: a divmod by a Python int costs about four times more
-    upper = D // 10**8
-    lower = (D - upper * 10**8).astype(np.int32)
-    upper = upper.astype(np.int32)
-    lead = upper // 10**8
-    upper -= lead * 10**8
-    g1 = upper // 10**4
-    g2 = upper - g1 * 10**4
-    g3 = lower // 10**4
-    g4 = lower - g3 * 10**4
-    digits = np.empty((D.size, 20), dtype=np.uint8)
-    words = digits.view(np.uint32)
-    tail = g4 == 0  # every digit after the current word is zero
-    words[:, 4] = _DIGITS4[10**4 + g4]
-    words[:, 3] = _DIGITS4[g3 + 10**4 * tail]
-    tail &= g3 == 0
-    words[:, 2] = _DIGITS4[g2 + 10**4 * tail]
-    tail &= g2 == 0
-    words[:, 1] = _DIGITS4[g1 + 10**4 * tail]
-    digits[:, 3] = 48 + lead
-    return digits[:, 3:]
-
-
-def _place_digits(digits, counts):
-    """Fixed-notation rows for digits sorted by ``k``; ``counts[k + 4]`` per group.
-
-    A row has 25 bytes, room for ``-1.2345678901234567e-308`` and its
-    separator.  Column 0 is left for the sign and the last for the
-    separator; unused bytes are NUL.
-    """
-    rows = np.zeros((digits.shape[0], 25), dtype=np.uint8)
-    stop = 0
-    for k, count in zip(range(-4, 17), counts.tolist()):
-        group = slice(stop, stop + count)
-        stop += count
-        if count == 0:
-            continue
-        if k < 0:  # 0.000ddd
-            rows[group, 1 : 2 - k] = _LEADING_ZEROS[: 1 - k]
-            rows[group, 2 - k : 19 - k] = digits[group]
-            continue
-        # integer digits keep their zeros; the point only if a fraction follows
-        np.maximum(digits[group, : k + 1], 48, out=rows[group, 1 : k + 2])
-        if k < 16:
-            rows[group, k + 2] = (digits[group, k + 1] != 0) * np.uint8(46)
-            rows[group, k + 3 : 19] = digits[group, k + 1 :]
-    return rows

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_reference import running_average
-from qchain import observer, sim
+from qchain import _fmt17, observer, sim
 from qchain.errors import IntegratorAccuracyError
 
 
@@ -518,7 +518,7 @@ def test_block_writer_matches_per_value_format(tmp_path):
 
 def _assert_formats_like_percent(values):
     values = np.asarray(values, dtype=float).ravel()
-    out = sim._format_17g(values, np.full(values.size, ord(","), dtype=np.uint8))
+    out = _fmt17._format_17g(values, np.full(values.size, ord(","), dtype=np.uint8))
     assert out.split(b",") == [b"%.17g" % v for v in values.tolist()] + [b""]
 
 
