@@ -27,13 +27,14 @@ steps in blocks and keeps only the rows a caller reads.
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._fmt17 import _format_17g
+from ._fmt17 import _format_17g, _Scratch
 from .analysis import (
     ConvergenceCertificate,
     convergence_certificate,
@@ -66,9 +67,9 @@ if hasattr(os, "sched_getaffinity"):
 else:
     _CSV_WORKERS = min(2, os.cpu_count() or 1)
 
-#: Most values per :func:`_format_17g` call, so about two per chunk.  Its
-#: temporaries take about 130 bytes per value; halving a chunk halves the
-#: memory of each CSV worker, and smaller calls pay more interpreter time.
+#: Most values per :func:`_format_17g` call, so about two per chunk.  Each
+#: CSV worker's scratch takes 137 bytes per value of its largest call;
+#: halving a chunk halves it, and smaller calls pay more interpreter time.
 _FORMAT_VALUES = 2**15
 
 #: Steps per block of RK4 power stepping.
@@ -169,7 +170,8 @@ class SeriesStream:
 
     ``chunk(i)`` returns the ``i``-th chunk of rows as one float array with
     the columns ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``; ``n_chunks``
-    chunks hold every row.  ``chunk`` may be called from several threads at
+    chunks hold every row, each of ``_chunk_rows(N)`` rows but the last,
+    which may hold fewer.  ``chunk`` may be called from several threads at
     once.
     """
 
@@ -180,7 +182,7 @@ class SeriesStream:
     @classmethod
     def of(cls, series: TimeSeries) -> "SeriesStream":
         """The rows of a materialised series, in chunks of the exact route's size."""
-        rows = max(1, _CHUNK_ENTRIES // series.n_elements)
+        rows = _chunk_rows(series.n_elements)
         columns = (series.times, series.z_p, series.z_o, series.running_avg_z_o)
 
         def chunk(i):
@@ -188,6 +190,11 @@ class SeriesStream:
             return np.column_stack([c[sl] for c in columns])
 
         return cls(series.n_elements, -(-series.times.size // rows), chunk)
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk of a series of ``n`` elements: ``_CHUNK_ENTRIES`` phase-table entries."""
+    return max(1, _CHUNK_ENTRIES // n)
 
 
 def _sample_count(n_samples: int, stride: int) -> int:
@@ -554,7 +561,7 @@ class _ExactRoute:
         self.weights[1::2] = -rows.imag.T
         self.z_o_steady = realization.readout @ steady
         self.n = n
-        self.chunk_rows = max(1, _CHUNK_ENTRIES // n)
+        self.chunk_rows = _chunk_rows(n)
 
     def evaluate(self, tt, out, kept=None):
         """Fill ``out`` with the ``z_p, z_o, avg`` columns at the times ``tt``.
@@ -727,8 +734,10 @@ def write_timeseries_csv(series: TimeSeries | SeriesStream, path) -> None:
     the file round-trips exactly.  The chunks of a series of more than one
     chunk are made and formatted on ``_CSV_WORKERS`` threads and written in
     order, so a :class:`SeriesStream` is written in the memory of a few
-    chunks.  If a chunk raises, the chunks not yet started are cancelled, the
-    partial file is deleted and the error propagates.
+    chunks.  Each thread formats in its own scratch buffers, made for the
+    first values it formats and freed when the export returns.  If a chunk
+    raises, the chunks not yet started are cancelled, the partial file is
+    deleted and the error propagates.
     """
     if isinstance(series, TimeSeries):
         series = SeriesStream.of(series)
@@ -739,15 +748,24 @@ def write_timeseries_csv(series: TimeSeries | SeriesStream, path) -> None:
         + [f"avg_z_o_{i}" for i in range(1, n + 1)]
     )
 
+    seps = np.full((_chunk_rows(n), 2 + 2 * n), ord(","), dtype=np.uint8)
+    seps[:, -1] = ord("\n")
+    local = threading.local()  # each thread's scratch
+
     def formatted(i):
         block = series.chunk(i)
-        seps = np.full(block.shape, ord(","), dtype=np.uint8)
-        seps[:, -1] = ord("\n")
         parts = -(-block.size // _FORMAT_VALUES)
-        return b"".join(
-            _format_17g(*part)
-            for part in zip(np.array_split(block, parts), np.array_split(seps, parts))
-        )
+        out = []
+        for values, part_seps in zip(
+            np.array_split(block, parts), np.array_split(seps[: len(block)], parts)
+        ):
+            # a chunk's first part is its largest, and only the last chunk
+            # is short, so a thread's scratch is made once
+            scratch = getattr(local, "scratch", None)
+            if scratch is None or scratch.size < values.size:
+                scratch = local.scratch = _Scratch(values.size)
+            out.append(_format_17g(values, part_seps, scratch))
+        return out
 
     f = open(path, "wb")
     try:
@@ -762,7 +780,7 @@ def write_timeseries_csv(series: TimeSeries | SeriesStream, path) -> None:
 
 
 def _write_in_order(f, task, count: int) -> None:
-    """Write ``task(i)`` for ``i < count`` to ``f``, in order.
+    """Write the buffers of ``task(i)`` for ``i < count`` to ``f``, in order.
 
     One task runs inline.  More run on ``_CSV_WORKERS`` threads, at most two
     per worker in flight (numpy releases the interpreter lock for most of
@@ -771,7 +789,7 @@ def _write_in_order(f, task, count: int) -> None:
     """
     if count <= 1 or _CSV_WORKERS <= 1:
         for i in range(count):
-            f.write(task(i))
+            f.writelines(task(i))
         return
     from concurrent.futures import ThreadPoolExecutor
 
@@ -781,9 +799,9 @@ def _write_in_order(f, task, count: int) -> None:
             for i in range(count):
                 pending.append(pool.submit(task, i))
                 if len(pending) == 2 * _CSV_WORKERS:
-                    f.write(pending.popleft().result())
+                    f.writelines(pending.popleft().result())
             while pending:
-                f.write(pending.popleft().result())
+                f.writelines(pending.popleft().result())
         except BaseException:
             for future in pending:
                 future.cancel()

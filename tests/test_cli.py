@@ -436,6 +436,47 @@ def test_simulate_csv_streams_the_materialised_bytes(
     _assert_streams_materialised_bytes(tmp_path, capsys, monkeypatch, raw, 5)
 
 
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def _percent_csv(series):
+    """The CSV of ``series`` with every value written by ``"%.17g" % v`` alone."""
+    n = series.n_elements
+    header = ["t", "z_p"] + [f"z_o_{i}" for i in range(1, n + 1)]
+    header += [f"avg_z_o_{i}" for i in range(1, n + 1)]
+    table = np.column_stack(
+        [series.times, series.z_p, series.z_o, series.running_avg_z_o]
+    )
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in CONFIG_DIR.glob("*.json")) + ["n10_three_chunks"]
+)
+def test_simulate_csv_writes_each_value_as_percent_17g(
+    tmp_path, capsys, monkeypatch, name
+):
+    # checks the streamed kernel against Python's own formatting of the
+    # series simulate() returns, so a kernel bug cannot cancel out
+    config = CONFIG_DIR / name
+    if name == "n10_three_chunks":
+        rows = 2 * sim._chunk_rows(10) + 100
+        config = _write(tmp_path, _uniform_chain(10, rows, 1))
+    monkeypatch.setattr(sim, "_CSV_WORKERS", 2)
+    got = tmp_path / "got.csv"
+    rc, _, err = _run(capsys, ["simulate", str(config), "--csv", str(got)])
+    assert (rc, err) == (0, "")
+    cfg = cli.load_config(str(config))
+    plant, realization = cli.realize(cfg)
+    augmented = observer.assemble_augmented(realization, plant)
+    series = sim.simulate(
+        augmented, cli._sim_config(cfg, realization), stride=cfg.csv_stride
+    )
+    assert got.read_bytes() == _percent_csv(series)
+
+
 def test_simulate_csv_rk4_goes_through_the_same_writer(tmp_path, capsys, monkeypatch):
     rows = sim._CHUNK_ENTRIES // 3 + 1
     raw = _uniform_chain(3, rows, 7, method="rk4")

@@ -6,6 +6,8 @@ the three-element design chain.
 """
 
 import concurrent.futures
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -516,9 +518,29 @@ def test_block_writer_matches_per_value_format(tmp_path):
 # the exact %.17g kernel of the CSV writer
 
 
-def _assert_formats_like_percent(values):
+def _used_scratch(size):
+    """A scratch for ``size`` values that has already formatted other values.
+
+    The block it formatted mixes every layout group, the longest fixed and
+    fallback texts, zeros and non-finite values, so stale bytes would show.
+    """
+    rng = np.random.default_rng(size)
+    kinds = [
+        -1.2345678901234567e-308, -1.2345678901234567e16, -0.00012345678901234567,
+        -1.2345678901234567, 0.0, -0.0, np.nan, -np.inf, 5e-324,
+    ]
+    block = rng.choice(kinds, size) * 10.0 ** rng.integers(-4, 17, size)
+    scratch = _fmt17._Scratch(size)
+    _assert_formats_like_percent(block, scratch)
+    return scratch
+
+
+def _assert_formats_like_percent(values, scratch=None):
     values = np.asarray(values, dtype=float).ravel()
-    out = _fmt17._format_17g(values, np.full(values.size, ord(","), dtype=np.uint8))
+    if scratch is None:
+        scratch = _used_scratch(values.size)
+    seps = np.full(values.size, ord(","), dtype=np.uint8)
+    out = _fmt17._format_17g(values, seps, scratch).tobytes()
     assert out.split(b",") == [b"%.17g" % v for v in values.tolist()] + [b""]
 
 
@@ -585,6 +607,72 @@ def test_format_kernel_matches_percent_format_on_floats(values):
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40))
 def test_format_kernel_matches_percent_format_on_bit_patterns(bits):
     _assert_formats_like_percent(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _in_range_block(size, seed):
+    """``size`` values of both signs with ``1e-4 <= |v| < 1e17``, every layout group."""
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size)
+    return signs * rng.uniform(1.0, 10.0, size) * 10.0 ** rng.integers(-4, 17, size)
+
+
+def test_reused_scratch_leaks_no_stale_bytes():
+    scratch = _fmt17._Scratch(2**15)
+    blocks = [
+        _in_range_block(2**15, 7),
+        _EDGE_VALUES["fallback only"],
+        [3.0],
+        [np.inf, np.nan, -0.0, 5e-324],
+    ]
+    for block in blocks:
+        _assert_formats_like_percent(block, scratch)
+
+
+def test_kernel_allocates_little_with_a_warm_scratch():
+    # the sort key and order take 9 bytes per value and the text about 20; a
+    # kernel that made its temporaries afresh would take over 130
+    values = _in_range_block(2**15, 8)
+    seps = np.full(values.size, ord(","), dtype=np.uint8)
+    scratch = _fmt17._Scratch(values.size)
+    _fmt17._format_17g(values, seps, scratch)
+    tracemalloc.start()
+    try:
+        _fmt17._format_17g(values, seps, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * values.size
+
+
+def test_threads_with_their_own_scratch_format_the_serial_bytes():
+    fallback = np.asarray(_EDGE_VALUES["fallback only"])
+    blocks = [
+        np.concatenate([_in_range_block(2**13, seed), fallback, [0.0, -0.0]])
+        for seed in range(4)  # four threads, more than the writer ever starts
+    ]
+    seps = np.full(blocks[0].size, ord(","), dtype=np.uint8)
+    want = [
+        _fmt17._format_17g(b, seps, _fmt17._Scratch(b.size)).tobytes() for b in blocks
+    ]
+    got = [[] for _ in blocks]
+
+    def work(j):
+        scratch = _fmt17._Scratch(blocks[j].size)
+        for _ in range(5):
+            got[j].append(_fmt17._format_17g(blocks[j], seps, scratch).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(blocks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 5 for w in want]
 
 
 def test_csv_writer_raises_no_warnings(tmp_path):
