@@ -113,8 +113,8 @@ def _format_17g(values, seps, scratch: _Scratch) -> np.ndarray:
     sign = np.signbit(v, out=scratch.bools[1, :m])
     np.multiply(sign.view(np.uint8), np.uint8(45), out=rows[:, 0])
     rows[:, -1] = np.ravel(seps)
-    slow = np.logical_not(fast, out=sign)
-    if slow.any():
+    slow = np.flatnonzero(np.logical_not(fast, out=sign))
+    if slow.size:
         # one % call, each value padded to 24 bytes: the longest %.17g text
         # is 24 bytes, as in -1.2345678901234567e-308
         slow_v = v[slow].tolist()
@@ -232,12 +232,18 @@ def _place_digits(digits, counts, rows):
         if count == 0:
             continue
         if k < 0:  # 0.000ddd
-            rows[group, 1 : 2 - k] = _LEADING_ZEROS[: 1 - k]
-            rows[group, 2 - k : 19 - k] = digits[group]
+            _items(rows[group, 1 : 2 - k])[...] = _items(_LEADING_ZEROS[None, : 1 - k])
+            _items(rows[group, 2 - k : 19 - k])[...] = _items(digits[group])
             continue
-        # integer digits keep their zeros; the point only if a fraction follows
+        # integer digits keep their zeros; the point only if a fraction
+        # follows: min(NUL, '.') is NUL and min(digit, '.') is '.'
         np.maximum(digits[group, : k + 1], 48, out=rows[group, 1 : k + 2])
         if k < 16:
-            rows[group, k + 2] = (digits[group, k + 1] != 0) * np.uint8(46)
-            rows[group, k + 3 : 19] = digits[group, k + 1 :]
+            np.minimum(digits[group, k + 1], 46, out=rows[group, k + 2])
+            _items(rows[group, k + 3 : 19])[...] = _items(digits[group, k + 1 :])
     return rows
+
+
+def _items(a):
+    """A 2-D byte array's rows as single items: numpy copies those in one step."""
+    return a.view(f"V{a.shape[1]}")
