@@ -193,7 +193,7 @@ class SeriesStream:
 
 
 def _chunk_rows(n: int) -> int:
-    """Rows per chunk of a series of ``n`` elements: ``_CHUNK_ENTRIES`` phase-table entries."""
+    """Rows per chunk of ``n`` elements: about ``_CHUNK_ENTRIES`` phase-table entries."""
     return max(1, _CHUNK_ENTRIES // n)
 
 

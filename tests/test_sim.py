@@ -610,7 +610,7 @@ def test_format_kernel_matches_percent_format_on_bit_patterns(bits):
 
 
 def _in_range_block(size, seed):
-    """``size`` values of both signs with ``1e-4 <= |v| < 1e17``, every layout group."""
+    """``size`` values with ``1e-4 <= |v| < 1e17``: both signs, every layout group."""
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size)
     return signs * rng.uniform(1.0, 10.0, size) * 10.0 ** rng.integers(-4, 17, size)
