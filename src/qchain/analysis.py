@@ -74,10 +74,6 @@ class ObserverHamiltonian:
     V: np.ndarray
 
     @property
-    def n_elements(self) -> int:
-        return self.mu.size
-
-    @property
     def matrix(self) -> np.ndarray:
         """The real ``2N x 2N`` Hamiltonian ``R = real_embedding(H)``."""
         return real_embedding(self.H)

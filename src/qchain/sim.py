@@ -22,6 +22,10 @@ The same split gives the whole propagator in closed form
 preservation.  A fixed-step RK4 route over the raw augmented drift, with
 trapezoidal running averages, is available as an independent diagnostic; it
 steps in blocks and keeps only the rows a caller reads.
+
+Each route is one in-order source of chunks of rows (:func:`_tasks`).  Every
+reader of the series goes through it, so a row has the same bytes whichever
+makes it, and :func:`write_timeseries_csv` streams either route.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -127,9 +132,6 @@ class SimulationConfig:
     def n_steps(self) -> int:
         return int(round(self.horizon_T / self.sample_dt))
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.sample_dt
-
 
 def default_sample_dt(omega) -> float:
     """A sample step resolving the fastest detuning, capped at ``DEFAULT_DT_CAP``."""
@@ -159,37 +161,21 @@ class TimeSeries:
     method: str
     states: np.ndarray | None = None
 
-    @property
-    def n_elements(self) -> int:
-        return self.z_o.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class SeriesStream:
     """A sampled series made one chunk of rows at a time, as it is written.
 
-    ``chunk(i)`` returns the ``i``-th chunk of rows as one float array with
-    the columns ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``; ``n_chunks``
-    chunks hold every row, each of ``_chunk_rows(N)`` rows but the last,
-    which may hold fewer.  ``chunk`` may be called from several threads at
-    once.
+    ``tasks`` yields ``n_chunks`` zero-argument tasks in row order, once;
+    pull them on one thread, since the ``rk4`` route steps its grid there.
+    A task may run on any thread and returns a chunk of ``_chunk_rows(N)``
+    rows (the last may hold fewer) with the columns ``t, z_p,
+    z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.
     """
 
     n_elements: int
     n_chunks: int
-    chunk: Callable[[int], np.ndarray]
-
-    @classmethod
-    def of(cls, series: TimeSeries) -> "SeriesStream":
-        """The rows of a materialised series, in chunks of the exact route's size."""
-        rows = _chunk_rows(series.n_elements)
-        columns = (series.times, series.z_p, series.z_o, series.running_avg_z_o)
-
-        def chunk(i):
-            sl = slice(i * rows, (i + 1) * rows)
-            return np.column_stack([c[sl] for c in columns])
-
-        return cls(series.n_elements, -(-series.times.size // rows), chunk)
+    tasks: Iterator[Callable[[], np.ndarray]]
 
 
 def _chunk_rows(n: int) -> int:
@@ -231,15 +217,6 @@ def _series_rows(augmented, config, stride: int, keep_states: bool) -> int:
     return rows
 
 
-def _check_observer(augmented, config) -> None:
-    state_dim = augmented.realization.state_dim
-    if config.initial_observer.size != state_dim:
-        raise ValueError(
-            f"initial_observer has length {config.initial_observer.size}, "
-            f"chain needs {state_dim}"
-        )
-
-
 def _check_drift(drift: float, z_p0: float) -> None:
     """Raise unless ``drift <= Z_DRIFT_TOL * (1 + |z_p0|)``."""
     tol = Z_DRIFT_TOL * (1.0 + abs(z_p0))
@@ -251,22 +228,55 @@ def _check_drift(drift: float, z_p0: float) -> None:
         )
 
 
+def _tasks(augmented, config, times_of, count, keep_states):
+    """The route's chunk source: ``bound, tasks`` at ``count`` times.
+
+    ``times_of(a, b)`` returns the times ``a..b-1``.  ``tasks`` yields a
+    zero-argument task per ``_chunk_rows(N)`` times, in order.  Each returns
+    ``block, drift``: the chunk's columns ``t, z_p, z_o, avg`` (then the
+    full state for ``keep_states``), and the z drift up to its last time,
+    which ``bound`` bounds beforehand (0 on the ``rk4`` route).  The ``rk4``
+    route steps its grid, so its times must be grid samples, ascending, that
+    end at the last step.  Raises :class:`ValueError` if the initial
+    observer state does not fit the chain.
+    """
+    state_dim = augmented.realization.state_dim
+    if config.initial_observer.size != state_dim:
+        raise ValueError(
+            f"initial_observer has length {config.initial_observer.size}, "
+            f"chain needs {state_dim}"
+        )
+    if config.method == "rk4":
+        return 0.0, _rk4_tasks(augmented, config, times_of, count, keep_states)
+    route = _ExactRoute(augmented, config, keep_states)
+    size = _chunk_rows(route.n)
+    return route.bound, (
+        partial(route.chunk, times_of, a, min(a + size, count))
+        for a in range(0, count, size)
+    )
+
+
 def _evaluate(augmented, config, times, keep_states):
     """``z_p, z_o, avg, states, drift`` at ``times`` on the config's route.
 
-    The ``rk4`` route steps the ``sample_dt`` grid, so there ``times`` must
-    be grid samples.  Raises :class:`ValueError` if the initial observer
-    state does not fit the chain, and :class:`IntegratorAccuracyError` if the
-    plant observable drifted beyond ``Z_DRIFT_TOL * (1 + |z(0)|)``.
+    Copies each chunk of :func:`_tasks` into one table as it is made.
+    Raises as :func:`_tasks` does, and :class:`IntegratorAccuracyError` if
+    the plant observable drifted beyond ``Z_DRIFT_TOL * (1 + |z(0)|)``.
     """
-    _check_observer(augmented, config)
-    if config.method == "rk4":
-        idx = np.rint(times / config.sample_dt).astype(np.int64)
-        out = _rk4_series(augmented, config, idx, keep_states)
-    else:
-        out = _exact_series(augmented, config, times, keep_states)
-    _check_drift(out[-1], float(augmented.plant.alpha @ config.initial_plant))
-    return out
+    _, tasks = _tasks(
+        augmented, config, lambda a, b: times[a:b], times.size, keep_states
+    )
+    n = augmented.realization.n_elements
+    table = np.empty((times.size, 2 + 2 * n + (augmented.dim if keep_states else 0)))
+    start, drift = 0, 0.0
+    for task in tasks:
+        block, seen = task()
+        table[start : start + len(block)] = block
+        start += len(block)
+        drift = max(drift, seen)
+    _check_drift(drift, float(augmented.plant.alpha @ config.initial_plant))
+    states = table[:, 2 + 2 * n :] if keep_states else None
+    return table[:, 1], table[:, 2 : n + 2], table[:, n + 2 : 2 * n + 2], states, drift
 
 
 def simulate(
@@ -313,40 +323,38 @@ def stream_series(
 ) -> SeriesStream:
     """The rows of ``simulate(augmented, config, stride=stride)``, as a stream.
 
-    On the exact route each chunk of rows is evaluated only when it is read
-    (:class:`_ExactRoute`, in the chunks :func:`simulate` uses, so the bytes
-    are the same), and memory is one chunk whatever the row count.  The
-    ``rk4`` route steps its grid in order, so its series is materialised.
+    The chunks come from the source :func:`simulate` reads, so the bytes
+    are the same, and memory is a few chunks whatever the row count.  An
+    exact chunk is evaluated when its task runs, on whichever thread runs
+    it; the ``rk4`` route steps its grid as the tasks are pulled.
 
     Raises
     ------
     ValueError
-        As :func:`simulate` does, before anything is evaluated: the series
-        would exceed ``MAX_SERIES_BYTES``, or the initial observer state
-        does not fit the chain.
+        As :func:`simulate` does, before anything is evaluated.
     IntegratorAccuracyError
-        Before any row is evaluated if the drift bound ``2 sum_k |c_k|``
-        exceeds the tolerance, and from ``chunk`` if the drift seen in a
-        chunk does.
+        Before any row is evaluated if the exact route's drift bound
+        ``2 sum_k |c_k|`` exceeds the tolerance, and from a task if the drift
+        up to its chunk does.
     """
-    if config.method == "rk4":
-        return SeriesStream.of(simulate(augmented, config, stride=stride))
     rows = _series_rows(augmented, config, stride, False)
-    _check_observer(augmented, config)
-    route = _ExactRoute(augmented, config, False)
-    _check_drift(route.bound, route.z_p0)
-    n_samples = config.n_steps + 1
-    size = route.chunk_rows
 
-    def chunk(i):
-        idx = _sample_indices(n_samples, stride, i * size, min((i + 1) * size, rows))
-        block = np.empty((idx.size, 2 + 2 * route.n))
-        block[:, 0] = idx * config.sample_dt
-        route.evaluate(block[:, 0], block[:, 1:])
-        _check_drift(float(np.max(np.abs(block[:, 1] - route.z_p0))), route.z_p0)
-        return block
+    def grid(a, b):
+        return _sample_indices(config.n_steps + 1, stride, a, b) * config.sample_dt
 
-    return SeriesStream(route.n, -(-rows // size), chunk)
+    bound, tasks = _tasks(augmented, config, grid, rows, False)
+    z_p0 = float(augmented.plant.alpha @ config.initial_plant)
+    _check_drift(bound, z_p0)
+    n = augmented.realization.n_elements
+    checked = (partial(_checked, task, z_p0) for task in tasks)
+    return SeriesStream(n, -(-rows // _chunk_rows(n)), checked)
+
+
+def _checked(task, z_p0):
+    """The block of a task of :func:`_tasks`, raising if its drift is too large."""
+    block, drift = task()
+    _check_drift(drift, z_p0)
+    return block
 
 
 def states_at(augmented: AugmentedSystem, config: SimulationConfig, times):
@@ -434,55 +442,59 @@ def _rk4_blocks(A, x0, dt, n_steps, rows):
         yield out.reshape(-1, m)[:k]
 
 
-def _rk4_series(augmented, config, idx, keep_states):
-    """RK4 over the full ``sample_dt`` grid, keeping only the rows ``idx``.
+def _rk4_tasks(augmented, config, times_of, count, keep_states):
+    """RK4 over the full ``sample_dt`` grid, as :func:`_tasks` for the kept times.
 
-    Each group of steps extends the trapezoid sums of the running averages
-    and the z drift, so memory is one group plus the kept rows whatever the
-    grid length, and the sums are the trapezoid rule's over the whole grid.
-    ``idx`` must be ascending.  Returns ``z_p, z_o, avg,
-    states, drift`` like :func:`_exact_series`; ``drift`` is the largest
-    ``|z_p - z_p(0)|`` over every step.
+    The steps run as the tasks are pulled, a group of :func:`_rk4_blocks`
+    at a time.  Each group extends the trapezoid sums of the running
+    averages, so they are the trapezoid rule's over the whole grid, and the
+    drift, the largest ``|z_p - z_p(0)|`` over every step so far.  Memory is
+    one group plus the chunks not yet written, whatever the grid length.
     """
     dt = float(config.sample_dt)
     x0 = np.concatenate([config.initial_plant, config.initial_observer])
     n = augmented.realization.n_elements
-    rows = [augmented.plant_readout[None, :], augmented.observer_readout]
+    readouts = [augmented.plant_readout[None, :], augmented.observer_readout]
     if keep_states:
-        rows.append(np.eye(augmented.dim))
-    z_p = np.empty(idx.size)
-    z_o = np.empty((idx.size, n))
-    avg = np.empty((idx.size, n))
-    kept = np.empty((idx.size, augmented.dim)) if keep_states else None
+        readouts.append(np.eye(augmented.dim))
+    groups = _rk4_blocks(augmented.drift, x0, dt, config.n_steps, np.vstack(readouts))
     z_p0 = float(augmented.plant_readout @ x0)
     drift = 0.0
-    start = 0
+    start = stop = 0  # the group in hand holds the steps start..stop-1
     last = 0.0, np.zeros(n), np.zeros(n)  # a zero-length step ending at t = 0
-    groups = _rk4_blocks(augmented.drift, x0, dt, config.n_steps, np.vstack(rows))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for group in groups:
-            k = group.shape[0]
-            drift = max(drift, float(np.max(np.abs(group[:, 0] - z_p0))))
-            # row 0 is the step before the group: its time, readouts and sums
-            t = np.arange(start - 1, start + k) * dt
-            v = np.empty((k + 1, n))
-            sums = np.empty_like(v)
-            t[0], v[0], sums[0] = last
-            v[1:] = group[:, 1 : n + 1]
-            sums[1:] = 0.5 * (v[1:] + v[:-1]) * np.diff(t)[:, None]
-            np.cumsum(sums, axis=0, out=sums)
-            last = t[-1], v[-1], sums[-1]
-            lo, hi = np.searchsorted(idx, [start, start + k])
-            local = idx[lo:hi] - start
-            z_p[lo:hi] = group[local, 0]
-            z_o[lo:hi] = v[local + 1]
-            avg[lo:hi] = sums[local + 1] / t[local + 1, None]
-            if keep_states:
-                kept[lo:hi] = group[local, n + 1 :]
-            start += k
-    at_zero = idx == 0
-    avg[at_zero] = z_o[at_zero]
-    return z_p, z_o, avg, kept, drift
+    size = _chunk_rows(n)
+    for first in range(0, count, size):
+        tt = times_of(first, min(first + size, count))
+        idx = np.rint(tt / dt).astype(np.int64)
+        block = np.empty((tt.size, 2 + 2 * n + (augmented.dim if keep_states else 0)))
+        block[:, 0] = tt
+        lo = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while lo < idx.size:
+                while idx[lo] >= stop:
+                    group = next(groups)
+                    start, stop = stop, stop + group.shape[0]
+                    drift = max(drift, float(np.max(np.abs(group[:, 0] - z_p0))))
+                    # row 0 is the step before the group: its time, readouts and sums
+                    t = np.arange(start - 1, stop) * dt
+                    v = np.empty((stop - start + 1, n))
+                    sums = np.empty_like(v)
+                    t[0], v[0], sums[0] = last
+                    v[1:] = group[:, 1 : n + 1]
+                    sums[1:] = 0.5 * (v[1:] + v[:-1]) * np.diff(t)[:, None]
+                    np.cumsum(sums, axis=0, out=sums)
+                    last = t[-1], v[-1], sums[-1]
+                hi = int(np.searchsorted(idx, stop))
+                local = idx[lo:hi] - start
+                rows = block[lo:hi]
+                rows[:, 1 : n + 2] = group[local, : n + 1]  # z_p, z_o
+                rows[:, n + 2 : 2 * n + 2] = sums[local + 1] / t[local + 1, None]
+                if keep_states:
+                    rows[:, 2 * n + 2 :] = group[local, n + 1 :]
+                lo = hi
+        at_zero = idx == 0
+        block[at_zero, n + 2 : 2 * n + 2] = block[at_zero, 2 : n + 2]
+        yield lambda block=block, drift=drift: (block, drift)  # bound now, not when run
 
 
 def _steady_offset(realization, z):
@@ -496,7 +508,7 @@ def _steady_offset(realization, z):
 
 
 class _ExactRoute:
-    """The exact route's set-up for one run; :meth:`evaluate` reads it at any times.
+    """The exact route's set-up for one run; :meth:`chunk` reads it at any times.
 
     In the chain amplitudes ``a = q + i p`` the error is ``a(t) = M exp(-2i
     lam t)`` with ``M = ObserverHamiltonian.modes(err0)``, and its
@@ -516,9 +528,9 @@ class _ExactRoute:
     the ramp's rounding times ``t``.  ``bound = 2 sum_k |c_k|`` bounds
     ``|z_p(t) - z_p(0)|`` over every ``t``, before any time is evaluated.
 
-    Callers split their times into chunks of ``chunk_rows``, so every chunk
-    is one phase table of about ``_CHUNK_ENTRIES`` entries and a time gives
-    the same bytes whichever caller evaluates it.
+    :func:`_tasks` splits the times into chunks of ``_chunk_rows(N)``, so
+    every chunk is one phase table of about ``_CHUNK_ENTRIES`` entries and a
+    time gives the same bytes whichever caller reads it.
     """
 
     def __init__(self, augmented, config, keep_states):
@@ -561,12 +573,23 @@ class _ExactRoute:
         self.weights[1::2] = -rows.imag.T
         self.z_o_steady = realization.readout @ steady
         self.n = n
-        self.chunk_rows = _chunk_rows(n)
+        self.state_columns = augmented.dim if keep_states else 0
+
+    def chunk(self, times_of, start, stop):
+        """The task of :func:`_tasks` for the times ``times_of(start, stop)``."""
+        tt = times_of(start, stop)
+        n = self.n
+        block = np.empty((tt.size, 2 + 2 * n + self.state_columns))
+        block[:, 0] = tt
+        kept = block[:, 2 + 2 * n :] if self.state_columns else None
+        self.evaluate(tt, block[:, 1 : 2 + 2 * n], kept)
+        seen = float(np.max(np.abs(block[:, 1] - self.z_p0)))
+        return block, max(self.bound, seen)
 
     def evaluate(self, tt, out, kept=None):
         """Fill ``out`` with the ``z_p, z_o, avg`` columns at the times ``tt``.
 
-        ``tt`` is one chunk, at most ``chunk_rows`` times, and ``out`` has
+        ``tt`` is one chunk, at most ``_chunk_rows(N)`` times, and ``out`` has
         ``1 + 2 N`` columns; ``kept`` receives the full states when the
         route was set up with ``keep_states``.
         """
@@ -584,25 +607,6 @@ class _ExactRoute:
             ramp = self.rate * tt[:, None]
             kept[:, 0:2] = self.x_p_base + ramp + values[:, 2 * n + 1 :]
             kept[:, 2:] = self.steady + (phases @ self.modes.T).view(np.float64)
-
-
-def _exact_series(augmented, config, times, keep_states):
-    """Structured exact evaluation (:class:`_ExactRoute`) at every time.
-
-    Returns ``z_p, z_o, avg, states, drift`` at ``times``.  ``drift`` is the
-    larger of the drift seen at ``times`` and the bound ``2 sum_k |c_k|`` on
-    ``|z_p(t) - z_p(0)|`` over every ``t``.
-    """
-    route = _ExactRoute(augmented, config, keep_states)
-    n = route.n
-    table = np.empty((times.size, 1 + 2 * n))
-    kept = np.empty((times.size, augmented.dim)) if keep_states else None
-    for start in range(0, times.size, route.chunk_rows):
-        sl = slice(start, start + route.chunk_rows)
-        route.evaluate(times[sl], table[sl], kept[sl] if keep_states else None)
-    z_p = table[:, 0]
-    drift = max(route.bound, float(np.max(np.abs(z_p - route.z_p0))))
-    return z_p, table[:, 1 : n + 1], table[:, n + 1 :], kept, drift
 
 
 @dataclass(frozen=True, eq=False)
@@ -725,22 +729,20 @@ def consensus_report(
     )
 
 
-def write_timeseries_csv(series: TimeSeries | SeriesStream, path) -> None:
-    """Write every row of the series as CSV.
+def write_timeseries_csv(series: SeriesStream, path) -> None:
+    """Write every row of a stream as CSV.
 
-    Columns: ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.  Thin the rows
-    with ``stride=k`` in :func:`simulate` or :func:`stream_series`.  Every
+    Columns: ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.  Make the
+    stream with :func:`stream_series`, thinned with ``stride=k``.  Every
     value is written as ``"%.17g" % v`` writes it (:func:`_format_17g`), so
-    the file round-trips exactly.  The chunks of a series of more than one
-    chunk are made and formatted on ``_CSV_WORKERS`` threads and written in
-    order, so a :class:`SeriesStream` is written in the memory of a few
-    chunks.  Each thread formats in its own scratch buffers, made for the
-    first values it formats and freed when the export returns.  If a chunk
-    raises, the chunks not yet started are cancelled, the partial file is
-    deleted and the error propagates.
+    the file round-trips exactly.  The tasks of a stream of more than one
+    chunk are pulled on the calling thread, run and formatted on
+    ``_CSV_WORKERS`` threads and written in order, so the export holds a few
+    chunks at a time.  Each thread formats in its own scratch buffers, made
+    for the first values it formats and freed when the export returns.  If
+    a task raises, the tasks not yet started are cancelled, the partial file
+    is deleted and the error propagates.
     """
-    if isinstance(series, TimeSeries):
-        series = SeriesStream.of(series)
     n = series.n_elements
     header = (
         ["t", "z_p"]
@@ -752,8 +754,8 @@ def write_timeseries_csv(series: TimeSeries | SeriesStream, path) -> None:
     seps[:, -1] = ord("\n")
     local = threading.local()  # each thread's scratch
 
-    def formatted(i):
-        block = series.chunk(i)
+    def formatted(task):
+        block = task()
         parts = -(-block.size // _FORMAT_VALUES)
         out = []
         for values, part_seps in zip(
@@ -771,7 +773,7 @@ def write_timeseries_csv(series: TimeSeries | SeriesStream, path) -> None:
     try:
         with f:
             f.write((",".join(header) + "\n").encode())
-            _write_in_order(f, formatted, series.n_chunks)
+            _write_in_order(f, formatted, series.tasks, series.n_chunks)
     except BaseException:
         # the partial CSV; never a device or a link such as /dev/stdout
         if os.path.isfile(path) and not os.path.islink(path):
@@ -779,25 +781,26 @@ def write_timeseries_csv(series: TimeSeries | SeriesStream, path) -> None:
         raise
 
 
-def _write_in_order(f, task, count: int) -> None:
-    """Write the buffers of ``task(i)`` for ``i < count`` to ``f``, in order.
+def _write_in_order(f, work, tasks, count: int) -> None:
+    """Write the buffers of ``work(task)`` for ``count`` ``tasks`` to ``f``, in order.
 
-    One task runs inline.  More run on ``_CSV_WORKERS`` threads, at most two
-    per worker in flight (numpy releases the interpreter lock for most of
-    the work).  If a task raises, the tasks not yet started are
-    cancelled, and every thread is joined before the error propagates.
+    The tasks are pulled here, on the calling thread.  One runs inline.
+    More run on ``_CSV_WORKERS`` threads, at most two per worker in flight
+    (numpy releases the interpreter lock for most of the work).  If pulling
+    or running a task raises, the tasks not yet started are cancelled, and
+    every thread is joined before the error propagates.
     """
     if count <= 1 or _CSV_WORKERS <= 1:
-        for i in range(count):
-            f.writelines(task(i))
+        for task in tasks:
+            f.writelines(work(task))
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(_CSV_WORKERS, thread_name_prefix="qchain-csv") as pool:
         pending = deque()
         try:
-            for i in range(count):
-                pending.append(pool.submit(task, i))
+            for task in tasks:
+                pending.append(pool.submit(work, task))
                 if len(pending) == 2 * _CSV_WORKERS:
                     f.writelines(pending.popleft().result())
             while pending:

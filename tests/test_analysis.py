@@ -64,7 +64,7 @@ def test_energy_matrix_literal():
     )
     assert np.array_equal(ham.matrix, expected)
     assert np.array_equal(ham.omega, [2.0, 1.0])
-    assert ham.n_elements == 2
+    assert ham.mu.size == 2
 
 
 def test_energy_matrix_eigenvalues_come_in_pairs():

@@ -395,21 +395,32 @@ def _uniform_chain(n, rows, stride, method="exact"):
     }
 
 
-def _materialised_csv(path, out):
-    cfg = cli.load_config(path)
+def _simulated(config):
+    """The series ``simulate()`` returns for a config file, at its ``csv_stride``."""
+    cfg = cli.load_config(str(config))
     plant, realization = cli.realize(cfg)
     augmented = observer.assemble_augmented(realization, plant)
-    series = sim.simulate(
+    return sim.simulate(
         augmented, cli._sim_config(cfg, realization), stride=cfg.csv_stride
     )
-    sim.write_timeseries_csv(series, out)
-    return out.read_bytes()
 
 
-def _assert_streams_materialised_bytes(tmp_path, capsys, monkeypatch, raw, rows):
+def _percent_csv(series):
+    """The CSV of ``series`` with every value written by ``"%.17g" % v`` alone."""
+    n = series.z_o.shape[1]
+    header = ["t", "z_p"] + [f"z_o_{i}" for i in range(1, n + 1)]
+    header += [f"avg_z_o_{i}" for i in range(1, n + 1)]
+    table = np.column_stack(
+        [series.times, series.z_p, series.z_o, series.running_avg_z_o]
+    )
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _assert_streams_the_materialised_bytes(tmp_path, capsys, monkeypatch, raw, rows):
     path = _write(tmp_path, raw)
-    monkeypatch.setattr(sim, "_CSV_WORKERS", 1)
-    want = _materialised_csv(path, tmp_path / "want.csv")
+    want = _percent_csv(_simulated(path))
     assert want.count(b"\n") == rows + 1
     for workers in (1, 2):
         monkeypatch.setattr(sim, "_CSV_WORKERS", workers)
@@ -419,37 +430,32 @@ def _assert_streams_materialised_bytes(tmp_path, capsys, monkeypatch, raw, rows)
         assert got.read_bytes() == want, (raw["csv_stride"], rows, workers)
 
 
-@pytest.mark.parametrize("stride", [1, 7, 40, 100])
-@pytest.mark.parametrize("n", [1, 3, 10, 30])
+@pytest.mark.parametrize(
+    "method, n, stride",
+    [
+        # the exact cases keep their ids from before rk4 joined them
+        pytest.param(m, n, k, id=f"{n}-{k}" + ("-rk4" if m == "rk4" else ""))
+        for m in ("exact", "rk4")
+        for n in (1, 3, 10, 30)
+        for k in (1, 7, 40, 100)
+    ],
+)
 def test_simulate_csv_streams_the_materialised_bytes(
-    tmp_path, capsys, monkeypatch, n, stride
+    tmp_path, capsys, monkeypatch, method, n, stride
 ):
     # one chunk, one chunk plus a row, the shortest grid (two steps, since
     # sample_dt < horizon_T and the horizon lies on the grid), then
     # single-row chunks
     chunk = max(1, sim._CHUNK_ENTRIES // n)
     for rows in (chunk, chunk + 1, 2 if stride > 1 else 3):
-        raw = _uniform_chain(n, rows, stride)
-        _assert_streams_materialised_bytes(tmp_path, capsys, monkeypatch, raw, rows)
+        raw = _uniform_chain(n, rows, stride, method)
+        _assert_streams_the_materialised_bytes(tmp_path, capsys, monkeypatch, raw, rows)
     monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 1)
-    raw = _uniform_chain(n, 5, stride)
-    _assert_streams_materialised_bytes(tmp_path, capsys, monkeypatch, raw, 5)
+    raw = _uniform_chain(n, 5, stride, method)
+    _assert_streams_the_materialised_bytes(tmp_path, capsys, monkeypatch, raw, 5)
 
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
-
-
-def _percent_csv(series):
-    """The CSV of ``series`` with every value written by ``"%.17g" % v`` alone."""
-    n = series.n_elements
-    header = ["t", "z_p"] + [f"z_o_{i}" for i in range(1, n + 1)]
-    header += [f"avg_z_o_{i}" for i in range(1, n + 1)]
-    table = np.column_stack(
-        [series.times, series.z_p, series.z_o, series.running_avg_z_o]
-    )
-    lines = [",".join(header)]
-    lines += [",".join("%.17g" % v for v in row) for row in table.tolist()]
-    return ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -468,19 +474,7 @@ def test_simulate_csv_writes_each_value_as_percent_17g(
     got = tmp_path / "got.csv"
     rc, _, err = _run(capsys, ["simulate", str(config), "--csv", str(got)])
     assert (rc, err) == (0, "")
-    cfg = cli.load_config(str(config))
-    plant, realization = cli.realize(cfg)
-    augmented = observer.assemble_augmented(realization, plant)
-    series = sim.simulate(
-        augmented, cli._sim_config(cfg, realization), stride=cfg.csv_stride
-    )
-    assert got.read_bytes() == _percent_csv(series)
-
-
-def test_simulate_csv_rk4_goes_through_the_same_writer(tmp_path, capsys, monkeypatch):
-    rows = sim._CHUNK_ENTRIES // 3 + 1
-    raw = _uniform_chain(3, rows, 7, method="rk4")
-    _assert_streams_materialised_bytes(tmp_path, capsys, monkeypatch, raw, rows)
+    assert got.read_bytes() == _percent_csv(_simulated(config))
 
 
 def test_simulate_csv_drift_failure_leaves_no_file_and_no_thread(

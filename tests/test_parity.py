@@ -45,7 +45,7 @@ def _reference_states(aug, cfg):
     real = aug.realization
     form = build_symplectic(real.n_elements)
     R = aug.hamiltonian[2:, 2:]
-    times = cfg.times()
+    times = np.arange(cfg.n_steps + 1) * cfg.sample_dt
     z_p0 = float(aug.plant.alpha @ cfg.initial_plant)
     steady = np.linalg.solve(real.drift, -real.input_vector * z_p0)
     err0 = cfg.initial_observer - steady

@@ -6,6 +6,7 @@ the three-element design chain.
 """
 
 import concurrent.futures
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -48,10 +49,10 @@ def _config(real, horizon, dt, plant_x=(1.0, 0.0), obs=None, method="exact"):
 
 
 def test_config_grid():
-    _, real, _ = _make_system([1.0])
+    _, real, aug = _make_system([1.0])
     cfg = _config(real, 1.0, 0.01)
     assert cfg.n_steps == 100
-    times = cfg.times()
+    times = sim.simulate(aug, cfg).times
     assert times.shape == (101,)
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(1.0, abs=1e-12)
@@ -237,8 +238,9 @@ def test_exact_route_drift_guard_needs_no_samples(monkeypatch):
         raise AssertionError("the exact route sampled the series")
 
     monkeypatch.setattr(sim, "simulate", no_sampling)
-    z_p = sim._exact_series(doctored, cfg, np.array([0.0, 2.0, 4.0]), False)[0]
-    assert np.max(np.abs(z_p - 1.0)) <= 1e-12  # invisible at the horizons
+    out = np.empty((3, 3))
+    sim._ExactRoute(doctored, cfg, False).evaluate(np.array([0.0, 2.0, 4.0]), out)
+    assert np.max(np.abs(out[:, 0] - 1.0)) <= 1e-12  # invisible at the horizons
     with pytest.raises(IntegratorAccuracyError) as info:
         sim.consensus_report(doctored, cfg, [2.0, 4.0])
     assert info.value.drift > 1e-4
@@ -268,10 +270,12 @@ def test_exact_route_admits_horizon_1e9(n):
     assert report.z_p_drift <= 1e-14 * (1.0 + abs(report.z_p))
 
 
-def test_rk4_streams_the_full_grid_rows():
+def test_rk4_streams_the_full_grid_rows(monkeypatch):
     # groups of 256-step blocks with the trapezoid sums carried across them
     # give the numbers of stepping and averaging the whole grid at once, to
-    # the rounding of reading the readouts through the stacked powers
+    # the rounding of reading the readouts through the stacked powers, in
+    # chunks of 5461 rows (the whole series) and of 21 rows, whose edges fall
+    # inside, on and across the 512-step groups
     _, real, aug = _make_system([1.0, 0.8, 1.3])
     rng = np.random.default_rng(31)
     cfg = _config(real, 20.0, 0.01, plant_x=(0.4, 1.1),
@@ -282,10 +286,12 @@ def test_rk4_streams_the_full_grid_rows():
     )
     assert states.shape == (cfg.n_steps + 1, aug.dim)
     z_o = states @ aug.observer_readout.T
-    avg = running_average(cfg.times(), z_o)
-    for stride in (1, 7, 256, 2000):
+    avg = running_average(np.arange(cfg.n_steps + 1) * cfg.sample_dt, z_o)
+    for entries, stride in itertools.product((2**14, 64), (1, 7, 256, 2000)):
+        monkeypatch.setattr(sim, "_CHUNK_ENTRIES", entries)
         series = sim.simulate(aug, cfg, keep_states=True, stride=stride)
         idx = sim._sample_indices(cfg.n_steps + 1, stride)
+        assert np.array_equal(series.times, idx * cfg.sample_dt)
         assert np.array_equal(series.states, states[idx])
         assert np.max(np.abs(series.z_o - z_o[idx])) <= 1e-13
         assert np.max(np.abs(series.running_avg_z_o - avg[idx])) <= 1e-13
@@ -385,12 +391,20 @@ def test_consensus_report_flags_detuned_chain():
 # CSV output
 
 
+def _table_stream(table):
+    """A stream of the rows of ``table`` (``t, z_p``, then ``N`` pairs), in chunks."""
+    n = (table.shape[1] - 2) // 2
+    rows = sim._chunk_rows(n)
+    chunks = [table[i : i + rows] for i in range(0, len(table), rows)]
+    return sim.SeriesStream(n, len(chunks), iter([lambda c=c: c for c in chunks]))
+
+
 def test_csv_layout_and_round_trip(tmp_path):
     _, real, aug = _make_system([1.0, 1.0, 1.0])
     cfg = _config(real, 10.0, 0.1, plant_x=(0.3, 0.9))
     series = sim.simulate(aug, cfg)
     path = tmp_path / "run.csv"
-    sim.write_timeseries_csv(series, path)
+    sim.write_timeseries_csv(sim.stream_series(aug, cfg), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,z_p,z_o_1,z_o_2,z_o_3,avg_z_o_1,avg_z_o_2,avg_z_o_3"
     assert len(lines) == 102
@@ -404,13 +418,15 @@ def test_csv_stride_keeps_final_row(tmp_path):
     _, real, aug = _make_system([1.0, 1.0])
     cfg = _config(real, 10.0, 0.1)
     path = tmp_path / "strided.csv"
-    sim.write_timeseries_csv(sim.simulate(aug, cfg, stride=40), path)
+    sim.write_timeseries_csv(sim.stream_series(aug, cfg, stride=40), path)
     lines = path.read_text().splitlines()
     # header + samples 0, 40, 80 + forced final sample 100
     assert len(lines) == 5
     assert float(lines[-1].split(",")[0]) == 10.0
     with pytest.raises(ValueError):
         sim.simulate(aug, cfg, stride=0)
+    with pytest.raises(ValueError):
+        sim.stream_series(aug, cfg, stride=0)
 
 
 def test_memory_budget_refuses_before_allocating(monkeypatch):
@@ -451,8 +467,8 @@ def test_strided_series_rows_match_full_series(tmp_path):
     cfg = _config(real, 10.0, 0.01, plant_x=(0.3, 0.9))
     full = tmp_path / "full.csv"
     strided = tmp_path / "strided.csv"
-    sim.write_timeseries_csv(sim.simulate(aug, cfg), full)
-    sim.write_timeseries_csv(sim.simulate(aug, cfg, stride=7), strided)
+    sim.write_timeseries_csv(sim.stream_series(aug, cfg), full)
+    sim.write_timeseries_csv(sim.stream_series(aug, cfg, stride=7), strided)
     full_rows = np.loadtxt(full, delimiter=",", skiprows=1)
     strided_rows = np.loadtxt(strided, delimiter=",", skiprows=1)
     keep = list(range(0, 1001, 7)) + [1000]
@@ -476,6 +492,52 @@ def test_stream_writes_in_the_memory_of_a_few_chunks(tmp_path, monkeypatch):
     assert peak <= 12e6
 
 
+def test_rk4_stream_writes_in_the_memory_of_a_few_chunks(tmp_path, monkeypatch):
+    # the rk4 route steps as its chunks are pulled, so, like the exact
+    # route, it never holds the 17.6 MB series
+    monkeypatch.setattr(sim, "_CSV_WORKERS", 2)
+    _, real, aug = _make_system(np.linspace(0.5, 1.5, 10))
+    cfg = _config(real, 1000.0, 0.01, plant_x=(0.3, 0.9), method="rk4")
+    path = tmp_path / "stream.csv"
+    tracemalloc.start()
+    try:
+        sim.write_timeseries_csv(sim.stream_series(aug, cfg), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes().count(b"\n") == 100002
+    assert peak <= 12e6
+
+
+def test_rk4_drift_failure_mid_stream_leaves_no_file_and_no_thread(
+    tmp_path, monkeypatch
+):
+    # this run drifts past its tolerance (1.9e-9) only in its last chunks
+    monkeypatch.setattr(sim, "_CSV_WORKERS", 2)
+    baseline = threading.active_count()
+    _, real, aug = _make_system(np.linspace(0.5, 1.5, 4), alpha=(0.6, 0.8))
+    cfg = _config(real, 1000.0, 0.01, plant_x=(0.3, 0.9), method="rk4")
+    stream = sim.stream_series(aug, cfg)  # steps nothing yet
+    written = []
+
+    def counted(task):
+        def run():
+            block = task()
+            written.append(block[0, 0])
+            return block
+
+        return run
+
+    stream = replace(stream, tasks=map(counted, stream.tasks))
+    path = tmp_path / "drifting.csv"
+    with pytest.raises(IntegratorAccuracyError) as info:
+        sim.write_timeseries_csv(stream, path)
+    assert info.value.drift > sim.Z_DRIFT_TOL * 1.9
+    assert 0 < len(written) < stream.n_chunks
+    assert not path.exists()
+    assert threading.active_count() == baseline
+
+
 def test_one_chunk_export_starts_no_thread(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a thread pool for one chunk")
@@ -497,17 +559,9 @@ def test_block_writer_matches_per_value_format(tmp_path):
             [1e-3, 5e-324, -2.5, 0.0, -0.0, 42.0],
         ]
     )
-    table = np.tile(table, (2000, 1))  # more rows than one block
-    series = sim.TimeSeries(
-        times=table[:, 0],
-        z_p=table[:, 1],
-        z_o=table[:, 2:4],
-        running_avg_z_o=table[:, 4:6],
-        z_p_drift=0.0,
-        method="exact",
-    )
+    table = np.tile(table, (2000, 1))  # more values than one kernel call
     path = tmp_path / "block.csv"
-    sim.write_timeseries_csv(series, path)
+    sim.write_timeseries_csv(_table_stream(table), path)
     lines = ["t,z_p,z_o_1,z_o_2,avg_z_o_1,avg_z_o_2"]
     lines += [",".join(format(float(v), ".17g") for v in row) for row in table]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
@@ -677,17 +731,9 @@ def test_threads_with_their_own_scratch_format_the_serial_bytes():
 
 def test_csv_writer_raises_no_warnings(tmp_path):
     table = np.array([[0.0, -0.0, 5e-324, 1e300], [np.inf, np.nan, -1e-310, -2.5]])
-    series = sim.TimeSeries(
-        times=table[:, 0],
-        z_p=table[:, 1],
-        z_o=table[:, 2:3],
-        running_avg_z_o=table[:, 3:4],
-        z_p_drift=0.0,
-        method="exact",
-    )
     path = tmp_path / "extremes.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sim.write_timeseries_csv(series, path)
+        sim.write_timeseries_csv(_table_stream(table), path)
     rows = [",".join("%.17g" % v for v in row) for row in table.tolist()]
     assert path.read_text().splitlines()[1:] == rows
