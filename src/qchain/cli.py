@@ -17,7 +17,8 @@ The chain is given either by its gains (``mu``) or physically by the head
 gain plus mirror transmissivities (``mu_1`` + ``kappas``); exactly one form
 must be present.  ``chain.omega_override`` replaces the design detunings for
 degradation studies.  ``initial.observer`` is ``"zero"``, ``"steady"``, or an
-explicit vector.
+explicit vector.  ``seed`` is accepted and echoed in reports, but inert: no
+result depends on it.
 
 Exit codes: 0 success, 1 verification/consensus failure, 2 malformed config,
 3 construction error, 4 I/O error.  Set ``QCHAIN_LOG=debug|info|warning`` to
@@ -323,9 +324,7 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _verify_checks(cfg, args) -> list[dict]:
-    scale = args.tolerance_scale
-    seed = cfg.seed if args.seed is None else args.seed
+def _verify_checks(cfg, scale: float) -> list[dict]:
     plant, realization = realize(cfg)
     augmented = observer.assemble_augmented(realization, plant)
     checks = []
@@ -388,17 +387,11 @@ def _verify_checks(cfg, args) -> list[dict]:
     ok, lo, hi = analysis.check_positive_definite(ham)
     add("positive_definite", max(0.0, -lo), 0.0, ok, lambda_min=lo, lambda_max=hi)
 
-    split, failures = analysis.split_report(ham, seed=seed)
-    split_resid = max(
-        split.remainder_reconstruction,
-        split.null_residual,
-        split.sos_draw_error,
-        max(0.0, -split.remainder_min_eig),
-    )
+    split, failures = analysis.split_report(ham, scale)
     add(
         "hermitian_split",
-        split_resid,
-        1e-11 * (1.0 + float(np.max(np.abs(ham.H)))) * scale,
+        split.residual,
+        split.tolerance,
         split.passed,
         failures=failures,
     )
@@ -434,16 +427,14 @@ def _verify_checks(cfg, args) -> list[dict]:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0):
         raise ConfigError("expected a positive finite number", "verify.tolerance_scale")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError("expected a non-negative integer", "verify.seed")
     cfg = load_config(args.config)
-    checks = _verify_checks(cfg, args)
+    checks = _verify_checks(cfg, args.tolerance_scale)
     passed = all(c["passed"] for c in checks if not c["skipped"])
     report = {
         "report_version": REPORT_VERSION,
         "name": cfg.name,
         "config": normalized_config(cfg),
-        "seed": cfg.seed if args.seed is None else args.seed,
+        "seed": cfg.seed,
         "tolerance_scale": args.tolerance_scale,
         "checks": checks,
         "passed": passed,
@@ -556,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the structural verification suite")
     p_verify.add_argument("config", help="experiment config JSON")
     p_verify.add_argument("--out")
-    p_verify.add_argument("--seed", type=int, default=None, help="override config seed")
     p_verify.add_argument(
         "--tolerance-scale",
         type=float,

@@ -741,7 +741,9 @@ def write_timeseries_csv(series: SeriesStream, path) -> None:
     chunks at a time.  Each thread formats in its own scratch buffers, made
     for the first values it formats and freed when the export returns.  If
     a task raises, the tasks not yet started are cancelled, the partial file
-    is deleted and the error propagates.
+    is deleted and the error propagates.  A stream is written once: one that
+    yields fewer than ``n_chunks`` tasks, such as a stream already written,
+    raises ``ValueError`` the same way.
     """
     n = series.n_elements
     header = (
@@ -773,7 +775,12 @@ def write_timeseries_csv(series: SeriesStream, path) -> None:
     try:
         with f:
             f.write((",".join(header) + "\n").encode())
-            _write_in_order(f, formatted, series.tasks, series.n_chunks)
+            written = _write_in_order(f, formatted, series.tasks, series.n_chunks)
+            if written < series.n_chunks:
+                raise ValueError(
+                    f"stream gave {written} of its {series.n_chunks} chunks; "
+                    "a stream is written once"
+                )
     except BaseException:
         # the partial CSV; never a device or a link such as /dev/stdout
         if os.path.isfile(path) and not os.path.islink(path):
@@ -781,25 +788,27 @@ def write_timeseries_csv(series: SeriesStream, path) -> None:
         raise
 
 
-def _write_in_order(f, work, tasks, count: int) -> None:
+def _write_in_order(f, work, tasks, count: int) -> int:
     """Write the buffers of ``work(task)`` for ``count`` ``tasks`` to ``f``, in order.
 
     The tasks are pulled here, on the calling thread.  One runs inline.
     More run on ``_CSV_WORKERS`` threads, at most two per worker in flight
     (numpy releases the interpreter lock for most of the work).  If pulling
     or running a task raises, the tasks not yet started are cancelled, and
-    every thread is joined before the error propagates.
+    every thread is joined before the error propagates.  Returns how many
+    tasks were written.
     """
+    written = 0
     if count <= 1 or _CSV_WORKERS <= 1:
-        for task in tasks:
+        for written, task in enumerate(tasks, 1):
             f.writelines(work(task))
-        return
+        return written
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(_CSV_WORKERS, thread_name_prefix="qchain-csv") as pool:
         pending = deque()
         try:
-            for task in tasks:
+            for written, task in enumerate(tasks, 1):
                 pending.append(pool.submit(work, task))
                 if len(pending) == 2 * _CSV_WORKERS:
                     f.writelines(pending.popleft().result())
@@ -809,3 +818,4 @@ def _write_in_order(f, work, tasks, count: int) -> None:
             for future in pending:
                 future.cancel()
             raise
+    return written

@@ -175,14 +175,6 @@ def test_verify_passes_canonical(tmp_path, capsys):
     assert report["seed"] == 7
 
 
-def test_verify_seed_override(tmp_path, capsys):
-    rc, out, _ = _run(
-        capsys, ["verify", _write(tmp_path, CANONICAL), "--seed", "123"]
-    )
-    assert rc == 0
-    assert json.loads(out)["seed"] == 123
-
-
 @pytest.mark.parametrize(
     "flag, value, field",
     [
@@ -190,7 +182,6 @@ def test_verify_seed_override(tmp_path, capsys):
         ("--tolerance-scale", "inf", "verify.tolerance_scale"),
         ("--tolerance-scale", "-1", "verify.tolerance_scale"),
         ("--tolerance-scale", "0", "verify.tolerance_scale"),
-        ("--seed", "-1", "verify.seed"),
     ],
 )
 def test_verify_rejects_bad_overrides(tmp_path, capsys, flag, value, field):
@@ -198,6 +189,52 @@ def test_verify_rejects_bad_overrides(tmp_path, capsys, flag, value, field):
     assert rc == 2
     assert out == ""
     assert err.startswith(f"config error: {field}: ")
+
+
+def test_verify_has_no_seed_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", _write(tmp_path, CANONICAL), "--seed", "1"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+#: Chains whose verify exit codes the checks below pin: the design chain, a
+#: chain detuned by 0.1, one detuned by 1e-12 (its split residual sits
+#: between the split's thresholds), and an indefinite chain.
+VERIFY_CHAINS = {
+    "canonical": ({"mu": [1.0, 1.0, 1.0]}, 0),
+    "detuned": ({"mu": [1.0, 1.0, 1.0], "omega_override": [2.0, 2.0, 1.1]}, 1),
+    "detuned_1e-12": (
+        {"mu": [1.0, 1.0, 1.0], "omega_override": [2.0, 2.0, 1.0 + 1e-12]},
+        1,
+    ),
+    "indefinite": ({"mu": [1.0, 1.0], "omega_override": [0.5, 1.0]}, 1),
+}
+
+
+@pytest.mark.parametrize("scale", ["1", "1000"])
+@pytest.mark.parametrize("kind", sorted(VERIFY_CHAINS))
+def test_verify_entries_pass_exactly_within_their_tolerance(
+    tmp_path, capsys, kind, scale
+):
+    cfg = {**CANONICAL, "chain": VERIFY_CHAINS[kind][0]}
+    _, out, _ = _run(
+        capsys, ["verify", _write(tmp_path, cfg), "--tolerance-scale", scale]
+    )
+    checks = [c for c in _strict_json(out)["checks"] if c["residual"] is not None]
+    assert len(checks) >= 7
+    for check in checks:
+        assert check["passed"] == (check["residual"] <= check["tolerance"]), check
+
+
+def test_verify_draws_no_random_number(tmp_path, capsys, monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("verify drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for kind, (chain, rc) in VERIFY_CHAINS.items():
+        path = _write(tmp_path, {**CANONICAL, "chain": chain}, f"{kind}.json")
+        assert _run(capsys, ["verify", path])[0] == rc, kind
 
 
 def test_verify_flags_detuned_chain(tmp_path, capsys):

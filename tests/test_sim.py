@@ -538,6 +538,21 @@ def test_rk4_drift_failure_mid_stream_leaves_no_file_and_no_thread(
     assert threading.active_count() == baseline
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stream_written_twice_raises_and_leaves_no_file(tmp_path, monkeypatch, workers):
+    # a stream's tasks are pulled once, so a second write gets none of them
+    monkeypatch.setattr(sim, "_CSV_WORKERS", workers)
+    _, real, aug = _make_system([1.0, 1.0, 1.0])
+    stream = sim.stream_series(aug, _config(real, 100.0, 0.01))
+    assert stream.n_chunks == 2
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    sim.write_timeseries_csv(stream, first)
+    assert first.read_bytes().count(b"\n") == 10002
+    with pytest.raises(ValueError, match="gave 0 of its 2 chunks"):
+        sim.write_timeseries_csv(stream, second)
+    assert not second.exists()
+
+
 def test_one_chunk_export_starts_no_thread(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a thread pool for one chunk")
