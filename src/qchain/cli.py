@@ -16,11 +16,14 @@ samples)::
 The chain is given either by its gains (``mu``) or physically by the head
 gain plus mirror transmissivities (``mu_1`` + ``kappas``); exactly one form
 must be present.  ``chain.omega_override`` replaces the design detunings for
-degradation studies.  ``initial.observer`` is ``"zero"``, ``"steady"``, or an
-explicit vector.  ``seed`` is accepted and echoed in reports, but inert: no
-result depends on it.
+degradation studies; it holds one entry per element.  ``initial.observer`` is
+``"zero"``, ``"steady"``, or an explicit vector.  ``seed`` is accepted and
+echoed in reports, but inert: no result depends on it.
 
-Exit codes: 0 success, 1 verification/consensus failure, 2 malformed config,
+Each ``cmd_*`` returns its output (a report dict or the sweep table) and its
+exit code; :func:`main` writes the output to ``--out`` or stdout and is the
+one place that maps an exception to an exit code: 0 success, 1
+verification/consensus failure or a drifted simulation, 2 malformed config,
 3 construction error, 4 I/O error.  Set ``QCHAIN_LOG=debug|info|warning`` to
 control logging.
 """
@@ -143,6 +146,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     mu = mu_1 = kappas = None
     if has_mu:
         mu = _numbers(chain["mu"], "chain.mu")
+        n_elements = len(mu)
     else:
         mu_1 = _number(chain["mu_1"], "chain.mu_1")
         kappas = (
@@ -152,9 +156,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
         if len(kappas) % 2 != 0:
             raise ConfigError("expected an even number of entries", "chain.kappas")
+        n_elements = len(kappas) // 2 + 1
     omega_override = None
     if "omega_override" in chain:
-        omega_override = _numbers(chain["omega_override"], "chain.omega_override")
+        omega_override = _numbers(
+            chain["omega_override"], "chain.omega_override", length=n_elements
+        )
 
     initial = raw.get("initial")
     if not isinstance(initial, dict) or set(initial) != {"plant", "observer"}:
@@ -169,7 +176,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("must be 'zero', 'steady', or a vector", "initial.observer")
         initial_observer: str | tuple[float, ...] = obs
     else:
-        n_elements = len(mu) if mu is not None else len(kappas) // 2 + 1
         initial_observer = _numbers(obs, "initial.observer", length=2 * n_elements)
 
     horizons = _numbers(raw.get("horizons", []), "horizons")
@@ -277,11 +283,10 @@ def _resolve_initial_observer(cfg, plant, realization) -> np.ndarray:
     return np.array(cfg.initial_observer)
 
 
-def _sim_config(cfg, realization) -> sim.SimulationConfig:
+def _sim_config(cfg, plant, realization) -> sim.SimulationConfig:
     dt = cfg.sample_dt
     if dt is None:
         dt = sim.default_sample_dt(realization.omega)
-    plant = observer.PlantSpec(alpha=np.array(cfg.alpha))
     return sim.SimulationConfig(
         initial_plant=np.array(cfg.initial_plant),
         initial_observer=_resolve_initial_observer(cfg, plant, realization),
@@ -291,37 +296,40 @@ def _sim_config(cfg, realization) -> sim.SimulationConfig:
     )
 
 
-def _dump_json(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _render(output: dict | str) -> str:
+    """The text of a command's output: a report as strict JSON, a table as is."""
+    if isinstance(output, str):
+        return output
+    return json.dumps(output, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def cmd_build(args) -> int:
-    cfg = load_config(args.config)
-    if args.emit_config:
-        _dump_json(normalized_config(cfg), args.out)
-        return 0
-    plant, realization = realize(cfg)
-    augmented = observer.assemble_augmented(realization, plant)
-    cert = analysis.convergence_certificate(realization.hamiltonian)
-    report = {
+def _report(cfg: ExperimentConfig, **fields) -> dict:
+    """A JSON report: its version, the config's name and normalized form, ``fields``."""
+    return {
         "report_version": REPORT_VERSION,
         "name": cfg.name,
         "config": normalized_config(cfg),
-        "n_elements": realization.n_elements,
-        "alpha": list(map(float, plant.alpha)),
-        "mu": list(map(float, realization.mu)),
-        "omega": list(map(float, realization.omega)),
-        "observer_dim": realization.state_dim,
-        "augmented_dim": augmented.dim,
-        "certificate": asdict(cert),
+        **fields,
     }
-    _dump_json(report, args.out)
-    return 0
+
+
+def cmd_build(args) -> tuple[dict, int]:
+    cfg = load_config(args.config)
+    if args.emit_config:
+        return normalized_config(cfg), 0
+    plant, realization = realize(cfg)
+    augmented = observer.assemble_augmented(realization, plant)
+    cert = analysis.convergence_certificate(realization.hamiltonian)
+    return _report(
+        cfg,
+        n_elements=realization.n_elements,
+        alpha=list(map(float, plant.alpha)),
+        mu=list(map(float, realization.mu)),
+        omega=list(map(float, realization.omega)),
+        observer_dim=realization.state_dim,
+        augmented_dim=augmented.dim,
+        certificate=asdict(cert),
+    ), 0
 
 
 def _verify_checks(cfg, scale: float) -> list[dict]:
@@ -329,10 +337,13 @@ def _verify_checks(cfg, scale: float) -> list[dict]:
     augmented = observer.assemble_augmented(realization, plant)
     checks = []
 
-    def add(name, residual, tol, passed, skipped=False, **extra):
+    def add(name, residual, tol, *, passed=None, skipped=False, **extra):
+        residual = None if residual is None else float(residual)
+        if passed is None:
+            passed = residual is not None and residual <= tol
         entry = {
             "name": name,
-            "residual": None if residual is None else float(residual),
+            "residual": residual,
             "tolerance": float(tol),
             "passed": bool(passed),
             "skipped": skipped,
@@ -349,7 +360,7 @@ def _verify_checks(cfg, scale: float) -> list[dict]:
         [0.1, 1.0, 10.0, 100.0],
         tol=1e-8 * scale,
     )
-    add("commutation_preservation", report.max_residual, report.tol, report.passed)
+    add("commutation_preservation", report.max_residual, report.tol)
 
     # the exact route accumulates nothing between samples, and its z drift
     # bound covers every t, so 200 log-spaced times out to 1e3 suffice
@@ -365,7 +376,7 @@ def _verify_checks(cfg, scale: float) -> list[dict]:
     energies = 0.5 * np.sum((states @ augmented.hamiltonian) * states, axis=1)
     e0 = energies[0]
     energy_drift = float(np.max(np.abs(energies - e0)) / max(1.0, abs(e0)))
-    add("energy_conservation", energy_drift, 1e-9 * scale, energy_drift <= 1e-9 * scale)
+    add("energy_conservation", energy_drift, 1e-9 * scale)
 
     if realization.n_elements >= 2:
         if cfg.kappas is not None:
@@ -380,74 +391,55 @@ def _verify_checks(cfg, scale: float) -> list[dict]:
         drift_resid = float(np.max(np.abs(reduced.drift - augmented.drift)))
         noise_resid = network.verify_noise_cancellation(reduced)
         resid = max(drift_resid, noise_resid)
-        add("noise_cancellation", resid, 1e-12 * scale, resid <= 1e-12 * scale)
+        add("noise_cancellation", resid, 1e-12 * scale)
     else:
-        add("noise_cancellation", 0.0, 1e-12 * scale, True, skipped=True)
+        add("noise_cancellation", 0.0, 1e-12 * scale, skipped=True)
 
     ok, lo, hi = analysis.check_positive_definite(ham)
-    add("positive_definite", max(0.0, -lo), 0.0, ok, lambda_min=lo, lambda_max=hi)
+    # lambda_min == 0 is singular: a zero residual against a zero tolerance fails
+    add("positive_definite", max(0.0, -lo), 0.0, passed=ok, lambda_min=lo, lambda_max=hi)
 
     split, failures = analysis.split_report(ham, scale)
-    add(
-        "hermitian_split",
-        split.residual,
-        split.tolerance,
-        split.passed,
-        failures=failures,
-    )
+    add("hermitian_split", split.residual, split.tolerance, failures=failures)
 
     if ok:
         times = np.logspace(-2, 3, 50)
         bound_report = analysis.exp_norm_bound(ham, times)
         margin = float(np.max(bound_report.norms / bound_report.bound - 1.0))
-        add(
-            "exp_norm_bound",
-            max(0.0, margin),
-            1e-9 * scale,
-            margin <= 1e-9 * scale,
-            bound=bound_report.bound,
-        )
+        add("exp_norm_bound", max(0.0, margin), 1e-9 * scale, bound=bound_report.bound)
     else:
-        add("exp_norm_bound", None, 1e-9 * scale, False)
+        add("exp_norm_bound", None, 1e-9 * scale)
 
     _, steady_resid = observer.steady_vector(realization, plant, 1.0, tol=None)
-    add(
-        "steady_configuration",
-        steady_resid,
-        1e-12 * scale,
-        steady_resid <= 1e-12 * scale,
-    )
+    add("steady_configuration", steady_resid, 1e-12 * scale)
 
     gains = observer.consensus_readout(realization, plant)
     gain_dev = float(np.max(np.abs(gains - 1.0)))
-    add("consensus_readout", gain_dev, 1e-12 * scale, gain_dev <= 1e-12 * scale)
+    add("consensus_readout", gain_dev, 1e-12 * scale)
     return checks
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale > 0):
         raise ConfigError("expected a positive finite number", "verify.tolerance_scale")
     cfg = load_config(args.config)
     checks = _verify_checks(cfg, args.tolerance_scale)
     passed = all(c["passed"] for c in checks if not c["skipped"])
-    report = {
-        "report_version": REPORT_VERSION,
-        "name": cfg.name,
-        "config": normalized_config(cfg),
-        "seed": cfg.seed,
-        "tolerance_scale": args.tolerance_scale,
-        "checks": checks,
-        "passed": passed,
-    }
-    _dump_json(report, args.out)
-    return 0 if passed else 1
+    report = _report(
+        cfg,
+        seed=cfg.seed,
+        tolerance_scale=args.tolerance_scale,
+        checks=checks,
+        passed=passed,
+    )
+    return report, 0 if passed else 1
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, int]:
     cfg = load_config(args.config)
     plant, realization = realize(cfg)
     augmented = observer.assemble_augmented(realization, plant)
-    sim_cfg = _sim_config(cfg, realization)
+    sim_cfg = _sim_config(cfg, plant, realization)
     log.info(
         "simulating %s: %d elements, horizon %g, dt %g",
         cfg.name,
@@ -455,32 +447,28 @@ def cmd_simulate(args) -> int:
         sim_cfg.horizon_T,
         sim_cfg.sample_dt,
     )
-    try:
-        report = sim.consensus_report(augmented, sim_cfg, cfg.horizons)
-        if args.csv:
-            stream = sim.stream_series(augmented, sim_cfg, stride=cfg.csv_stride)
-            sim.write_timeseries_csv(stream, args.csv)
-    except IntegratorAccuracyError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return 1
-    payload = {
-        "report_version": REPORT_VERSION,
-        "name": cfg.name,
-        "config": normalized_config(cfg),
-        "seed": cfg.seed,
-        "sample_dt": sim_cfg.sample_dt,
-        "csv_path": args.csv if args.csv else None,
-    }
-    payload.update(report.to_dict())
-    _dump_json(payload, args.out)
-    return 0 if report.passed else 1
+    report = sim.consensus_report(augmented, sim_cfg, cfg.horizons)
+    if args.csv:
+        stream = sim.stream_series(augmented, sim_cfg, stride=cfg.csv_stride)
+        sim.write_timeseries_csv(stream, args.csv)
+    payload = _report(
+        cfg,
+        seed=cfg.seed,
+        sample_dt=sim_cfg.sample_dt,
+        csv_path=args.csv or None,
+        **report.to_dict(),
+    )
+    return payload, 0 if report.passed else 1
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     cfg = load_config(args.config)
     if args.param != "mu_1":
         raise ConfigError(f"unknown sweep parameter {args.param!r}", "sweep.param")
-    rows = []
+    lines = [
+        "mu_1,lambda_min,lambda_max,avg_constant,"
+        "final_max_error,final_matrix_residual,passed"
+    ]
     for value in args.values:
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(
@@ -493,38 +481,22 @@ def cmd_sweep(args) -> int:
         plant, realization = realize(swept)
         augmented = observer.assemble_augmented(realization, plant)
         report = sim.consensus_report(
-            augmented, _sim_config(swept, realization), swept.horizons
+            augmented, _sim_config(swept, plant, realization), swept.horizons
         )
         cert = report.certificate
-        rows.append(
-            (
-                value,
-                cert.lambda_min,
-                cert.lambda_max,
-                cert.avg_constant,
-                float(np.max(report.per_element_error[-1])),
-                float(report.matrix_residual[-1]),
-                report.passed,
-            )
+        row = (
+            value,
+            cert.lambda_min,
+            cert.lambda_max,
+            cert.avg_constant,
+            float(np.max(report.per_element_error[-1])),
+            float(report.matrix_residual[-1]),
+            report.passed,
         )
-    header = (
-        "mu_1,lambda_min,lambda_max,avg_constant,"
-        "final_max_error,final_matrix_residual,passed"
-    )
-    lines = [header]
-    for row in rows:
         lines.append(
-            ",".join(
-                format(v, ".17g") if isinstance(v, float) else str(v) for v in row
-            )
+            ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -533,42 +505,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build, certify, and simulate cavity-chain observers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", help="experiment config JSON")
+    common.add_argument("--out", help="write the output here instead of stdout")
 
-    p_build = sub.add_parser("build", help="construct a chain and print its certificate")
-    p_build.add_argument("config", help="experiment config JSON")
-    p_build.add_argument("--out", help="write the report here instead of stdout")
+    def add_command(name, func, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p_build = add_command(
+        "build", cmd_build, "construct a chain and print its certificate"
+    )
     p_build.add_argument(
         "--emit-config",
         action="store_true",
         help="print the normalized config instead of building",
     )
-    p_build.set_defaults(func=cmd_build)
 
-    p_verify = sub.add_parser("verify", help="run the structural verification suite")
-    p_verify.add_argument("config", help="experiment config JSON")
-    p_verify.add_argument("--out")
+    p_verify = add_command(
+        "verify", cmd_verify, "run the structural verification suite"
+    )
     p_verify.add_argument(
         "--tolerance-scale",
         type=float,
         default=1.0,
         help="multiply every verification tolerance by this factor",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_sim = sub.add_parser("simulate", help="simulate and report consensus errors")
-    p_sim.add_argument("config", help="experiment config JSON")
-    p_sim.add_argument("--out")
+    p_sim = add_command("simulate", cmd_simulate, "simulate and report consensus errors")
     p_sim.add_argument("--csv", help="also write the sampled time series here")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="sweep a parameter and tabulate certificates")
-    p_sweep.add_argument("config", help="experiment config JSON")
+    p_sweep = add_command(
+        "sweep", cmd_sweep, "sweep a parameter and tabulate certificates"
+    )
     p_sweep.add_argument("--param", required=True, help="parameter to sweep (mu_1)")
     p_sweep.add_argument(
         "--values", required=True, type=float, nargs="+", help="values to sweep over"
     )
-    p_sweep.add_argument("--out", help="write the CSV here instead of stdout")
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -588,13 +562,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        output, code = args.func(args)
+        text = _render(output)
+        if args.out:
+            with open(args.out, "w") as f:
+                f.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+    except IntegratorAccuracyError as exc:
+        print(f"simulation failed: {exc}", file=sys.stderr)
+        return 1
     except (QchainError, ValueError) as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return 3

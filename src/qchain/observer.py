@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (
-    ObserverHamiltonian,
-    detunings_from_gains,
-    observer_hamiltonian,
-    real_embedding,
-)
+from .analysis import ObserverHamiltonian, observer_hamiltonian, real_embedding
 from .core import J2, SymplecticForm, build_symplectic
 from .errors import ConstructionInconsistencyError
 
@@ -188,8 +183,9 @@ def build_observer(
     omega_override:
         Optional explicit detunings replacing the design rule.  Intended for
         probing how the construction degrades; any override that differs from
-        :func:`detunings_from_gains` breaks the steady configuration, which
-        :func:`steady_vector` will report.  It must be finite.
+        :func:`qchain.analysis.detunings_from_gains` breaks the steady
+        configuration, which :func:`steady_vector` will report.  It must be
+        finite.
     """
     m = np.asarray(mu, dtype=float)
     if m.ndim != 1 or m.size < 1:

@@ -637,19 +637,14 @@ class ConsensusReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "horizons": [float(h) for h in self.horizons],
-            "z_p": self.z_p,
-            "z_p_drift": self.z_p_drift,
-            "per_element_error": self.per_element_error.tolist(),
-            "trajectory_envelope": self.trajectory_envelope.tolist(),
-            "matrix_residual": self.matrix_residual.tolist(),
-            "certificate_envelope": self.certificate_envelope.tolist(),
-            "slope": self.slope if np.isfinite(self.slope) else None,
-            "certificate": asdict(self.certificate),
-            "method": self.method,
-            "passed": self.passed,
+        """Every field as JSON values: arrays as lists, the certificate as a dict."""
+        out = {
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in asdict(self).items()
         }
+        if not np.isfinite(self.slope):
+            out["slope"] = None
+        return out
 
 
 def consensus_report(

@@ -121,6 +121,27 @@ def test_build_out_writes_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["name"] == "canonical_n3"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build"],
+        ["build", "--emit-config"],
+        ["verify"],
+        ["simulate"],
+        ["sweep", "--param", "mu_1", "--values", "0.5", "1", "2"],
+    ],
+    ids=["build", "emit-config", "verify", "simulate", "sweep"],
+)
+def test_out_writes_exactly_what_stdout_gets(tmp_path, capsys, argv):
+    command = [argv[0], _write(tmp_path, CANONICAL), *argv[1:]]
+    rc, expected, _ = _run(capsys, command)
+    out_path = tmp_path / "output"
+    rc_out, out, _ = _run(capsys, [*command, "--out", str(out_path)])
+    assert rc_out == rc == 0
+    assert out == ""
+    assert out_path.read_bytes() == expected.encode()
+
+
 def test_emit_config_is_idempotent(tmp_path, capsys):
     rc, first, _ = _run(
         capsys, ["build", _write(tmp_path, CANONICAL), "--emit-config"]
@@ -269,7 +290,7 @@ def test_verify_indefinite_chain_writes_valid_json(tmp_path, capsys):
     assert bound["residual"] is None
     assert not bound["skipped"]
     with pytest.raises(ValueError):
-        cli._dump_json({"residual": float("inf")}, None)
+        cli._render({"residual": float("inf")})
 
 
 def _verify_with_spectrum(tmp_path, capsys, monkeypatch, perturb):
@@ -438,7 +459,7 @@ def _simulated(config):
     plant, realization = cli.realize(cfg)
     augmented = observer.assemble_augmented(realization, plant)
     return sim.simulate(
-        augmented, cli._sim_config(cfg, realization), stride=cfg.csv_stride
+        augmented, cli._sim_config(cfg, plant, realization), stride=cfg.csv_stride
     )
 
 
@@ -602,6 +623,38 @@ def test_simulate_bad_observer_length(tmp_path, capsys):
             rc, out, err = _run(capsys, argv)
             assert (rc, out) == (2, ""), (length, argv[0])
             assert "config error: initial.observer: expected exactly 6 entries" in err
+
+
+def test_wrong_length_omega_override_is_a_config_error(tmp_path, capsys):
+    # both chains have N = 3; the override is checked against N at parse time
+    for chain in (
+        {"mu": [1.0, 1.0, 1.0]},
+        {"mu_1": 1.0, "kappas": [4.0, 4.0, 4.0, 4.0]},
+    ):
+        bad = {**CANONICAL, "chain": {**chain, "omega_override": [2.0, 2.0]}}
+        path = _write(tmp_path, bad)
+        for argv in (["build", path], ["verify", path], ["simulate", path],
+                     ["sweep", path, "--param", "mu_1", "--values", "1"]):
+            rc, out, err = _run(capsys, argv)
+            assert (rc, out) == (2, ""), argv[0]
+            assert "config error: chain.omega_override: expected exactly 3 entries" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["sweep", "--param", "mu_1", "--values", "0.5", "1"]],
+    ids=["simulate", "sweep"],
+)
+def test_drift_failure_is_reported_alike(tmp_path, capsys, monkeypatch, argv):
+    # a negative tolerance makes every run's drift check fail
+    monkeypatch.setattr(sim, "Z_DRIFT_TOL", -1.0)
+    out_path = tmp_path / "output"
+    command = [argv[0], _write(tmp_path, CANONICAL), *argv[1:]]
+    for extra in ([], ["--out", str(out_path)]):
+        rc, out, err = _run(capsys, [*command, *extra])
+        assert (rc, out) == (1, "")
+        assert err.startswith("simulation failed: plant observable drifted")
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

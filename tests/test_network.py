@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qchain import network, observer
+from qchain import analysis, network, observer
 from qchain.core import J2
 from qchain.errors import AlgebraicLoopError, UnknownPortError
 
@@ -153,7 +153,7 @@ def test_elimination_matches_closed_form_construction():
         mu = rng.uniform(0.3, 2.0, size=n_el)
         spread = float(rng.uniform(0.5, 2.0))
         kappas = [k for g in mu[1:] for k in (4.0 * g * spread, 4.0 * g / spread)]
-        omegas = observer.detunings_from_gains(mu)
+        omegas = analysis.detunings_from_gains(mu)
         alpha = rng.standard_normal(2)
         alpha /= np.linalg.norm(alpha)
         plant = observer.PlantSpec(alpha=alpha)

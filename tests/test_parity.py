@@ -31,7 +31,7 @@ def _draw(rng, n):
     """Random gains, plant direction and a PD detuning within 10 % of design."""
     mu = rng.uniform(0.5, 2.0, size=n)
     alpha = rng.standard_normal(2)
-    design = observer.detunings_from_gains(mu)
+    design = analysis.detunings_from_gains(mu)
     spread = rng.uniform(-1.0, 1.0, size=n)
     scale = 0.1
     while True:
@@ -125,7 +125,7 @@ def _verify_chain(rng, n, kind):
     mu = rng.uniform(0.5, 1.5, size=n)
     theta = rng.uniform(0.0, 2.0 * np.pi)
     plant = observer.PlantSpec(alpha=np.array([np.cos(theta), np.sin(theta)]))
-    design = observer.detunings_from_gains(mu)
+    design = analysis.detunings_from_gains(mu)
     omega = {
         "design": design,
         "detuned": 1.1 * design,

@@ -8,6 +8,9 @@ alias, so the names ``qchain/__init__.py`` re-exports are covered by their
 import.  Code only the tests call belongs in the tests (see
 ``tests/flow_reference.py``).  Attributes match by name alone, so the guard
 can miss a dead method that shares its name with a live attribute.
+
+Every name a module imports must also be read in that module, except
+``from __future__`` features and the re-exports of ``qchain/__init__.py``.
 """
 
 import ast
@@ -61,4 +64,35 @@ def test_every_definition_is_referenced_in_the_package():
         for qualified, name in _definitions(module, tree)
         if name not in used
     ]
+    assert unused == []
+
+
+def _imported_names(tree: ast.Module):
+    """``(line, bound name)`` of each import, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".", 1)[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_every_import_is_read_in_its_module():
+    """No module imports a name it never reads; ``__init__`` re-exports."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.stem}:{line} {name}"
+            for line, name in _imported_names(tree)
+            if name not in read
+        ]
     assert unused == []
