@@ -68,6 +68,7 @@ class ExperimentConfig:
 
     name: str
     alpha: tuple[float, ...]
+    n_elements: int
     mu: tuple[float, ...] | None
     mu_1: float | None
     kappas: tuple[float, ...] | None
@@ -79,12 +80,6 @@ class ExperimentConfig:
     seed: int
     csv_stride: int
     method: str
-
-    @property
-    def n_elements(self) -> int:
-        if self.mu is not None:
-            return len(self.mu)
-        return len(self.kappas) // 2 + 1
 
 
 def _number(value, path: str) -> float:
@@ -203,6 +198,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         name=name,
         alpha=alpha,
+        n_elements=n_elements,
         mu=mu,
         mu_1=mu_1,
         kappas=kappas,
@@ -273,7 +269,14 @@ def realize(cfg: ExperimentConfig):
     return plant, realization
 
 
-def _resolve_initial_observer(cfg, plant, realization) -> np.ndarray:
+def _augmented(cfg: ExperimentConfig) -> observer.AugmentedSystem:
+    """The closed system of a config's plant and chain."""
+    plant, realization = realize(cfg)
+    return observer.assemble_augmented(realization, plant)
+
+
+def _resolve_initial_observer(cfg, augmented) -> np.ndarray:
+    plant, realization = augmented.plant, augmented.realization
     if isinstance(cfg.initial_observer, str):
         if cfg.initial_observer == "zero":
             return np.zeros(realization.state_dim)
@@ -283,13 +286,13 @@ def _resolve_initial_observer(cfg, plant, realization) -> np.ndarray:
     return np.array(cfg.initial_observer)
 
 
-def _sim_config(cfg, plant, realization) -> sim.SimulationConfig:
+def _sim_config(cfg, augmented) -> sim.SimulationConfig:
     dt = cfg.sample_dt
     if dt is None:
-        dt = sim.default_sample_dt(realization.omega)
+        dt = sim.default_sample_dt(augmented.realization.omega)
     return sim.SimulationConfig(
         initial_plant=np.array(cfg.initial_plant),
-        initial_observer=_resolve_initial_observer(cfg, plant, realization),
+        initial_observer=_resolve_initial_observer(cfg, augmented),
         horizon_T=max(cfg.horizons),
         sample_dt=dt,
         method=cfg.method,
@@ -317,8 +320,8 @@ def cmd_build(args) -> tuple[dict, int]:
     cfg = load_config(args.config)
     if args.emit_config:
         return normalized_config(cfg), 0
-    plant, realization = realize(cfg)
-    augmented = observer.assemble_augmented(realization, plant)
+    augmented = _augmented(cfg)
+    plant, realization = augmented.plant, augmented.realization
     cert = analysis.convergence_certificate(realization.hamiltonian)
     return _report(
         cfg,
@@ -333,8 +336,8 @@ def cmd_build(args) -> tuple[dict, int]:
 
 
 def _verify_checks(cfg, scale: float) -> list[dict]:
-    plant, realization = realize(cfg)
-    augmented = observer.assemble_augmented(realization, plant)
+    augmented = _augmented(cfg)
+    plant, realization = augmented.plant, augmented.realization
     checks = []
 
     def add(name, residual, tol, *, passed=None, skipped=False, **extra):
@@ -366,7 +369,7 @@ def _verify_checks(cfg, scale: float) -> list[dict]:
     # bound covers every t, so 200 log-spaced times out to 1e3 suffice
     probe_cfg = sim.SimulationConfig(
         initial_plant=np.array(cfg.initial_plant),
-        initial_observer=_resolve_initial_observer(cfg, plant, realization),
+        initial_observer=_resolve_initial_observer(cfg, augmented),
         horizon_T=1e3,
         sample_dt=5.0,  # unused: the probe reads the states at probe_times
         method="exact",
@@ -437,20 +440,18 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_simulate(args) -> tuple[dict, int]:
     cfg = load_config(args.config)
-    plant, realization = realize(cfg)
-    augmented = observer.assemble_augmented(realization, plant)
-    sim_cfg = _sim_config(cfg, plant, realization)
+    augmented = _augmented(cfg)
+    sim_cfg = _sim_config(cfg, augmented)
     log.info(
         "simulating %s: %d elements, horizon %g, dt %g",
         cfg.name,
-        realization.n_elements,
+        cfg.n_elements,
         sim_cfg.horizon_T,
         sim_cfg.sample_dt,
     )
     report = sim.consensus_report(augmented, sim_cfg, cfg.horizons)
     if args.csv:
-        stream = sim.stream_series(augmented, sim_cfg, stride=cfg.csv_stride)
-        sim.write_timeseries_csv(stream, args.csv)
+        sim.write_timeseries_csv(augmented, sim_cfg, args.csv, stride=cfg.csv_stride)
     payload = _report(
         cfg,
         seed=cfg.seed,
@@ -478,10 +479,9 @@ def cmd_sweep(args) -> tuple[str, int]:
             swept = replace(cfg, mu=(value, *cfg.mu[1:]))
         else:
             swept = replace(cfg, mu_1=value)
-        plant, realization = realize(swept)
-        augmented = observer.assemble_augmented(realization, plant)
+        augmented = _augmented(swept)
         report = sim.consensus_report(
-            augmented, _sim_config(swept, plant, realization), swept.horizons
+            augmented, _sim_config(swept, augmented), swept.horizons
         )
         cert = report.certificate
         row = (

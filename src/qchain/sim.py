@@ -23,17 +23,20 @@ preservation.  A fixed-step RK4 route over the raw augmented drift, with
 trapezoidal running averages, is available as an independent diagnostic; it
 steps in blocks and keeps only the rows a caller reads.
 
-Each route is one in-order source of chunks of rows (:func:`_tasks`).  Every
-reader of the series goes through it, so a row has the same bytes whichever
-makes it, and :func:`write_timeseries_csv` streams either route.
+:func:`_tasks` is the one source of rows for both routes: it cuts the times
+into chunks, lays out each chunk's block, sets the average at ``t = 0`` and
+checks the drift of ``z``; a route only fills the columns of a block it is
+given.  Every reader of the series goes through it, so a row has the same
+bytes whichever reads it, and :func:`write_timeseries_csv` streams either
+route.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from collections import deque
-from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -162,22 +165,6 @@ class TimeSeries:
     states: np.ndarray | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesStream:
-    """A sampled series made one chunk of rows at a time, as it is written.
-
-    ``tasks`` yields ``n_chunks`` zero-argument tasks in row order, once;
-    pull them on one thread, since the ``rk4`` route steps its grid there.
-    A task may run on any thread and returns a chunk of ``_chunk_rows(N)``
-    rows (the last may hold fewer) with the columns ``t, z_p,
-    z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.
-    """
-
-    n_elements: int
-    n_chunks: int
-    tasks: Iterator[Callable[[], np.ndarray]]
-
-
 def _chunk_rows(n: int) -> int:
     """Rows per chunk of ``n`` elements: about ``_CHUNK_ENTRIES`` phase-table entries."""
     return max(1, _CHUNK_ENTRIES // n)
@@ -198,6 +185,12 @@ def _sample_indices(n_samples: int, stride: int, start: int = 0, stop=None):
     return np.minimum(np.arange(start, stop) * stride, n_samples - 1)
 
 
+def _columns(augmented, keep_states: bool) -> int:
+    """Columns of a block: ``t, z_p, z_o, avg``, then the state for ``keep_states``."""
+    n = augmented.realization.n_elements
+    return 2 + 2 * n + (augmented.dim if keep_states else 0)
+
+
 def _series_rows(augmented, config, stride: int, keep_states: bool) -> int:
     """Rows of the ``stride``-thinned series, refused over ``MAX_SERIES_BYTES``.
 
@@ -206,15 +199,23 @@ def _series_rows(augmented, config, stride: int, keep_states: bool) -> int:
     if stride < 1:
         raise ValueError("stride must be >= 1")
     rows = _sample_count(config.n_steps + 1, stride)
-    n = augmented.realization.n_elements
-    columns = 2 + 2 * n + (2 + 2 * n if keep_states else 0)
-    if 8 * rows * columns > MAX_SERIES_BYTES:
+    size = 8 * rows * _columns(augmented, keep_states)
+    if size > MAX_SERIES_BYTES:
         raise ValueError(
-            f"{rows} samples of a chain with N = {n} would hold "
-            f"{8 * rows * columns} bytes, over the limit of {MAX_SERIES_BYTES}; "
+            f"{rows} samples of a chain with N = {augmented.realization.n_elements} "
+            f"would hold {size} bytes, over the limit of {MAX_SERIES_BYTES}; "
             "increase sample_dt or csv_stride, or shorten the horizons"
         )
     return rows
+
+
+def _grid(config, stride: int):
+    """``times_of(a, b)``: entries ``a..b-1`` of the ``stride``-thinned sample grid."""
+
+    def times_of(a, b):
+        return _sample_indices(config.n_steps + 1, stride, a, b) * config.sample_dt
+
+    return times_of
 
 
 def _check_drift(drift: float, z_p0: float) -> None:
@@ -229,16 +230,19 @@ def _check_drift(drift: float, z_p0: float) -> None:
 
 
 def _tasks(augmented, config, times_of, count, keep_states):
-    """The route's chunk source: ``bound, tasks`` at ``count`` times.
+    """The one source of a series' rows: a task per chunk of ``count`` times.
 
-    ``times_of(a, b)`` returns the times ``a..b-1``.  ``tasks`` yields a
-    zero-argument task per ``_chunk_rows(N)`` times, in order.  Each returns
-    ``block, drift``: the chunk's columns ``t, z_p, z_o, avg`` (then the
-    full state for ``keep_states``), and the z drift up to its last time,
-    which ``bound`` bounds beforehand (0 on the ``rk4`` route).  The ``rk4``
-    route steps its grid, so its times must be grid samples, ascending, that
-    end at the last step.  Raises :class:`ValueError` if the initial
-    observer state does not fit the chain.
+    ``times_of(a, b)`` returns the times ``a..b-1``, and the tasks come in
+    order, one per ``_chunk_rows(N)`` times.  Each returns ``block, drift``:
+    the chunk's columns (:func:`_columns`), with the average at ``t = 0`` the
+    readout itself, and the largest ``|z_p - z_p(0)|`` up to its last time.
+    A task raises :class:`IntegratorAccuracyError` if that drift exceeds
+    ``Z_DRIFT_TOL * (1 + |z_p(0)|)``; on the exact route, whose bound
+    covers every time, so does this call, before any task is pulled.
+    Exact tasks may run on any thread.  The ``rk4`` route steps its grid in
+    order as the tasks are pulled, so its times must be ascending grid
+    samples.  Raises :class:`ValueError` if the initial observer state does
+    not fit the chain.
     """
     state_dim = augmented.realization.state_dim
     if config.initial_observer.size != state_dim:
@@ -246,37 +250,55 @@ def _tasks(augmented, config, times_of, count, keep_states):
             f"initial_observer has length {config.initial_observer.size}, "
             f"chain needs {state_dim}"
         )
+    z_p0 = float(augmented.plant.alpha @ config.initial_plant)
     if config.method == "rk4":
-        return 0.0, _rk4_tasks(augmented, config, times_of, count, keep_states)
-    route = _ExactRoute(augmented, config, keep_states)
-    size = _chunk_rows(route.n)
-    return route.bound, (
-        partial(route.chunk, times_of, a, min(a + size, count))
-        for a in range(0, count, size)
-    )
-
-
-def _evaluate(augmented, config, times, keep_states):
-    """``z_p, z_o, avg, states, drift`` at ``times`` on the config's route.
-
-    Copies each chunk of :func:`_tasks` into one table as it is made.
-    Raises as :func:`_tasks` does, and :class:`IntegratorAccuracyError` if
-    the plant observable drifted beyond ``Z_DRIFT_TOL * (1 + |z(0)|)``.
-    """
-    _, tasks = _tasks(
-        augmented, config, lambda a, b: times[a:b], times.size, keep_states
-    )
+        route = _Rk4Route(augmented, config, keep_states)
+    else:
+        route = _ExactRoute(augmented, config, z_p0, keep_states)
+        _check_drift(route.bound, z_p0)
     n = augmented.realization.n_elements
-    table = np.empty((times.size, 2 + 2 * n + (augmented.dim if keep_states else 0)))
+    columns = _columns(augmented, keep_states)
+
+    def task(start, stop):
+        block = np.empty((stop - start, columns))
+        block[:, 0] = times_of(start, stop)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drift = route.fill(block)
+        at_zero = block[:, 0] == 0.0
+        block[at_zero, n + 2 : 2 * n + 2] = block[at_zero, 2 : n + 2]
+        _check_drift(drift, z_p0)
+        return block, drift
+
+    size = _chunk_rows(n)
+    tasks = (partial(task, a, min(a + size, count)) for a in range(0, count, size))
+    if config.method == "rk4":
+        return (lambda done=run(): done for run in tasks)  # run as pulled
+    return tasks
+
+
+def _evaluate(augmented, config, times, keep_states) -> TimeSeries:
+    """The rows of :func:`_tasks` at ``times``, copied into one table as they are made.
+
+    Raises as :func:`_tasks` and its tasks do.
+    """
+    tasks = _tasks(augmented, config, lambda a, b: times[a:b], times.size, keep_states)
+    table = np.empty((times.size, _columns(augmented, keep_states)))
     start, drift = 0, 0.0
     for task in tasks:
         block, seen = task()
         table[start : start + len(block)] = block
         start += len(block)
         drift = max(drift, seen)
-    _check_drift(drift, float(augmented.plant.alpha @ config.initial_plant))
-    states = table[:, 2 + 2 * n :] if keep_states else None
-    return table[:, 1], table[:, 2 : n + 2], table[:, n + 2 : 2 * n + 2], states, drift
+    n = augmented.realization.n_elements
+    return TimeSeries(
+        times=table[:, 0],
+        z_p=table[:, 1],
+        z_o=table[:, 2 : n + 2],
+        running_avg_z_o=table[:, n + 2 : 2 * n + 2],
+        z_p_drift=drift,
+        method=config.method,
+        states=table[:, 2 * n + 2 :] if keep_states else None,
+    )
 
 
 def simulate(
@@ -304,57 +326,8 @@ def simulate(
     IntegratorAccuracyError
         If the conserved plant observable drifted beyond tolerance.
     """
-    _series_rows(augmented, config, stride, keep_states)
-    times = _sample_indices(config.n_steps + 1, stride) * config.sample_dt
-    z_p, z_o, avg, kept, drift = _evaluate(augmented, config, times, keep_states)
-    return TimeSeries(
-        times=times,
-        z_p=z_p,
-        z_o=z_o,
-        running_avg_z_o=avg,
-        z_p_drift=drift,
-        method=config.method,
-        states=kept,
-    )
-
-
-def stream_series(
-    augmented: AugmentedSystem, config: SimulationConfig, stride: int = 1
-) -> SeriesStream:
-    """The rows of ``simulate(augmented, config, stride=stride)``, as a stream.
-
-    The chunks come from the source :func:`simulate` reads, so the bytes
-    are the same, and memory is a few chunks whatever the row count.  An
-    exact chunk is evaluated when its task runs, on whichever thread runs
-    it; the ``rk4`` route steps its grid as the tasks are pulled.
-
-    Raises
-    ------
-    ValueError
-        As :func:`simulate` does, before anything is evaluated.
-    IntegratorAccuracyError
-        Before any row is evaluated if the exact route's drift bound
-        ``2 sum_k |c_k|`` exceeds the tolerance, and from a task if the drift
-        up to its chunk does.
-    """
-    rows = _series_rows(augmented, config, stride, False)
-
-    def grid(a, b):
-        return _sample_indices(config.n_steps + 1, stride, a, b) * config.sample_dt
-
-    bound, tasks = _tasks(augmented, config, grid, rows, False)
-    z_p0 = float(augmented.plant.alpha @ config.initial_plant)
-    _check_drift(bound, z_p0)
-    n = augmented.realization.n_elements
-    checked = (partial(_checked, task, z_p0) for task in tasks)
-    return SeriesStream(n, -(-rows // _chunk_rows(n)), checked)
-
-
-def _checked(task, z_p0):
-    """The block of a task of :func:`_tasks`, raising if its drift is too large."""
-    block, drift = task()
-    _check_drift(drift, z_p0)
-    return block
+    rows = _series_rows(augmented, config, stride, keep_states)
+    return _evaluate(augmented, config, _grid(config, stride)(0, rows), keep_states)
 
 
 def states_at(augmented: AugmentedSystem, config: SimulationConfig, times):
@@ -368,8 +341,7 @@ def states_at(augmented: AugmentedSystem, config: SimulationConfig, times):
         If the conserved plant observable drifted beyond tolerance.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    exact = replace(config, method="exact")
-    return _evaluate(augmented, exact, ts, True)[3]
+    return _evaluate(augmented, replace(config, method="exact"), ts, True).states
 
 
 def flow_matrix(augmented: AugmentedSystem, t: float) -> np.ndarray:
@@ -442,59 +414,68 @@ def _rk4_blocks(A, x0, dt, n_steps, rows):
         yield out.reshape(-1, m)[:k]
 
 
-def _rk4_tasks(augmented, config, times_of, count, keep_states):
-    """RK4 over the full ``sample_dt`` grid, as :func:`_tasks` for the kept times.
+class _Rk4Route:
+    """RK4 over the full ``sample_dt`` grid; :meth:`fill` reads it in order.
 
-    The steps run as the tasks are pulled, a group of :func:`_rk4_blocks`
-    at a time.  Each group extends the trapezoid sums of the running
-    averages, so they are the trapezoid rule's over the whole grid, and the
-    drift, the largest ``|z_p - z_p(0)|`` over every step so far.  Memory is
-    one group plus the chunks not yet written, whatever the grid length.
+    :meth:`fill` steps as far as its block's times, a group of
+    :func:`_rk4_blocks` at a time.  Each group extends the trapezoid sums of
+    the running averages, so they are the trapezoid rule's over the whole
+    grid, and ``drift``, the largest ``|z_p - z_p(0)|`` over every step so
+    far.  Memory is one group, whatever the grid length.
     """
-    dt = float(config.sample_dt)
-    x0 = np.concatenate([config.initial_plant, config.initial_observer])
-    n = augmented.realization.n_elements
-    readouts = [augmented.plant_readout[None, :], augmented.observer_readout]
-    if keep_states:
-        readouts.append(np.eye(augmented.dim))
-    groups = _rk4_blocks(augmented.drift, x0, dt, config.n_steps, np.vstack(readouts))
-    z_p0 = float(augmented.plant_readout @ x0)
-    drift = 0.0
-    start = stop = 0  # the group in hand holds the steps start..stop-1
-    last = 0.0, np.zeros(n), np.zeros(n)  # a zero-length step ending at t = 0
-    size = _chunk_rows(n)
-    for first in range(0, count, size):
-        tt = times_of(first, min(first + size, count))
-        idx = np.rint(tt / dt).astype(np.int64)
-        block = np.empty((tt.size, 2 + 2 * n + (augmented.dim if keep_states else 0)))
-        block[:, 0] = tt
+
+    def __init__(self, augmented, config, keep_states):
+        self.dt = float(config.sample_dt)
+        self.n = n = augmented.realization.n_elements
+        x0 = np.concatenate([config.initial_plant, config.initial_observer])
+        readouts = [augmented.plant_readout[None, :], augmented.observer_readout]
+        if keep_states:
+            readouts.append(np.eye(augmented.dim))
+        self.groups = _rk4_blocks(
+            augmented.drift, x0, self.dt, config.n_steps, np.vstack(readouts)
+        )
+        self.keep_states = keep_states
+        # z(0) read from the full state, as every step reads z; alpha @ x_p(0)
+        # can differ from it by rounding
+        self.z_p0 = float(augmented.plant_readout @ x0)
+        self.drift = 0.0
+        self.start = self.stop = 0  # the group in hand holds the steps start..stop-1
+        self.last = 0.0, np.zeros(n), np.zeros(n)  # a zero-length step ending at t = 0
+
+    def fill(self, block):
+        """Fill a block of :func:`_tasks` after its ``t`` column; returns ``drift``."""
+        n = self.n
+        idx = np.rint(block[:, 0] / self.dt).astype(np.int64)
         lo = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while lo < idx.size:
-                while idx[lo] >= stop:
-                    group = next(groups)
-                    start, stop = stop, stop + group.shape[0]
-                    drift = max(drift, float(np.max(np.abs(group[:, 0] - z_p0))))
-                    # row 0 is the step before the group: its time, readouts and sums
-                    t = np.arange(start - 1, stop) * dt
-                    v = np.empty((stop - start + 1, n))
-                    sums = np.empty_like(v)
-                    t[0], v[0], sums[0] = last
-                    v[1:] = group[:, 1 : n + 1]
-                    sums[1:] = 0.5 * (v[1:] + v[:-1]) * np.diff(t)[:, None]
-                    np.cumsum(sums, axis=0, out=sums)
-                    last = t[-1], v[-1], sums[-1]
-                hi = int(np.searchsorted(idx, stop))
-                local = idx[lo:hi] - start
-                rows = block[lo:hi]
-                rows[:, 1 : n + 2] = group[local, : n + 1]  # z_p, z_o
-                rows[:, n + 2 : 2 * n + 2] = sums[local + 1] / t[local + 1, None]
-                if keep_states:
-                    rows[:, 2 * n + 2 :] = group[local, n + 1 :]
-                lo = hi
-        at_zero = idx == 0
-        block[at_zero, n + 2 : 2 * n + 2] = block[at_zero, 2 : n + 2]
-        yield lambda block=block, drift=drift: (block, drift)  # bound now, not when run
+        while lo < idx.size:
+            while idx[lo] >= self.stop:
+                self._step()
+            hi = int(np.searchsorted(idx, self.stop))
+            local = idx[lo:hi] - self.start
+            rows = block[lo:hi]
+            rows[:, 1 : n + 2] = self.group[local, : n + 1]  # z_p, z_o
+            rows[:, n + 2 : 2 * n + 2] = self.sums[local + 1] / self.t[local + 1, None]
+            if self.keep_states:
+                rows[:, 2 * n + 2 :] = self.group[local, n + 1 :]
+            lo = hi
+        return self.drift
+
+    def _step(self):
+        """Take the next group of steps: extend ``drift`` and the trapezoid sums."""
+        group = next(self.groups)
+        n, start, stop = self.n, self.stop, self.stop + group.shape[0]
+        self.drift = max(self.drift, float(np.max(np.abs(group[:, 0] - self.z_p0))))
+        # row 0 is the step before the group: its time, readouts and sums
+        t = np.arange(start - 1, stop) * self.dt
+        v = np.empty((stop - start + 1, n))
+        sums = np.empty_like(v)
+        t[0], v[0], sums[0] = self.last
+        v[1:] = group[:, 1 : n + 1]
+        sums[1:] = 0.5 * (v[1:] + v[:-1]) * np.diff(t)[:, None]
+        np.cumsum(sums, axis=0, out=sums)
+        self.last = t[-1], v[-1], sums[-1]
+        self.start, self.stop, self.group = start, stop, group
+        self.t, self.sums = t, sums
 
 
 def _steady_offset(realization, z):
@@ -508,7 +489,7 @@ def _steady_offset(realization, z):
 
 
 class _ExactRoute:
-    """The exact route's set-up for one run; :meth:`chunk` reads it at any times.
+    """The exact route's set-up for one run; :meth:`fill` reads it at any times.
 
     In the chain amplitudes ``a = q + i p`` the error is ``a(t) = M exp(-2i
     lam t)`` with ``M = ObserverHamiltonian.modes(err0)``, and its
@@ -517,8 +498,7 @@ class _ExactRoute:
     so the readouts, their antiderivatives and the plant observable (plus
     the plant quadratures for ``keep_states``) are projected onto the modes
     once, here, and each chunk of times evaluates one phase table for all of
-    them.  The running average at ``t > 0`` is the readouts' antiderivative
-    over ``t``; at ``t = 0`` it is the readout.
+    them.  The running average is the readouts' antiderivative over ``t``.
 
     The plant moves by the constant ``rate`` times ``t`` plus the modes'
     oscillation, and ``alpha . rate = 0`` identically, since the plant's
@@ -533,14 +513,14 @@ class _ExactRoute:
     time gives the same bytes whichever caller reads it.
     """
 
-    def __init__(self, augmented, config, keep_states):
+    def __init__(self, augmented, config, z_p0, keep_states):
         realization = augmented.realization
         n = realization.n_elements
         x_p0 = config.initial_plant
         alpha = augmented.plant.alpha
-        self.z_p0 = float(alpha @ x_p0)
+        self.z_p0 = z_p0
 
-        steady = _steady_offset(realization, self.z_p0)
+        steady = _steady_offset(realization, z_p0)
         err0 = config.initial_observer - steady
         ham = realization.hamiltonian
         self.lam = ham.lam
@@ -557,7 +537,7 @@ class _ExactRoute:
         c = alpha @ plant_w
         self.bound = 2.0 * float(np.sum(np.abs(c)))
         self.integral_base = -integral_w.real.sum(axis=1)
-        self.z_p_base = self.z_p0 - float(c.real.sum())
+        self.z_p_base = z_p0 - float(c.real.sum())
         # Re(w . phase) for all rows at once: the interleaved real view of the
         # phase table times the real rows (Re w, -Im w) per mode.
         rows = [readout_w, integral_w, c[None, :]]
@@ -573,18 +553,14 @@ class _ExactRoute:
         self.weights[1::2] = -rows.imag.T
         self.z_o_steady = realization.readout @ steady
         self.n = n
-        self.state_columns = augmented.dim if keep_states else 0
+        self.keep_states = keep_states
 
-    def chunk(self, times_of, start, stop):
-        """The task of :func:`_tasks` for the times ``times_of(start, stop)``."""
-        tt = times_of(start, stop)
+    def fill(self, block):
+        """Fill a block of :func:`_tasks` after its ``t`` column; returns its drift."""
         n = self.n
-        block = np.empty((tt.size, 2 + 2 * n + self.state_columns))
-        block[:, 0] = tt
-        kept = block[:, 2 + 2 * n :] if self.state_columns else None
-        self.evaluate(tt, block[:, 1 : 2 + 2 * n], kept)
-        seen = float(np.max(np.abs(block[:, 1] - self.z_p0)))
-        return block, max(self.bound, seen)
+        kept = block[:, 2 + 2 * n :] if self.keep_states else None
+        self.evaluate(block[:, 0], block[:, 1 : 2 + 2 * n], kept)
+        return max(self.bound, float(np.max(np.abs(block[:, 1] - self.z_p0))))
 
     def evaluate(self, tt, out, kept=None):
         """Fill ``out`` with the ``z_p, z_o, avg`` columns at the times ``tt``.
@@ -599,10 +575,7 @@ class _ExactRoute:
         out[:, 0] = self.z_p_base + values[:, 2 * n]
         out[:, 1 : n + 1] = self.z_o_steady + values[:, :n]
         integral = self.integral_base + values[:, n : 2 * n]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[:, n + 1 :] = self.z_o_steady + integral / tt[:, None]
-        at_zero = tt == 0.0
-        out[at_zero, n + 1 :] = out[at_zero, 1 : n + 1]
+        out[:, n + 1 :] = self.z_o_steady + integral / tt[:, None]  # _tasks sets t = 0
         if kept is not None:
             ramp = self.rate * tt[:, None]
             kept[:, 0:2] = self.x_p_base + ramp + values[:, 2 * n + 1 :]
@@ -655,10 +628,10 @@ def consensus_report(
     Compares each element's running average at every horizon against the
     plant observable, and checks both those errors and the exactly-evaluated
     averaged deviation operator against the ``C/T`` certificate.  Both
-    routes keep the averages at the horizons alone; the ``rk4`` route steps
-    the full grid out to the largest horizon to get them.
-
-    Every requested horizon must land on the sample grid.
+    routes keep the averages at the horizons alone.  The exact route
+    evaluates each at the horizon itself, so ``sample_dt`` plays no part.
+    The ``rk4`` route steps the full grid out to the largest horizon to get
+    its trapezoid averages, so there every horizon must land on the grid.
 
     Raises
     ------
@@ -668,21 +641,23 @@ def consensus_report(
     hs = np.atleast_1d(np.asarray(horizons, dtype=float))
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be positive and strictly increasing")
-    run_cfg = replace(config, horizon_T=float(hs[-1]))
-    dt = run_cfg.sample_dt
-    indices = []
-    for h in hs:
-        k = int(round(h / dt))
-        if abs(k * dt - h) > 1e-9 * max(1.0, h):
-            raise ValueError(f"horizon {h} does not land on the sample grid")
-        indices.append(k)
+    run_cfg, times = config, np.concatenate(([0.0], hs))
+    if config.method == "rk4":
+        run_cfg = replace(config, horizon_T=float(hs[-1]))
+        dt = run_cfg.sample_dt
+        indices = []
+        for h in hs:
+            k = int(round(h / dt))
+            if abs(k * dt - h) > 1e-9 * max(1.0, h):
+                raise ValueError(f"horizon {h} does not land on the sample grid")
+            indices.append(k)
+        times = np.array([0, *indices]) * dt
+    series = _evaluate(augmented, run_cfg, times, False)
 
     plant, realization = augmented.plant, augmented.realization
     z_p0 = float(plant.alpha @ config.initial_plant)
     ham = realization.hamiltonian
-    times = np.array([0, *indices]) * dt
-    _, _, avg, _, drift = _evaluate(augmented, run_cfg, times, False)
-    averages = avg[1:]
+    averages = series.running_avg_z_o[1:]
 
     cert = convergence_certificate(ham)
 
@@ -712,7 +687,7 @@ def consensus_report(
     return ConsensusReport(
         horizons=hs,
         z_p=z_p0,
-        z_p_drift=drift,
+        z_p_drift=series.z_p_drift,
         per_element_error=per_element,
         trajectory_envelope=traj_env,
         matrix_residual=mat_resid,
@@ -724,23 +699,41 @@ def consensus_report(
     )
 
 
-def write_timeseries_csv(series: SeriesStream, path) -> None:
-    """Write every row of a stream as CSV.
+def write_timeseries_csv(
+    augmented: AugmentedSystem, config: SimulationConfig, path, stride: int = 1
+) -> None:
+    """Write the rows of ``simulate(augmented, config, stride=stride)`` as CSV.
 
-    Columns: ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.  Make the
-    stream with :func:`stream_series`, thinned with ``stride=k``.  Every
-    value is written as ``"%.17g" % v`` writes it (:func:`_format_17g`), so
-    the file round-trips exactly.  The tasks of a stream of more than one
-    chunk are pulled on the calling thread, run and formatted on
-    ``_CSV_WORKERS`` threads and written in order, so the export holds a few
-    chunks at a time.  Each thread formats in its own scratch buffers, made
-    for the first values it formats and freed when the export returns.  If
-    a task raises, the tasks not yet started are cancelled, the partial file
-    is deleted and the error propagates.  A stream is written once: one that
-    yields fewer than ``n_chunks`` tasks, such as a stream already written,
-    raises ``ValueError`` the same way.
+    Columns: ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.  The rows come
+    from the chunk source :func:`simulate` reads, so the bytes are the same,
+    and the export holds a few chunks at a time whatever the row count (see
+    :func:`_write_csv`).  Every value is written as ``"%.17g" % v`` writes it
+    (:func:`_format_17g`), so the file round-trips exactly.
+
+    Raises
+    ------
+    ValueError
+        As :func:`simulate` does, before the file is opened.
+    IntegratorAccuracyError
+        Before the file is opened if the exact route's drift bound
+        ``2 sum_k |c_k|`` exceeds the tolerance, and from the first chunk
+        whose drift does; the partial file is then deleted.
     """
-    n = series.n_elements
+    rows = _series_rows(augmented, config, stride, False)
+    tasks = _tasks(augmented, config, _grid(config, stride), rows, False)
+    _write_csv(augmented.realization.n_elements, tasks, path)
+
+
+def _write_csv(n: int, tasks, path) -> None:
+    """Write the blocks of ``tasks``, as :func:`_tasks` makes them, as CSV.
+
+    The tasks are pulled on the calling thread, run and formatted on
+    ``_CSV_WORKERS`` threads and written in order (:func:`_write_in_order`).
+    Each thread formats in its own scratch buffers, made for the first
+    values it formats and freed when the export returns.  If a task raises,
+    the tasks not yet started are cancelled, the partial file is deleted and
+    the error propagates.
+    """
     header = (
         ["t", "z_p"]
         + [f"z_o_{i}" for i in range(1, n + 1)]
@@ -752,7 +745,7 @@ def write_timeseries_csv(series: SeriesStream, path) -> None:
     local = threading.local()  # each thread's scratch
 
     def formatted(task):
-        block = task()
+        block, _ = task()
         parts = -(-block.size // _FORMAT_VALUES)
         out = []
         for values, part_seps in zip(
@@ -770,12 +763,7 @@ def write_timeseries_csv(series: SeriesStream, path) -> None:
     try:
         with f:
             f.write((",".join(header) + "\n").encode())
-            written = _write_in_order(f, formatted, series.tasks, series.n_chunks)
-            if written < series.n_chunks:
-                raise ValueError(
-                    f"stream gave {written} of its {series.n_chunks} chunks; "
-                    "a stream is written once"
-                )
+            _write_in_order(f, formatted, tasks)
     except BaseException:
         # the partial CSV; never a device or a link such as /dev/stdout
         if os.path.isfile(path) and not os.path.islink(path):
@@ -783,27 +771,28 @@ def write_timeseries_csv(series: SeriesStream, path) -> None:
         raise
 
 
-def _write_in_order(f, work, tasks, count: int) -> int:
-    """Write the buffers of ``work(task)`` for ``count`` ``tasks`` to ``f``, in order.
+def _write_in_order(f, work, tasks) -> None:
+    """Write the buffers of ``work(task)`` for each of ``tasks`` to ``f``, in order.
 
-    The tasks are pulled here, on the calling thread.  One runs inline.
-    More run on ``_CSV_WORKERS`` threads, at most two per worker in flight
-    (numpy releases the interpreter lock for most of the work).  If pulling
-    or running a task raises, the tasks not yet started are cancelled, and
-    every thread is joined before the error propagates.  Returns how many
-    tasks were written.
+    The tasks are pulled here, on the calling thread.  A single task runs
+    inline.  More run on ``_CSV_WORKERS`` threads, at most two per worker in
+    flight (numpy releases the interpreter lock for most of the work).  If
+    pulling or running a task raises, the tasks not yet started are
+    cancelled, and every thread is joined before the error propagates.
     """
-    written = 0
-    if count <= 1 or _CSV_WORKERS <= 1:
-        for written, task in enumerate(tasks, 1):
+    tasks = iter(tasks)
+    head = list(itertools.islice(tasks, 2))
+    tasks = itertools.chain(head, tasks)
+    if len(head) < 2 or _CSV_WORKERS <= 1:
+        for task in tasks:
             f.writelines(work(task))
-        return written
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(_CSV_WORKERS, thread_name_prefix="qchain-csv") as pool:
         pending = deque()
         try:
-            for written, task in enumerate(tasks, 1):
+            for task in tasks:
                 pending.append(pool.submit(work, task))
                 if len(pending) == 2 * _CSV_WORKERS:
                     f.writelines(pending.popleft().result())
@@ -813,4 +802,3 @@ def _write_in_order(f, work, tasks, count: int) -> int:
             for future in pending:
                 future.cancel()
             raise
-    return written

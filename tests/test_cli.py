@@ -456,11 +456,9 @@ def _uniform_chain(n, rows, stride, method="exact"):
 def _simulated(config):
     """The series ``simulate()`` returns for a config file, at its ``csv_stride``."""
     cfg = cli.load_config(str(config))
-    plant, realization = cli.realize(cfg)
-    augmented = observer.assemble_augmented(realization, plant)
-    return sim.simulate(
-        augmented, cli._sim_config(cfg, plant, realization), stride=cfg.csv_stride
-    )
+    augmented = cli._augmented(cfg)
+    sim_cfg = cli._sim_config(cfg, augmented)
+    return sim.simulate(augmented, sim_cfg, stride=cfg.csv_stride)
 
 
 def _percent_csv(series):
@@ -574,6 +572,26 @@ def test_simulate_csv_drift_failure_leaves_no_file_and_no_thread(
     rc, _, _ = _run(capsys, [*argv, str(link)])
     assert rc == 1
     assert link.is_symlink()
+
+
+def test_simulate_exact_horizons_need_no_sample_grid(tmp_path, capsys):
+    # no sample_dt: the default step resolves the fastest detuning (about
+    # 10.1), and the horizon 10 misses its grid, which the exact route never
+    # reads
+    raw = {
+        "plant": {"alpha": [1, 0]},
+        "chain": {"mu": [6.123, 4, 1]},
+        "initial": {"plant": [1, 0], "observer": "zero"},
+        "horizons": [10, 100],
+    }
+    rc, out, err = _run(capsys, ["simulate", _write(tmp_path, raw)])
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    dt = report["sample_dt"]
+    assert dt < sim.DEFAULT_DT_CAP
+    assert abs(round(10.0 / dt) * dt - 10.0) > 1e-3
+    assert report["horizons"] == [10.0, 100.0]
+    assert report["passed"]
 
 
 def test_simulate_rk4_step_cap_exits_3(tmp_path, capsys):

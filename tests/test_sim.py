@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from flow_reference import running_average
 from qchain import _fmt17, observer, sim
+from qchain.analysis import time_average_integral
 from qchain.errors import IntegratorAccuracyError
 
 
@@ -221,7 +222,7 @@ def test_integrator_accuracy_guard_trips():
     assert info.value.drift > 1e-3
 
 
-def test_exact_route_drift_guard_needs_no_samples(monkeypatch):
+def test_exact_route_drift_guard_needs_no_samples(tmp_path, monkeypatch):
     # one mode with lam = pi/2, so every phase is back to 1 at t = 2 and 4
     plant = observer.PlantSpec(alpha=np.array([1.0, 0.0]))
     real = observer.build_observer(plant, [1.0], omega_override=[np.pi / 2])
@@ -239,15 +240,19 @@ def test_exact_route_drift_guard_needs_no_samples(monkeypatch):
 
     monkeypatch.setattr(sim, "simulate", no_sampling)
     out = np.empty((3, 3))
-    sim._ExactRoute(doctored, cfg, False).evaluate(np.array([0.0, 2.0, 4.0]), out)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the averages at t = 0
+        route = sim._ExactRoute(doctored, cfg, 1.0, False)
+        route.evaluate(np.array([0.0, 2.0, 4.0]), out)
     assert np.max(np.abs(out[:, 0] - 1.0)) <= 1e-12  # invisible at the horizons
     with pytest.raises(IntegratorAccuracyError) as info:
         sim.consensus_report(doctored, cfg, [2.0, 4.0])
     assert info.value.drift > 1e-4
-    # a stream checks the bound before it evaluates any row
+    # the writer checks the bound before it evaluates any row or opens the file
     monkeypatch.setattr(sim._ExactRoute, "evaluate", no_sampling)
+    path = tmp_path / "refused.csv"
     with pytest.raises(IntegratorAccuracyError):
-        sim.stream_series(doctored, cfg)
+        sim.write_timeseries_csv(doctored, cfg, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("n", [3, 100])
@@ -371,8 +376,25 @@ def test_consensus_report_horizon_validation():
         sim.consensus_report(aug, cfg, [])
     with pytest.raises(ValueError):
         sim.consensus_report(aug, cfg, [10.0, 10.0])
-    with pytest.raises(ValueError):
-        sim.consensus_report(aug, cfg, [33.333])  # off the 0.01 grid
+    with pytest.raises(ValueError, match="horizon 33.333 does not land"):
+        # off the 0.01 grid, which only the rk4 route steps
+        sim.consensus_report(aug, replace(cfg, method="rk4"), [33.333])
+
+
+def test_exact_report_reads_horizons_off_the_grid():
+    # the exact route evaluates each horizon itself, so sample_dt plays no
+    # part: each element's error is the averaged flow on the initial error
+    plant, real, aug = _make_system([1.0, 1.0, 1.0])
+    rng = np.random.default_rng(41)
+    obs0 = rng.standard_normal(real.state_dim)
+    cfg = _config(real, 100.0, 0.01, plant_x=(0.8, 0.5), obs=obs0)
+    horizons = [33.333, 77.7777]
+    report = sim.consensus_report(aug, cfg, horizons)
+    target, _ = observer.steady_vector(real, plant, 0.8)
+    for h, errors in zip(horizons, report.per_element_error):
+        averaged = time_average_integral(real.hamiltonian, h) / h
+        want = np.abs(real.readout @ averaged @ (obs0 - target))
+        assert np.max(np.abs(errors - want)) <= 1e-12
 
 
 def test_consensus_report_flags_detuned_chain():
@@ -392,11 +414,11 @@ def test_consensus_report_flags_detuned_chain():
 
 
 def _table_stream(table):
-    """A stream of the rows of ``table`` (``t, z_p``, then ``N`` pairs), in chunks."""
+    """``N`` and the tasks of ``table``'s rows (``t, z_p``, then ``N`` pairs)."""
     n = (table.shape[1] - 2) // 2
     rows = sim._chunk_rows(n)
     chunks = [table[i : i + rows] for i in range(0, len(table), rows)]
-    return sim.SeriesStream(n, len(chunks), iter([lambda c=c: c for c in chunks]))
+    return n, [lambda c=c: (c, 0.0) for c in chunks]
 
 
 def test_csv_layout_and_round_trip(tmp_path):
@@ -404,7 +426,7 @@ def test_csv_layout_and_round_trip(tmp_path):
     cfg = _config(real, 10.0, 0.1, plant_x=(0.3, 0.9))
     series = sim.simulate(aug, cfg)
     path = tmp_path / "run.csv"
-    sim.write_timeseries_csv(sim.stream_series(aug, cfg), path)
+    sim.write_timeseries_csv(aug, cfg, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,z_p,z_o_1,z_o_2,z_o_3,avg_z_o_1,avg_z_o_2,avg_z_o_3"
     assert len(lines) == 102
@@ -418,15 +440,17 @@ def test_csv_stride_keeps_final_row(tmp_path):
     _, real, aug = _make_system([1.0, 1.0])
     cfg = _config(real, 10.0, 0.1)
     path = tmp_path / "strided.csv"
-    sim.write_timeseries_csv(sim.stream_series(aug, cfg, stride=40), path)
+    sim.write_timeseries_csv(aug, cfg, path, stride=40)
     lines = path.read_text().splitlines()
     # header + samples 0, 40, 80 + forced final sample 100
     assert len(lines) == 5
     assert float(lines[-1].split(",")[0]) == 10.0
     with pytest.raises(ValueError):
         sim.simulate(aug, cfg, stride=0)
+    unwritten = tmp_path / "unwritten.csv"
     with pytest.raises(ValueError):
-        sim.stream_series(aug, cfg, stride=0)
+        sim.write_timeseries_csv(aug, cfg, unwritten, stride=0)
+    assert not unwritten.exists()
 
 
 def test_memory_budget_refuses_before_allocating(monkeypatch):
@@ -467,8 +491,8 @@ def test_strided_series_rows_match_full_series(tmp_path):
     cfg = _config(real, 10.0, 0.01, plant_x=(0.3, 0.9))
     full = tmp_path / "full.csv"
     strided = tmp_path / "strided.csv"
-    sim.write_timeseries_csv(sim.stream_series(aug, cfg), full)
-    sim.write_timeseries_csv(sim.stream_series(aug, cfg, stride=7), strided)
+    sim.write_timeseries_csv(aug, cfg, full)
+    sim.write_timeseries_csv(aug, cfg, strided, stride=7)
     full_rows = np.loadtxt(full, delimiter=",", skiprows=1)
     strided_rows = np.loadtxt(strided, delimiter=",", skiprows=1)
     keep = list(range(0, 1001, 7)) + [1000]
@@ -484,7 +508,7 @@ def test_stream_writes_in_the_memory_of_a_few_chunks(tmp_path, monkeypatch):
     path = tmp_path / "stream.csv"
     tracemalloc.start()
     try:
-        sim.write_timeseries_csv(sim.stream_series(aug, cfg), path)
+        sim.write_timeseries_csv(aug, cfg, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -501,7 +525,7 @@ def test_rk4_stream_writes_in_the_memory_of_a_few_chunks(tmp_path, monkeypatch):
     path = tmp_path / "stream.csv"
     tracemalloc.start()
     try:
-        sim.write_timeseries_csv(sim.stream_series(aug, cfg), path)
+        sim.write_timeseries_csv(aug, cfg, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -517,40 +541,25 @@ def test_rk4_drift_failure_mid_stream_leaves_no_file_and_no_thread(
     baseline = threading.active_count()
     _, real, aug = _make_system(np.linspace(0.5, 1.5, 4), alpha=(0.6, 0.8))
     cfg = _config(real, 1000.0, 0.01, plant_x=(0.3, 0.9), method="rk4")
-    stream = sim.stream_series(aug, cfg)  # steps nothing yet
     written = []
 
     def counted(task):
         def run():
-            block = task()
+            block, drift = task()
             written.append(block[0, 0])
-            return block
+            return block, drift
 
         return run
 
-    stream = replace(stream, tasks=map(counted, stream.tasks))
+    tasks = sim._tasks
+    monkeypatch.setattr(sim, "_tasks", lambda *args: map(counted, tasks(*args)))
     path = tmp_path / "drifting.csv"
     with pytest.raises(IntegratorAccuracyError) as info:
-        sim.write_timeseries_csv(stream, path)
+        sim.write_timeseries_csv(aug, cfg, path)
     assert info.value.drift > sim.Z_DRIFT_TOL * 1.9
-    assert 0 < len(written) < stream.n_chunks
+    assert 0 < len(written) < -(-100001 // sim._chunk_rows(4))
     assert not path.exists()
     assert threading.active_count() == baseline
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_stream_written_twice_raises_and_leaves_no_file(tmp_path, monkeypatch, workers):
-    # a stream's tasks are pulled once, so a second write gets none of them
-    monkeypatch.setattr(sim, "_CSV_WORKERS", workers)
-    _, real, aug = _make_system([1.0, 1.0, 1.0])
-    stream = sim.stream_series(aug, _config(real, 100.0, 0.01))
-    assert stream.n_chunks == 2
-    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    sim.write_timeseries_csv(stream, first)
-    assert first.read_bytes().count(b"\n") == 10002
-    with pytest.raises(ValueError, match="gave 0 of its 2 chunks"):
-        sim.write_timeseries_csv(stream, second)
-    assert not second.exists()
 
 
 def test_one_chunk_export_starts_no_thread(tmp_path, monkeypatch):
@@ -562,7 +571,7 @@ def test_one_chunk_export_starts_no_thread(tmp_path, monkeypatch):
     _, real, aug = _make_system([1.0, 1.0, 1.0])
     cfg = _config(real, 10.0, 0.01)
     path = tmp_path / "one.csv"
-    sim.write_timeseries_csv(sim.stream_series(aug, cfg, stride=5), path)
+    sim.write_timeseries_csv(aug, cfg, path, stride=5)
     assert path.read_bytes().count(b"\n") == 202
 
 
@@ -576,7 +585,7 @@ def test_block_writer_matches_per_value_format(tmp_path):
     )
     table = np.tile(table, (2000, 1))  # more values than one kernel call
     path = tmp_path / "block.csv"
-    sim.write_timeseries_csv(_table_stream(table), path)
+    sim._write_csv(*_table_stream(table), path)
     lines = ["t,z_p,z_o_1,z_o_2,avg_z_o_1,avg_z_o_2"]
     lines += [",".join(format(float(v), ".17g") for v in row) for row in table]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
@@ -749,6 +758,6 @@ def test_csv_writer_raises_no_warnings(tmp_path):
     path = tmp_path / "extremes.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sim.write_timeseries_csv(_table_stream(table), path)
+        sim._write_csv(*_table_stream(table), path)
     rows = [",".join("%.17g" % v for v in row) for row in table.tolist()]
     assert path.read_text().splitlines()[1:] == rows
