@@ -108,8 +108,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     Only structure, types and finiteness are checked here (unknown keys,
     wrong shapes, missing sections, NaN or infinite numbers).  Value-level
-    constraints — positivity of gains, grid limits — are deferred to
-    construction so they surface as construction errors, not schema errors.
+    constraints (positive gains and ``sample_dt``, the grid's limits) are
+    deferred so they surface as construction errors, not schema errors.
     """
     if not isinstance(raw, dict):
         raise ConfigError("top level must be a JSON object")
@@ -367,15 +367,8 @@ def _verify_checks(cfg, scale: float) -> list[dict]:
 
     # the exact route accumulates nothing between samples, and its z drift
     # bound covers every t, so 200 log-spaced times out to 1e3 suffice
-    probe_cfg = sim.SimulationConfig(
-        initial_plant=np.array(cfg.initial_plant),
-        initial_observer=_resolve_initial_observer(cfg, augmented),
-        horizon_T=1e3,
-        sample_dt=5.0,  # unused: the probe reads the states at probe_times
-        method="exact",
-    )
     probe_times = np.concatenate(([0.0], np.logspace(-2, 3, 200)))
-    states = sim.states_at(augmented, probe_cfg, probe_times)
+    states = sim.states_at(augmented, _sim_config(cfg, augmented), probe_times)
     energies = 0.5 * np.sum((states @ augmented.hamiltonian) * states, axis=1)
     e0 = energies[0]
     energy_drift = float(np.max(np.abs(energies - e0)) / max(1.0, abs(e0)))

@@ -52,7 +52,7 @@ from .analysis import (
 from .errors import IntegratorAccuracyError
 from .observer import AugmentedSystem, steady_vector
 
-#: Largest float64 sample storage, in bytes, that one simulation may hold.
+#: Largest float64 sample storage, in bytes, that one :func:`simulate` may return.
 MAX_SERIES_BYTES = 2 * 2**30
 
 #: Most steps the rk4 route may take: it steps the whole grid, whatever it keeps.
@@ -93,6 +93,8 @@ class SimulationConfig:
 
     ``method`` selects the trajectory route: ``"exact"`` (structured spectral
     evaluation, the default) or ``"rk4"`` (fixed-step diagnostic integrator).
+    The grid's rules are checked by :attr:`n_steps`, which every grid reader
+    reads, so a run that reads only ``t = 0`` and the horizons needs no grid.
     """
 
     initial_plant: np.ndarray
@@ -114,10 +116,20 @@ class SimulationConfig:
             raise ValueError("horizon_T must be positive")
         if not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive")
-        if not self.sample_dt < self.horizon_T:
-            raise ValueError("sample_dt must be smaller than horizon_T")
         if self.method not in ("exact", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
+        object.__setattr__(self, "initial_plant", xp)
+        object.__setattr__(self, "initial_observer", xo)
+
+    @property
+    def n_steps(self) -> int:
+        """Steps of the ``sample_dt`` grid to ``horizon_T``.
+
+        Raises ``ValueError`` unless ``sample_dt < horizon_T``, the steps are
+        under ``2^62`` and, on the ``rk4`` route, at most ``MAX_RK4_STEPS``.
+        """
+        if not self.sample_dt < self.horizon_T:
+            raise ValueError("sample_dt must be smaller than horizon_T")
         steps = self.horizon_T / self.sample_dt
         if not steps < 2.0**62:
             raise ValueError(
@@ -128,12 +140,7 @@ class SimulationConfig:
                 f"the rk4 route would take over {MAX_RK4_STEPS} steps; "
                 "increase sample_dt or use the exact method"
             )
-        object.__setattr__(self, "initial_plant", xp)
-        object.__setattr__(self, "initial_observer", xo)
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.horizon_T / self.sample_dt))
+        return int(round(steps))
 
 
 def default_sample_dt(omega) -> float:
@@ -170,52 +177,27 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK_ENTRIES // n)
 
 
-def _sample_count(n_samples: int, stride: int) -> int:
-    """How many indices :func:`_sample_indices` returns."""
-    return (n_samples - 1) // stride + 1 + ((n_samples - 1) % stride != 0)
-
-
-def _sample_indices(n_samples: int, stride: int, start: int = 0, stop=None):
-    """Every ``stride``-th sample index, always ending with the final one.
-
-    Only entries ``start:stop`` of that list are made.
-    """
-    if stop is None:
-        stop = _sample_count(n_samples, stride)
-    return np.minimum(np.arange(start, stop) * stride, n_samples - 1)
-
-
 def _columns(augmented, keep_states: bool) -> int:
     """Columns of a block: ``t, z_p, z_o, avg``, then the state for ``keep_states``."""
     n = augmented.realization.n_elements
     return 2 + 2 * n + (augmented.dim if keep_states else 0)
 
 
-def _series_rows(augmented, config, stride: int, keep_states: bool) -> int:
-    """Rows of the ``stride``-thinned series, refused over ``MAX_SERIES_BYTES``.
+def _grid(config, stride: int):
+    """``rows, times_of``: every ``stride``-th step of the grid, and its last.
 
-    Counted before anything is evaluated or allocated.
+    ``times_of(a, b)`` makes entries ``a..b-1``.  Raises ``ValueError`` as
+    :attr:`SimulationConfig.n_steps` does, or if ``stride < 1``.
     """
+    n_steps = config.n_steps
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    rows = _sample_count(config.n_steps + 1, stride)
-    size = 8 * rows * _columns(augmented, keep_states)
-    if size > MAX_SERIES_BYTES:
-        raise ValueError(
-            f"{rows} samples of a chain with N = {augmented.realization.n_elements} "
-            f"would hold {size} bytes, over the limit of {MAX_SERIES_BYTES}; "
-            "increase sample_dt or csv_stride, or shorten the horizons"
-        )
-    return rows
-
-
-def _grid(config, stride: int):
-    """``times_of(a, b)``: entries ``a..b-1`` of the ``stride``-thinned sample grid."""
+    rows = n_steps // stride + 1 + (n_steps % stride != 0)
 
     def times_of(a, b):
-        return _sample_indices(config.n_steps + 1, stride, a, b) * config.sample_dt
+        return np.minimum(np.arange(a, b) * stride, n_steps) * config.sample_dt
 
-    return times_of
+    return rows, times_of
 
 
 def _check_drift(drift: float, z_p0: float) -> None:
@@ -320,14 +302,22 @@ def simulate(
     Raises
     ------
     ValueError
-        If the samples kept (times, readouts and averages, plus the full
-        state for ``keep_states``) would exceed ``MAX_SERIES_BYTES``, or if
-        the initial observer state does not fit the chain.
+        As :attr:`SimulationConfig.n_steps` does, if ``stride < 1``, or if
+        the samples kept (times, readouts and averages, plus the full state
+        for ``keep_states``) would exceed ``MAX_SERIES_BYTES``, all before
+        anything is evaluated; or if the initial observer does not fit.
     IntegratorAccuracyError
         If the conserved plant observable drifted beyond tolerance.
     """
-    rows = _series_rows(augmented, config, stride, keep_states)
-    return _evaluate(augmented, config, _grid(config, stride)(0, rows), keep_states)
+    rows, times_of = _grid(config, stride)
+    size = 8 * rows * _columns(augmented, keep_states)
+    if size > MAX_SERIES_BYTES:
+        raise ValueError(
+            f"{rows} samples of a chain with N = {augmented.realization.n_elements} "
+            f"would hold {size} bytes, over the limit of {MAX_SERIES_BYTES}; "
+            "increase sample_dt or stride, or shorten horizon_T"
+        )
+    return _evaluate(augmented, config, times_of(0, rows), keep_states)
 
 
 def states_at(augmented: AugmentedSystem, config: SimulationConfig, times):
@@ -635,6 +625,9 @@ def consensus_report(
 
     Raises
     ------
+    ValueError
+        For bad horizons, an ``rk4`` grid that misses one or breaks a rule
+        of :attr:`~SimulationConfig.n_steps`, or a ``C/T`` that overflows.
     IntegratorAccuracyError
         If the conserved plant observable drifted beyond tolerance.
     """
@@ -645,12 +638,11 @@ def consensus_report(
     if config.method == "rk4":
         run_cfg = replace(config, horizon_T=float(hs[-1]))
         dt = run_cfg.sample_dt
-        indices = []
-        for h in hs:
-            k = int(round(h / dt))
+        # the grid's rules first; its last step is the last horizon's
+        indices = [int(round(h / dt)) for h in hs[:-1]] + [run_cfg.n_steps]
+        for h, k in zip(hs, indices):
             if abs(k * dt - h) > 1e-9 * max(1.0, h):
                 raise ValueError(f"horizon {h} does not land on the sample grid")
-            indices.append(k)
         times = np.array([0, *indices]) * dt
     series = _evaluate(augmented, run_cfg, times, False)
 
@@ -660,6 +652,10 @@ def consensus_report(
     averages = series.running_avg_z_o[1:]
 
     cert = convergence_certificate(ham)
+    with np.errstate(over="ignore"):
+        cert_env = cert.avg_constant / hs
+    if not np.all(np.isfinite(cert_env)):
+        raise ValueError(f"the C/T envelope overflows at horizon {hs[0]}")
 
     target, _ = steady_vector(realization, plant, z_p0, tol=None)
     err0_norm = float(np.linalg.norm(config.initial_observer - target))
@@ -669,9 +665,7 @@ def consensus_report(
     per_element = np.abs(averages - z_p0)
     traj_env = np.empty_like(per_element)
     mat_resid = np.empty(hs.size)
-    cert_env = np.empty(hs.size)
     for j, h in enumerate(hs):
-        cert_env[j] = cert.avg_constant / h
         traj_env[j] = cert_env[j] * err0_norm + floor
         averaged = time_average_integral(ham, h) / h
         mat_resid[j] = np.linalg.norm(realization.readout @ averaged, 2)
@@ -707,20 +701,21 @@ def write_timeseries_csv(
     Columns: ``t, z_p, z_o_1..z_o_N, avg_z_o_1..avg_z_o_N``.  The rows come
     from the chunk source :func:`simulate` reads, so the bytes are the same,
     and the export holds a few chunks at a time whatever the row count (see
-    :func:`_write_csv`).  Every value is written as ``"%.17g" % v`` writes it
-    (:func:`_format_17g`), so the file round-trips exactly.
+    :func:`_write_csv`), so ``MAX_SERIES_BYTES`` does not bound it.  Values
+    are written as ``"%.17g" % v`` writes them (:func:`_format_17g`).
 
     Raises
     ------
     ValueError
-        As :func:`simulate` does, before the file is opened.
+        As :attr:`SimulationConfig.n_steps` does, if ``stride < 1``, or if
+        the initial observer does not fit, before the file is opened.
     IntegratorAccuracyError
         Before the file is opened if the exact route's drift bound
         ``2 sum_k |c_k|`` exceeds the tolerance, and from the first chunk
         whose drift does; the partial file is then deleted.
     """
-    rows = _series_rows(augmented, config, stride, False)
-    tasks = _tasks(augmented, config, _grid(config, stride), rows, False)
+    rows, times_of = _grid(config, stride)
+    tasks = _tasks(augmented, config, times_of, rows, False)
     _write_csv(augmented.realization.n_elements, tasks, path)
 
 

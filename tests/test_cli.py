@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -429,14 +430,19 @@ def test_simulate_single_horizon_writes_null_slope(tmp_path, capsys):
     assert report["slope"] is None
 
 
-def test_simulate_over_memory_budget_exits_3(tmp_path, capsys, monkeypatch):
+def test_csv_export_is_not_bound_by_the_series_budget(tmp_path, capsys, monkeypatch):
+    # the budget bounds the arrays simulate() returns; an export holds a few
+    # chunks whatever its row count
+    config = _write(tmp_path, CANONICAL)
+    unpatched = tmp_path / "unpatched.csv"
+    assert _run(capsys, ["simulate", config, "--csv", str(unpatched)])[0] == 0
     monkeypatch.setattr(cli.sim, "MAX_SERIES_BYTES", 2**19)
     csv_path = tmp_path / "series.csv"
-    argv = ["simulate", _write(tmp_path, CANONICAL), "--csv", str(csv_path)]
-    rc, _, err = _run(capsys, argv)
-    assert rc == 3
-    assert "10001 samples of a chain with N = 3" in err
-    assert not csv_path.exists()
+    rc, _, err = _run(capsys, ["simulate", config, "--csv", str(csv_path)])
+    assert (rc, err) == (0, "")
+    assert csv_path.read_bytes() == unpatched.read_bytes()
+    with pytest.raises(ValueError, match="10001 samples of a chain with N = 3"):
+        _simulated(config)
 
 
 def _uniform_chain(n, rows, stride, method="exact"):
@@ -592,6 +598,72 @@ def test_simulate_exact_horizons_need_no_sample_grid(tmp_path, capsys):
     assert abs(round(10.0 / dt) * dt - 10.0) > 1e-3
     assert report["horizons"] == [10.0, 100.0]
     assert report["passed"]
+
+
+# canonical chain, default step 0.01: grids that break a rule, with its message
+_RULE_BREAKING_GRIDS = [
+    pytest.param([0.005], "sample_dt must be smaller than horizon_T", id="short"),
+    pytest.param(
+        [1e3, 1e17],
+        "the sample grid has too many steps to index; increase sample_dt",
+        id="unindexed",
+    ),
+]
+
+
+def _without_sample_dt(**fields):
+    raw = {**CANONICAL, **fields}
+    del raw["sample_dt"]
+    return raw
+
+
+@pytest.mark.parametrize("horizons, message", _RULE_BREAKING_GRIDS)
+def test_exact_runs_read_no_sample_grid(tmp_path, capsys, horizons, message):
+    # the exact report evaluates only t = 0 and the horizons
+    path = _write(tmp_path, _without_sample_dt(horizons=horizons))
+    rc, out, err = _run(capsys, ["simulate", path])
+    assert (rc, err) == (0, "")
+    assert _strict_json(out)["horizons"] == horizons
+    argv = ["sweep", path, "--param", "mu_1", "--values", "0.5", "1"]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("horizons, message", _RULE_BREAKING_GRIDS)
+def test_grid_readers_keep_the_grid_rules(tmp_path, capsys, horizons, message):
+    # an export reads the grid, and so does every rk4 run
+    path = _write(tmp_path, _without_sample_dt(horizons=horizons))
+    csv_path, out_path = tmp_path / "series.csv", tmp_path / "report.json"
+    argv = ["simulate", path, "--csv", str(csv_path), "--out", str(out_path)]
+    assert _run(capsys, argv) == (3, "", f"construction error: {message}\n")
+    assert not csv_path.exists()
+    assert not out_path.exists()
+    rk4 = _write(tmp_path, _without_sample_dt(horizons=horizons, method="rk4"))
+    for argv in (["simulate", rk4], ["sweep", rk4, "--param", "mu_1", "--values", "1"]):
+        assert _run(capsys, argv) == (3, "", f"construction error: {message}\n")
+
+
+def test_nonpositive_sample_dt_exits_3_for_every_run(tmp_path, capsys):
+    for dt in (0.0, -0.01):
+        path = _write(tmp_path, {**CANONICAL, "sample_dt": dt})
+        for argv in (["verify", path], ["simulate", path],
+                     ["sweep", path, "--param", "mu_1", "--values", "1"]):
+            want = (3, "", "construction error: sample_dt must be positive\n")
+            assert _run(capsys, argv) == want
+
+
+@pytest.mark.parametrize(
+    "fields", [{"sample_dt": 1e-321}, {}], ids=["subnormal_dt", "default_dt"]
+)
+def test_envelope_overflow_exits_3_without_a_warning(tmp_path, capsys, fields):
+    # C/T overflows at T = 1e-320; nothing may print a numpy warning
+    raw = {**_without_sample_dt(horizons=[1e-320]), **fields}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(capsys, ["simulate", _write(tmp_path, raw)])
+    assert (rc, out) == (3, "")
+    assert err == "construction error: the C/T envelope overflows at horizon 1e-320\n"
 
 
 def test_simulate_rk4_step_cap_exits_3(tmp_path, capsys):

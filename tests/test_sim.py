@@ -72,19 +72,26 @@ def test_config_validation():
     with pytest.raises(ValueError):
         sim.SimulationConfig(z2, np.zeros(2), 0.0, 0.01)
     with pytest.raises(ValueError):
-        sim.SimulationConfig(z2, np.zeros(2), 1.0, 1.0)
+        sim.SimulationConfig(z2, np.zeros(2), 1.0, 0.0)
     with pytest.raises(ValueError):
         sim.SimulationConfig(z2, np.zeros(2), 1.0, 0.01, method="euler")
+    # the grid rules are checked where the grid is read, by n_steps, so
+    # these configs construct
+    same = sim.SimulationConfig(z2, np.zeros(2), 1.0, 1.0)
+    with pytest.raises(ValueError, match="sample_dt must be smaller than horizon_T"):
+        same.n_steps
     # no sample cap, but every step must have a 64-bit index
     assert sim.SimulationConfig(z2, np.zeros(2), 1e6, 0.01).n_steps == 10**8
     # the rk4 route steps its whole grid, so its step count stays capped
     rk4 = sim.SimulationConfig(z2, np.zeros(2), 1e5, 0.01, method="rk4")
     assert rk4.n_steps == sim.MAX_RK4_STEPS
+    over = sim.SimulationConfig(z2, np.zeros(2), 1e5 + 0.01, 0.01, method="rk4")
     with pytest.raises(ValueError, match="rk4 route would take over 10000000 steps"):
-        sim.SimulationConfig(z2, np.zeros(2), 1e5 + 0.01, 0.01, method="rk4")
+        over.n_steps
     for dt in (1e-10, 1e-300):
+        unindexed = sim.SimulationConfig(z2, np.zeros(2), 1e10, dt)
         with pytest.raises(ValueError, match="too many steps"):
-            sim.SimulationConfig(z2, np.zeros(2), 1e10, dt)
+            unindexed.n_steps
 
 
 def test_default_sample_dt():
@@ -295,7 +302,8 @@ def test_rk4_streams_the_full_grid_rows(monkeypatch):
     for entries, stride in itertools.product((2**14, 64), (1, 7, 256, 2000)):
         monkeypatch.setattr(sim, "_CHUNK_ENTRIES", entries)
         series = sim.simulate(aug, cfg, keep_states=True, stride=stride)
-        idx = sim._sample_indices(cfg.n_steps + 1, stride)
+        rows, times_of = sim._grid(cfg, stride)
+        idx = np.rint(times_of(0, rows) / cfg.sample_dt).astype(int)
         assert np.array_equal(series.times, idx * cfg.sample_dt)
         assert np.array_equal(series.states, states[idx])
         assert np.max(np.abs(series.z_o - z_o[idx])) <= 1e-13
