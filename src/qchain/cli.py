@@ -25,12 +25,14 @@ exit code; :func:`main` writes the output to ``--out`` or stdout and is the
 one place that maps an exception to an exit code: 0 success, 1
 verification/consensus failure or a drifted simulation, 2 malformed config,
 3 construction error, 4 I/O error.  Set ``QCHAIN_LOG=debug|info|warning`` to
-control logging.
+control logging.  :func:`main` may be called repeatedly in one process: it
+builds its parser once and reads ``QCHAIN_LOG`` on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -492,7 +494,13 @@ def cmd_sweep(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qchain`` parser, built on the first call and shared after it.
+
+    Each subcommand is named after its ``cmd_*`` function, and the parser
+    keeps only that name: :func:`main` looks the function up when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="qchain",
         description="Build, certify, and simulate cavity-chain observers.",
@@ -502,23 +510,18 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("config", help="experiment config JSON")
     common.add_argument("--out", help="write the output here instead of stdout")
 
-    def add_command(name, func, summary):
-        p = sub.add_parser(name, parents=[common], help=summary)
-        p.set_defaults(func=func)
-        return p
+    def add_command(func, summary):
+        name = func.__name__.removeprefix("cmd_")
+        return sub.add_parser(name, parents=[common], help=summary)
 
-    p_build = add_command(
-        "build", cmd_build, "construct a chain and print its certificate"
-    )
+    p_build = add_command(cmd_build, "construct a chain and print its certificate")
     p_build.add_argument(
         "--emit-config",
         action="store_true",
         help="print the normalized config instead of building",
     )
 
-    p_verify = add_command(
-        "verify", cmd_verify, "run the structural verification suite"
-    )
+    p_verify = add_command(cmd_verify, "run the structural verification suite")
     p_verify.add_argument(
         "--tolerance-scale",
         type=float,
@@ -526,12 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiply every verification tolerance by this factor",
     )
 
-    p_sim = add_command("simulate", cmd_simulate, "simulate and report consensus errors")
+    p_sim = add_command(cmd_simulate, "simulate and report consensus errors")
     p_sim.add_argument("--csv", help="also write the sampled time series here")
 
-    p_sweep = add_command(
-        "sweep", cmd_sweep, "sweep a parameter and tabulate certificates"
-    )
+    p_sweep = add_command(cmd_sweep, "sweep a parameter and tabulate certificates")
     p_sweep.add_argument("--param", required=True, help="parameter to sweep (mu_1)")
     p_sweep.add_argument(
         "--values", required=True, type=float, nargs="+", help="values to sweep over"
@@ -547,15 +548,19 @@ def _configure_logging() -> None:
         "warning": logging.WARNING,
         "error": logging.ERROR,
     }.get(level_name, logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # adds its handler only while the root logger has none; the level is
+    # qchain's own, so it is read again on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(level)
 
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        output, code = args.func(args)
+        # looked up on each call, so a cmd_* replaced after the parser was
+        # built (a tracer's wrapper, a test's patch) is the one that runs
+        output, code = globals()[f"cmd_{args.command}"](args)
         text = _render(output)
         if args.out:
             with open(args.out, "w") as f:

@@ -307,7 +307,8 @@ def simulate(
         for ``keep_states``) would exceed ``MAX_SERIES_BYTES``, all before
         anything is evaluated; or if the initial observer does not fit.
     IntegratorAccuracyError
-        If the conserved plant observable drifted beyond tolerance.
+        If the conserved plant observable drifted beyond tolerance,
+        or the ``rk4`` state overflowed.
     """
     rows, times_of = _grid(config, stride)
     size = 8 * rows * _columns(augmented, keep_states)
@@ -411,7 +412,8 @@ class _Rk4Route:
     :func:`_rk4_blocks` at a time.  Each group extends the trapezoid sums of
     the running averages, so they are the trapezoid rule's over the whole
     grid, and ``drift``, the largest ``|z_p - z_p(0)|`` over every step so
-    far.  Memory is one group, whatever the grid length.
+    far.  Memory is one group, whatever the grid length.  A group that
+    overflows raises :class:`IntegratorAccuracyError`.
     """
 
     def __init__(self, augmented, config, keep_states):
@@ -452,7 +454,13 @@ class _Rk4Route:
 
     def _step(self):
         """Take the next group of steps: extend ``drift`` and the trapezoid sums."""
-        group = next(self.groups)
+        try:
+            with np.errstate(over="raise"):
+                group = next(self.groups)
+        except FloatingPointError:
+            raise IntegratorAccuracyError(
+                f"the rk4 state overflows past step {self.stop}; decrease sample_dt"
+            ) from None
         n, start, stop = self.n, self.stop, self.stop + group.shape[0]
         self.drift = max(self.drift, float(np.max(np.abs(group[:, 0] - self.z_p0))))
         # row 0 is the step before the group: its time, readouts and sums
@@ -627,9 +635,12 @@ def consensus_report(
     ------
     ValueError
         For bad horizons, an ``rk4`` grid that misses one or breaks a rule
-        of :attr:`~SimulationConfig.n_steps`, or a ``C/T`` that overflows.
+        of :attr:`~SimulationConfig.n_steps`, a ``C/T`` that overflows, or
+        a per-element error, trajectory envelope or matrix residual that is
+        not finite.
     IntegratorAccuracyError
-        If the conserved plant observable drifted beyond tolerance.
+        If the conserved plant observable drifted beyond tolerance,
+        or the ``rk4`` state overflowed.
     """
     hs = np.atleast_1d(np.asarray(horizons, dtype=float))
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
@@ -665,10 +676,20 @@ def consensus_report(
     per_element = np.abs(averages - z_p0)
     traj_env = np.empty_like(per_element)
     mat_resid = np.empty(hs.size)
-    for j, h in enumerate(hs):
-        traj_env[j] = cert_env[j] * err0_norm + floor
-        averaged = time_average_integral(ham, h) / h
-        mat_resid[j] = np.linalg.norm(realization.readout @ averaged, 2)
+    with np.errstate(over="ignore"):  # every figure is checked below
+        for j, h in enumerate(hs):
+            traj_env[j] = cert_env[j] * err0_norm + floor
+            averaged = time_average_integral(ham, h) / h
+            mat_resid[j] = np.linalg.norm(realization.readout @ averaged, 2)
+    for name, figure in (
+        ("per_element_error", per_element),
+        ("trajectory_envelope", traj_env),
+        ("matrix_residual", mat_resid),
+    ):
+        finite = np.isfinite(figure).reshape(hs.size, -1).all(axis=1)
+        if not finite.all():
+            h = hs[np.argmin(finite)]
+            raise ValueError(f"the {name} is not finite at horizon {h}")
 
     slope = float("nan")
     if hs.size >= 2 and np.all(mat_resid > 0):

@@ -4,6 +4,7 @@ Commands run in-process through ``cli.main`` with tmp-path configs; one test
 goes through a real subprocess to cover the console entry point.
 """
 
+import argparse
 import dataclasses
 import json
 import os
@@ -539,6 +540,20 @@ def test_simulate_csv_writes_each_value_as_percent_17g(
     assert got.read_bytes() == _percent_csv(_simulated(config))
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_shipped_configs_leave_stderr_empty(tmp_path, capsys, name):
+    config = str(CONFIG_DIR / name)
+    for argv in (
+        ["build", config],
+        ["verify", config],
+        ["simulate", config, "--csv", str(tmp_path / "series.csv")],
+        ["sweep", config, "--param", "mu_1", "--values", "0.5", "1", "2"],
+    ):
+        rc, out, err = _run(capsys, argv)
+        assert (rc, err) == (0, ""), argv
+        assert out
+
+
 def test_simulate_csv_drift_failure_leaves_no_file_and_no_thread(
     tmp_path, capsys, monkeypatch
 ):
@@ -664,6 +679,55 @@ def test_envelope_overflow_exits_3_without_a_warning(tmp_path, capsys, fields):
         rc, out, err = _run(capsys, ["simulate", _write(tmp_path, raw)])
     assert (rc, out) == (3, "")
     assert err == "construction error: the C/T envelope overflows at horizon 1e-320\n"
+
+
+_HUGE_OBSERVER = {"plant": [1.0, 0.0], "observer": [1e10, 0, 0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize(
+    "raw, argv, code, message",
+    [
+        pytest.param(
+            {**CANONICAL, "initial": _HUGE_OBSERVER, "horizons": [1e-300],
+             "sample_dt": 1e-301},
+            ["simulate"],
+            3,
+            "construction error: the trajectory_envelope is not finite "
+            "at horizon 1e-300\n",
+            id="simulate_envelope",
+        ),
+        pytest.param(
+            _without_sample_dt(initial=_HUGE_OBSERVER, horizons=[1e-300]),
+            ["sweep", "--param", "mu_1", "--values", "1", "2"],
+            3,
+            "construction error: the trajectory_envelope is not finite "
+            "at horizon 1e-300\n",
+            id="sweep_envelope",
+        ),
+        pytest.param(
+            {**CANONICAL, "plant": {"alpha": [300.0, 400.0]}, "chain": {"mu": [1, 1]},
+             "initial": {"plant": [1.0, 0.0], "observer": "zero"},
+             "method": "rk4", "sample_dt": 0.001, "horizons": [10.0, 100.0]},
+            ["simulate"],
+            1,
+            "simulation failed: the rk4 state overflows past step 23040; "
+            "decrease sample_dt\n",
+            id="rk4_state",
+        ),
+    ],
+)
+def test_overflowing_runs_fail_without_a_warning_or_a_file(
+    tmp_path, capsys, raw, argv, code, message
+):
+    out_path, csv_path = tmp_path / "report.json", tmp_path / "series.csv"
+    command = [argv[0], _write(tmp_path, raw), *argv[1:], "--out", str(out_path)]
+    if argv[0] == "simulate":
+        command += ["--csv", str(csv_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(capsys, command) == (code, "", message)
+    assert not out_path.exists()
+    assert not csv_path.exists()
 
 
 def test_simulate_rk4_step_cap_exits_3(tmp_path, capsys):
@@ -847,6 +911,96 @@ def test_non_finite_numbers_rejected_with_field_path(tmp_path, capsys, literal):
     )
     assert rc == 2
     assert "config error: sweep.values" in err
+
+
+# ---------------------------------------------------------------------------
+# repeated in-process calls
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    path = _write(tmp_path, CANONICAL)
+    assert _run(capsys, ["build", path])[0] == 0
+    first = len(built)
+    assert first > 0
+    assert _run(capsys, ["sweep", path, "--param", "mu_1", "--values", "1"])[0] == 0
+    assert len(built) == first
+
+
+def test_main_runs_the_command_function_bound_when_it_is_called(
+    tmp_path, capsys, monkeypatch
+):
+    path = _write(tmp_path, CANONICAL)
+    assert _run(capsys, ["build", path])[0] == 0
+    monkeypatch.setattr(cli, "cmd_build", lambda args: ("patched\n", 5))
+    assert _run(capsys, ["build", path]) == (5, "patched\n", "")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["build", "{path}", "--bogus"], ["sweep", "{path}", "--values", "1"], ["nope"]],
+    ids=["unknown_option", "missing_option", "unknown_command"],
+)
+def test_an_argv_error_leaves_main_usable(tmp_path, capsys, bad):
+    path = _write(tmp_path, CANONICAL)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(path=path) for arg in bad])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: qchain")
+    rc, out, err = _run(capsys, ["build", path])
+    assert (rc, err) == (0, "")
+    assert _strict_json(out)["name"] == "canonical_n3"
+
+
+def test_repeated_calls_write_the_same_bytes(tmp_path, capsys):
+    path = _write(tmp_path, CANONICAL)
+    csv_path = tmp_path / "series.csv"
+    for argv in (
+        ["build", path],
+        ["build", path, "--emit-config"],
+        ["verify", path],
+        ["simulate", path, "--csv", str(csv_path)],
+        ["sweep", path, "--param", "mu_1", "--values", "0.5", "1", "2"],
+    ):
+        first = _run(capsys, argv)
+        csv_first = csv_path.read_bytes() if csv_path.exists() else None
+        for _ in range(2):
+            assert _run(capsys, argv) == first
+            if csv_first is not None:
+                assert csv_path.read_bytes() == csv_first
+        csv_path.unlink(missing_ok=True)
+
+
+def test_each_call_reads_qchain_log(tmp_path):
+    # a fresh process, so qchain adds its own handler on the first call
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "QCHAIN_LOG"}
+    script = (
+        "import os, sys\n"
+        "from qchain import cli\n"
+        "for level in ('', 'info', 'warning', 'info'):\n"
+        "    os.environ['QCHAIN_LOG'] = level\n"
+        "    sys.stderr.write(f'[{level}]\\n')\n"
+        "    assert cli.main(['simulate', sys.argv[1], '--out', os.devnull]) == 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, _write(tmp_path, CANONICAL)],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = "INFO qchain: simulating canonical_n3: 3 elements, horizon 100, dt 0.01\n"
+    assert proc.stderr == f"[]\n[info]\n{line}[warning]\n[info]\n{line}"
 
 
 def test_console_entry_point(tmp_path):
