@@ -41,6 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: A chain whose ``min|lam| <= SINGULAR_TOL * max|lam|`` is singular.
+SINGULAR_TOL = 1e-13
+
 
 def detunings_from_gains(mu) -> np.ndarray:
     """Design detunings: each element is detuned by the sum of its two gains.
@@ -117,6 +120,32 @@ class ObserverHamiltonian:
         """
         lam = self.lam
         return self.spectral_matrix((1.0 - np.exp(-2j * lam * float(t))) / (2j * lam))
+
+    @property
+    def singular(self) -> bool:
+        """Whether ``min|lam| <= SINGULAR_TOL * max|lam|``."""
+        size = np.abs(self.lam)
+        return bool(size.min() <= SINGULAR_TOL * size.max())
+
+    def steady(self, drive) -> np.ndarray:
+        """The quadratures ``s`` held steady by ``drive``: ``drift @ s + drive = 0``.
+
+        In the amplitudes ``s = D V diag(1/(2i lam)) V^T D^H b``, with ``b``
+        the amplitudes of ``drive``: O(N^2), and valid for any nonsingular
+        chain, definite or not.
+
+        Raises
+        ------
+        ValueError
+            If the chain is :attr:`singular`.
+        """
+        if self.singular:
+            raise ValueError(
+                "chain drift is singular; the driven steady offset does not exist"
+            )
+        B = self.basis
+        a = B @ ((B.conj().T @ (drive[0::2] + 1j * drive[1::2])) / (2j * self.lam))
+        return a.view(np.float64)
 
 
 def observer_hamiltonian(mu, omega=None) -> ObserverHamiltonian:
@@ -261,10 +290,12 @@ def check_positive_definite(ham: ObserverHamiltonian) -> tuple[bool, float, floa
 
 
 def _positive_spectrum(ham: ObserverHamiltonian) -> tuple[float, float]:
-    """Extreme eigenvalues of a positive definite chain."""
+    """Extreme eigenvalues of a positive definite, nonsingular chain."""
     ok, lo, hi = check_positive_definite(ham)
     if not ok:
         raise ValueError(f"chain Hamiltonian is not positive definite (min {lo:.3e})")
+    if ham.singular:
+        raise ValueError(f"chain Hamiltonian is singular (min {lo:.3e}, max {hi:.3e})")
     return lo, hi
 
 

@@ -235,6 +235,58 @@ def test_certificate_rejects_indefinite_energy():
         analysis.convergence_certificate(ham)
 
 
+def test_certificate_rejects_a_singular_chain():
+    # lambda_min is 1e-16 of lambda_max: positive to rounding, but singular
+    ham = analysis.observer_hamiltonian([1.0, 1.0, 1.0], omega=[1.0, 2.0, 1.0])
+    assert 0.0 < ham.lam[0] <= analysis.SINGULAR_TOL * ham.lam[-1]
+    with pytest.raises(ValueError, match="chain Hamiltonian is singular"):
+        analysis.convergence_certificate(ham)
+
+
+# ---------------------------------------------------------------------------
+# the steady solve
+
+
+def _random_chain(rng, kind):
+    """A random chain: ``design``, ``detuned`` or ``indefinite``."""
+    n = int(rng.integers(1, 40))
+    mu = 10.0 ** rng.uniform(-2, 2, n)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    alpha = 10.0 ** rng.uniform(-3, 3) * np.array([np.cos(phi), np.sin(phi)])
+    plant = observer.PlantSpec(alpha=alpha)
+    omega = analysis.detunings_from_gains(mu)
+    if kind == "detuned":
+        omega = omega * (1.0 + rng.choice([-1, 1], n) * 10.0 ** rng.uniform(-16, -1, n))
+    elif kind == "indefinite":
+        omega = omega - rng.uniform(0.0, 2.0) * omega.max()
+    return observer.build_observer(plant, mu, omega)
+
+
+@pytest.mark.parametrize("kind", ["design", "detuned", "indefinite"])
+def test_steady_matches_the_dense_solve(kind):
+    # the spectral steady offset against LU on the 2N x 2N drift
+    rng = np.random.default_rng(["design", "detuned", "indefinite"].index(kind))
+    for _ in range(300):
+        real = _random_chain(rng, kind)
+        drift, drive = real.drift, real.input_vector
+        s = real.hamiltonian.steady(drive)
+        scale = np.linalg.norm(drift, 2) * np.linalg.norm(s) + np.linalg.norm(drive)
+        assert np.linalg.norm(drift @ s + drive) <= 1e-14 * scale
+        dense = np.linalg.solve(drift, -drive)
+        size = np.abs(real.hamiltonian.lam)
+        cond = size.max() / size.min()
+        assert np.linalg.norm(s - dense) <= 1e-13 * cond * np.linalg.norm(dense)
+
+
+def test_steady_refuses_a_singular_chain():
+    for omega in ([1.0, 1.0], [1.0, 2.0, 1.0]):
+        ham = analysis.observer_hamiltonian(np.ones(len(omega)), omega=omega)
+        assert ham.singular
+        with pytest.raises(ValueError, match="chain drift is singular"):
+            ham.steady(np.ones(2 * len(omega)))
+    assert not analysis.observer_hamiltonian([1.0, 1.0], omega=[-2.0, 1.0]).singular
+
+
 # ---------------------------------------------------------------------------
 # the Jacobi spectrum
 
