@@ -12,8 +12,9 @@ the real Hamiltonian is ``R = real_embedding(H)`` and the chain drift
 (``numpy.linalg.eigh`` on the dense Jacobi matrix) therefore carries the
 whole chain: the flow is the unitary ``a(t) = D V exp(-2i Lambda t) V^T D^H
 a(0)``, its integral replaces each phase by ``(1 - e^{-2i lam t}) / (2i
-lam)``, and the time average, norm bound and certificate are closed forms in
-``Lambda``.  Because ``D`` is exactly unitary and the phases are unimodular,
+lam)``, the driven steady offset replaces it by ``1 / (2i lam)``, and the
+time average, norm bound and certificate are closed forms in ``Lambda``.
+Because ``D`` is exactly unitary and the phases are unimodular,
 ``sigma_max(V)^2`` bounds the flow's norm at every time at once.
 
 ``H`` splits into
@@ -123,29 +124,22 @@ class ObserverHamiltonian:
 
     @property
     def singular(self) -> bool:
-        """Whether ``min|lam| <= SINGULAR_TOL * max|lam|``."""
+        """Whether ``min|lam| <= SINGULAR_TOL * max|lam|``: no steady offset exists."""
         size = np.abs(self.lam)
         return bool(size.min() <= SINGULAR_TOL * size.max())
 
     def steady(self, drive) -> np.ndarray:
-        """The quadratures ``s`` held steady by ``drive``: ``drift @ s + drive = 0``.
+        """The quadratures ``s`` with ``drift @ s + drive = 0``, in O(N^2).
 
-        In the amplitudes ``s = D V diag(1/(2i lam)) V^T D^H b``, with ``b``
-        the amplitudes of ``drive``: O(N^2), and valid for any nonsingular
-        chain, definite or not.
-
-        Raises
-        ------
-        ValueError
-            If the chain is :attr:`singular`.
+        In the amplitudes ``s = D V diag(1/(2i lam)) V^T D^H b``: any
+        nonsingular chain has one, definite or not.  Raises ``ValueError``
+        if the chain is :attr:`singular`.
         """
         if self.singular:
             raise ValueError(
                 "chain drift is singular; the driven steady offset does not exist"
             )
-        B = self.basis
-        a = B @ ((B.conj().T @ (drive[0::2] + 1j * drive[1::2])) / (2j * self.lam))
-        return a.view(np.float64)
+        return (self.modes(drive) @ (1.0 / (2j * self.lam))).view(np.float64)
 
 
 def observer_hamiltonian(mu, omega=None) -> ObserverHamiltonian:

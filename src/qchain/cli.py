@@ -22,11 +22,11 @@ echoed in reports, but inert: no result depends on it.
 
 Each ``cmd_*`` returns its output (a report dict or the sweep table) and its
 exit code; :func:`main` writes the output to ``--out`` or stdout and is the
-one place that maps an exception to an exit code: 0 success, 1
-verification/consensus failure or a drifted simulation, 2 malformed config,
-3 construction error, 4 I/O error.  Set ``QCHAIN_LOG=debug|info|warning`` to
-control logging.  :func:`main` may be called repeatedly in one process: it
-builds its parser once and reads ``QCHAIN_LOG`` on each call.
+one place that maps an exception to an exit code: 0 success, 1 verification
+or consensus failure or a drifted ``rk4`` run, 2 malformed config, 3
+construction error, 4 I/O error.  ``QCHAIN_LOG=debug|info|warning`` sets
+the logging level.  :func:`main` may be called repeatedly in one process:
+it builds its parser once and reads ``QCHAIN_LOG`` on each call.
 """
 
 from __future__ import annotations
@@ -342,15 +342,13 @@ def _verify_checks(cfg, scale: float) -> list[dict]:
     plant, realization = augmented.plant, augmented.realization
     checks = []
 
-    def add(name, residual, tol, *, passed=None, skipped=False, **extra):
+    def add(name, residual, tol, *, skipped=False, **extra):
         residual = None if residual is None else float(residual)
-        if passed is None:
-            passed = residual is not None and residual <= tol
         entry = {
             "name": name,
             "residual": residual,
             "tolerance": float(tol),
-            "passed": bool(passed),
+            "passed": bool(residual is not None and residual <= tol),
             "skipped": skipped,
         }
         entry.update(extra)
@@ -367,8 +365,8 @@ def _verify_checks(cfg, scale: float) -> list[dict]:
     )
     add("commutation_preservation", report.max_residual, report.tol)
 
-    # the exact route accumulates nothing between samples, and its z drift
-    # bound covers every t, so 200 log-spaced times out to 1e3 suffice
+    # the exact route accumulates nothing between samples, so 200 log-spaced
+    # times out to 1e3 suffice
     probe_times = np.concatenate(([0.0], np.logspace(-2, 3, 200)))
     states = sim.states_at(augmented, _sim_config(cfg, augmented), probe_times)
     energies = 0.5 * np.sum((states @ augmented.hamiltonian) * states, axis=1)
@@ -393,9 +391,9 @@ def _verify_checks(cfg, scale: float) -> list[dict]:
     else:
         add("noise_cancellation", 0.0, 1e-12 * scale, skipped=True)
 
+    # a singular chain never gets here: the flow above refuses it
     ok, lo, hi = analysis.check_positive_definite(ham)
-    # lambda_min == 0 is singular: a zero residual against a zero tolerance fails
-    add("positive_definite", max(0.0, -lo), 0.0, passed=ok, lambda_min=lo, lambda_max=hi)
+    add("positive_definite", max(0.0, -lo), 0.0, lambda_min=lo, lambda_max=hi)
 
     split, failures = analysis.split_report(ham, scale)
     add("hermitian_split", split.residual, split.tolerance, failures=failures)
@@ -540,6 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _CurrentStderr(logging.StreamHandler):
+    """A handler that writes to ``sys.stderr`` as it is when a line is logged."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
 def _configure_logging() -> None:
     level_name = os.environ.get("QCHAIN_LOG", "warning").strip().lower()
     level = {
@@ -550,7 +554,8 @@ def _configure_logging() -> None:
     }.get(level_name, logging.WARNING)
     # adds its handler only while the root logger has none; the level is
     # qchain's own, so it is read again on every call
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    fmt = "%(levelname)s %(name)s: %(message)s"
+    logging.basicConfig(format=fmt, handlers=[_CurrentStderr()])
     log.setLevel(level)
 
 

@@ -8,27 +8,25 @@ default simulation route instead exploits the exact structure of the closed
 loop:
 
 * the plant observable ``z`` is a conserved quantity of the augmented drift,
-  identically along every trajectory;
+  identically along every trajectory, so the route holds it by construction;
 * the observer chain is driven by the constant ``z`` and splits into a steady
-  offset plus an error governed by the conservative chain flow, which is
-  evaluated spectrally without drift;
+  offset plus an error governed by the conservative chain flow, both read
+  from the chain spectrum;
 * the plant state is recovered by integrating the observer trajectory in
   closed form.
 
 Every sample, and every running time average, is therefore exact to
 rounding at any horizon, and only the times a caller reads are evaluated.
 The same split gives the whole propagator in closed form
-(:func:`flow_matrix`), which ``qchain verify`` checks for commutation
-preservation.  A fixed-step RK4 route over the raw augmented drift, with
-trapezoidal running averages, is available as an independent diagnostic; it
-steps in blocks and keeps only the rows a caller reads.
+(:func:`flow_matrix`).  A fixed-step RK4 route over the raw augmented drift,
+with trapezoidal running averages and a check that ``z`` stays constant, is
+an independent diagnostic; it keeps only the rows a caller reads.
 
 :func:`_tasks` is the one source of rows for both routes: it cuts the times
-into chunks, lays out each chunk's block, sets the average at ``t = 0`` and
-checks the drift of ``z``; a route only fills the columns of a block it is
-given.  Every reader of the series goes through it, so a row has the same
-bytes whichever reads it, and :func:`write_timeseries_csv` streams either
-route.
+into chunks, lays out each chunk's block and sets the average at ``t = 0``;
+a route only fills the columns of a block it is given.  Every reader of
+the series goes through it, so a row has the same bytes whichever reads it,
+and :func:`write_timeseries_csv` streams either route.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from .analysis import (
     time_average_integral,
 )
 from .errors import IntegratorAccuracyError
-from .observer import AugmentedSystem, steady_vector
+from .observer import AugmentedSystem
 
 #: Largest float64 sample storage, in bytes, that one :func:`simulate` may return.
 MAX_SERIES_BYTES = 2 * 2**30
@@ -61,7 +59,7 @@ MAX_RK4_STEPS = 10_000_000
 #: Largest default sample step.
 DEFAULT_DT_CAP = 0.01
 
-#: Relative tolerance on conservation of the plant observable.
+#: Relative tolerance on conservation of the plant observable on the rk4 route.
 Z_DRIFT_TOL = 1e-9
 
 #: Phase-table entries (samples times chain elements) evaluated per chunk.
@@ -156,8 +154,9 @@ def default_sample_dt(omega) -> float:
 class TimeSeries:
     """Sampled readouts of one augmented-system run.
 
-    ``z_p`` is the plant observable (constant up to rounding), ``z_o`` the
-    per-element instantaneous estimates, ``running_avg_z_o`` their time
+    ``z_p`` is the plant observable (``alpha @ x_p(0)`` on the exact route,
+    so ``z_p_drift``, its largest ``|z_p - z_p(0)|``, is 0 there), ``z_o``
+    the per-element instantaneous estimates, ``running_avg_z_o`` their time
     averages from 0 to each sample: exact on the ``exact`` route, trapezoidal
     over the full step grid on the ``rk4`` route.  ``states`` holds the full
     augmented state only when requested.
@@ -200,31 +199,18 @@ def _grid(config, stride: int):
     return rows, times_of
 
 
-def _check_drift(drift: float, z_p0: float) -> None:
-    """Raise unless ``drift <= Z_DRIFT_TOL * (1 + |z_p0|)``."""
-    tol = Z_DRIFT_TOL * (1.0 + abs(z_p0))
-    if drift > tol:
-        raise IntegratorAccuracyError(
-            f"plant observable drifted by {drift:.3e} over the run "
-            f"(tolerance {tol:.3e})",
-            drift=drift,
-        )
-
-
 def _tasks(augmented, config, times_of, count, keep_states):
     """The one source of a series' rows: a task per chunk of ``count`` times.
 
     ``times_of(a, b)`` returns the times ``a..b-1``, and the tasks come in
     order, one per ``_chunk_rows(N)`` times.  Each returns ``block, drift``:
     the chunk's columns (:func:`_columns`), with the average at ``t = 0`` the
-    readout itself, and the largest ``|z_p - z_p(0)|`` up to its last time.
-    A task raises :class:`IntegratorAccuracyError` if that drift exceeds
-    ``Z_DRIFT_TOL * (1 + |z_p(0)|)``; on the exact route, whose bound
-    covers every time, so does this call, before any task is pulled.
-    Exact tasks may run on any thread.  The ``rk4`` route steps its grid in
-    order as the tasks are pulled, so its times must be ascending grid
-    samples.  Raises :class:`ValueError` if the initial observer state does
-    not fit the chain.
+    readout itself, and the route's ``drift`` (:class:`TimeSeries`) up to
+    its last time.  Exact tasks may run on any thread.  The ``rk4`` route
+    steps its grid in order as the tasks are pulled, so its times must be
+    ascending grid samples, and its tasks raise as :class:`_Rk4Route` does.
+    Raises :class:`ValueError` if the initial observer state does not fit
+    the chain, or on the exact route if the chain is singular.
     """
     state_dim = augmented.realization.state_dim
     if config.initial_observer.size != state_dim:
@@ -232,12 +218,10 @@ def _tasks(augmented, config, times_of, count, keep_states):
             f"initial_observer has length {config.initial_observer.size}, "
             f"chain needs {state_dim}"
         )
-    z_p0 = float(augmented.plant.alpha @ config.initial_plant)
     if config.method == "rk4":
         route = _Rk4Route(augmented, config, keep_states)
     else:
-        route = _ExactRoute(augmented, config, z_p0, keep_states)
-        _check_drift(route.bound, z_p0)
+        route = _ExactRoute(augmented, config, keep_states)
     n = augmented.realization.n_elements
     columns = _columns(augmented, keep_states)
 
@@ -248,7 +232,6 @@ def _tasks(augmented, config, times_of, count, keep_states):
             drift = route.fill(block)
         at_zero = block[:, 0] == 0.0
         block[at_zero, n + 2 : 2 * n + 2] = block[at_zero, 2 : n + 2]
-        _check_drift(drift, z_p0)
         return block, drift
 
     size = _chunk_rows(n)
@@ -267,10 +250,9 @@ def _evaluate(augmented, config, times, keep_states) -> TimeSeries:
     table = np.empty((times.size, _columns(augmented, keep_states)))
     start, drift = 0, 0.0
     for task in tasks:
-        block, seen = task()
+        block, drift = task()  # the route's drift so far
         table[start : start + len(block)] = block
         start += len(block)
-        drift = max(drift, seen)
     n = augmented.realization.n_elements
     return TimeSeries(
         times=table[:, 0],
@@ -294,10 +276,9 @@ def simulate(
     The series holds every ``stride``-th sample of the ``sample_dt`` grid
     plus the final one.  The default exact route evaluates only those
     samples and never accumulates integration error; the ``rk4`` route steps
-    the raw augmented drift over the full grid with classical RK4 and keeps
-    the same samples.  Both routes verify that the plant observable stayed
-    within ``Z_DRIFT_TOL * (1 + |z(0)|)`` over the whole run and raise
-    otherwise.
+    the raw augmented drift over the full grid with classical RK4, keeps the
+    same samples and verifies that the plant observable stayed within
+    ``Z_DRIFT_TOL * (1 + |z(0)|)`` over the whole run.
 
     Raises
     ------
@@ -305,10 +286,11 @@ def simulate(
         As :attr:`SimulationConfig.n_steps` does, if ``stride < 1``, or if
         the samples kept (times, readouts and averages, plus the full state
         for ``keep_states``) would exceed ``MAX_SERIES_BYTES``, all before
-        anything is evaluated; or if the initial observer does not fit.
+        anything is evaluated; or if the initial observer does not fit, or
+        on the exact route if the chain is singular.
     IntegratorAccuracyError
-        If the conserved plant observable drifted beyond tolerance,
-        or the ``rk4`` state overflowed.
+        If the ``rk4`` route's plant observable drifted beyond tolerance or
+        its state overflowed.
     """
     rows, times_of = _grid(config, stride)
     size = 8 * rows * _columns(augmented, keep_states)
@@ -324,12 +306,8 @@ def simulate(
 def states_at(augmented: AugmentedSystem, config: SimulationConfig, times):
     """Full augmented states at any ``times`` on the exact route.
 
-    Returns an array of shape ``(len(times), augmented.dim)``.
-
-    Raises
-    ------
-    IntegratorAccuracyError
-        If the conserved plant observable drifted beyond tolerance.
+    Returns an array of shape ``(len(times), augmented.dim)``; raises
+    ``ValueError`` if the chain is singular.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     return _evaluate(augmented, replace(config, method="exact"), ts, True).states
@@ -341,22 +319,22 @@ def flow_matrix(augmented: AugmentedSystem, t: float) -> np.ndarray:
     The split of :class:`_ExactRoute`, applied to every initial state at
     once.  With ``P(t)`` the chain flow, ``I(t)`` its integral over ``[0,
     t]`` (both real embeddings of the Jacobi-spectrum forms), ``G`` the
-    plant's gain on the chain and ``s`` the steady offset per unit ``z``::
+    plant's gain on the chain and ``s`` the steady offset per unit ``z``
+    (:meth:`~qchain.analysis.ObserverHamiltonian.steady`)::
 
         E(t) = [[I_2 + G (s t - I s) alpha^T,  G I],
                 [(s - P s) alpha^T,             P  ]]
 
-    It needs a nonsingular chain (``lam != 0``), not a positive definite
-    one.
+    It needs a nonsingular chain, not a positive definite one.
 
     Raises
     ------
     ValueError
-        If the chain drift is singular.
+        If the chain is singular.
     """
     realization = augmented.realization
     ham = realization.hamiltonian
-    s = _steady_offset(realization, 1.0)
+    s = ham.steady(realization.input_vector)
     P = real_embedding(ham.propagator(t))
     integral = real_embedding(ham.integral(t))
     G = augmented.drift[0:2, 2:]
@@ -412,8 +390,9 @@ class _Rk4Route:
     :func:`_rk4_blocks` at a time.  Each group extends the trapezoid sums of
     the running averages, so they are the trapezoid rule's over the whole
     grid, and ``drift``, the largest ``|z_p - z_p(0)|`` over every step so
-    far.  Memory is one group, whatever the grid length.  A group that
-    overflows raises :class:`IntegratorAccuracyError`.
+    far.  Memory is one group, whatever the grid length.  It raises
+    :class:`IntegratorAccuracyError` if a group overflows or ``drift``
+    exceeds ``Z_DRIFT_TOL * (1 + |z_p(0)|)``.
     """
 
     def __init__(self, augmented, config, keep_states):
@@ -450,6 +429,13 @@ class _Rk4Route:
             if self.keep_states:
                 rows[:, 2 * n + 2 :] = self.group[local, n + 1 :]
             lo = hi
+        tol = Z_DRIFT_TOL * (1.0 + abs(self.z_p0))
+        if self.drift > tol:
+            raise IntegratorAccuracyError(
+                f"plant observable drifted by {self.drift:.3e} over the run "
+                f"(tolerance {tol:.3e})",
+                drift=self.drift,
+            )
         return self.drift
 
     def _step(self):
@@ -476,70 +462,53 @@ class _Rk4Route:
         self.t, self.sums = t, sums
 
 
-def _steady_offset(realization, z):
-    """Chain state held steady by the plant observable ``z``."""
-    try:
-        return np.linalg.solve(realization.drift, -realization.input_vector * z)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "chain drift is singular; the driven steady offset does not exist"
-        ) from exc
-
-
 class _ExactRoute:
     """The exact route's set-up for one run; :meth:`fill` reads it at any times.
 
-    In the chain amplitudes ``a = q + i p`` the error is ``a(t) = M exp(-2i
-    lam t)`` with ``M = ObserverHamiltonian.modes(err0)``, and its
+    In the chain amplitudes ``a = q + i p`` the error from the steady offset
+    (:meth:`~qchain.analysis.ObserverHamiltonian.steady`) is ``a(t) = M
+    exp(-2i lam t)`` with ``M = ObserverHamiltonian.modes(err0)``, and its
     antiderivative replaces each phase by ``(1 - phase) / (2i lam)``.  A real
     row ``r`` reads ``r . x = Re(r_c . a)`` with ``r_c = r[0::2] - i r[1::2]``,
-    so the readouts, their antiderivatives and the plant observable (plus
-    the plant quadratures for ``keep_states``) are projected onto the modes
-    once, here, and each chunk of times evaluates one phase table for all of
-    them.  The running average is the readouts' antiderivative over ``t``.
+    so the readouts and their antiderivatives (plus the plant quadratures
+    for ``keep_states``) are projected onto the modes once, here, and each
+    chunk of times evaluates one phase table for all of them.  The running
+    average is the readouts' antiderivative over ``t``.
 
-    The plant moves by the constant ``rate`` times ``t`` plus the modes'
-    oscillation, and ``alpha . rate = 0`` identically, since the plant's
-    gain rows are ``2 J alpha beta^T`` and ``alpha^T J alpha = 0``.  So
-    ``z_p`` is read from the oscillation alone, ``z_p(t) = z_p(0) + Re(c .
-    (e^{-2i lam t} - 1))`` with ``c = alpha @ plant_w``, and never picks up
-    the ramp's rounding times ``t``.  ``bound = 2 sum_k |c_k|`` bounds
-    ``|z_p(t) - z_p(0)|`` over every ``t``, before any time is evaluated.
+    The plant's gain rows are ``2 J alpha beta^T`` and ``alpha^T J alpha =
+    0``, so ``z_p`` is ``alpha @ x_p(0)`` at every time, by construction,
+    while the plant quadratures move by ``rate`` times ``t`` plus the modes'
+    oscillation.
 
     :func:`_tasks` splits the times into chunks of ``_chunk_rows(N)``, so
     every chunk is one phase table of about ``_CHUNK_ENTRIES`` entries and a
     time gives the same bytes whichever caller reads it.
     """
 
-    def __init__(self, augmented, config, z_p0, keep_states):
+    def __init__(self, augmented, config, keep_states):
         realization = augmented.realization
         n = realization.n_elements
         x_p0 = config.initial_plant
-        alpha = augmented.plant.alpha
-        self.z_p0 = z_p0
+        self.z_p0 = float(augmented.plant.alpha @ x_p0)
 
-        steady = _steady_offset(realization, z_p0)
-        err0 = config.initial_observer - steady
         ham = realization.hamiltonian
+        steady = ham.steady(realization.input_vector * self.z_p0)
         self.lam = ham.lam
-        modes = ham.modes(err0)
+        modes = ham.modes(config.initial_observer - steady)
 
         def project(rows):
             return (rows[:, 0::2] - 1j * rows[:, 1::2]) @ modes
 
-        plant_gain = augmented.drift[0:2, 2:]
         readout_w = project(realization.readout)
         # antiderivatives, less their constants
         integral_w = -readout_w / (2j * self.lam)
-        plant_w = -project(plant_gain) / (2j * self.lam)
-        c = alpha @ plant_w
-        self.bound = 2.0 * float(np.sum(np.abs(c)))
         self.integral_base = -integral_w.real.sum(axis=1)
-        self.z_p_base = z_p0 - float(c.real.sum())
         # Re(w . phase) for all rows at once: the interleaved real view of the
         # phase table times the real rows (Re w, -Im w) per mode.
-        rows = [readout_w, integral_w, c[None, :]]
+        rows = [readout_w, integral_w]
         if keep_states:
+            plant_gain = augmented.drift[0:2, 2:]
+            plant_w = -project(plant_gain) / (2j * self.lam)
             # constant plant velocity at the steady offset
             self.rate = plant_gain @ steady
             self.x_p_base = x_p0 - plant_w.real.sum(axis=1)
@@ -554,11 +523,11 @@ class _ExactRoute:
         self.keep_states = keep_states
 
     def fill(self, block):
-        """Fill a block of :func:`_tasks` after its ``t`` column; returns its drift."""
+        """Fill a block of :func:`_tasks` after its ``t`` column; its drift is 0."""
         n = self.n
         kept = block[:, 2 + 2 * n :] if self.keep_states else None
         self.evaluate(block[:, 0], block[:, 1 : 2 + 2 * n], kept)
-        return max(self.bound, float(np.max(np.abs(block[:, 1] - self.z_p0))))
+        return 0.0
 
     def evaluate(self, tt, out, kept=None):
         """Fill ``out`` with the ``z_p, z_o, avg`` columns at the times ``tt``.
@@ -570,13 +539,13 @@ class _ExactRoute:
         n = self.n
         phases = np.exp(np.outer(tt, -2j * self.lam))  # (samples, n)
         values = phases.view(np.float64) @ self.weights
-        out[:, 0] = self.z_p_base + values[:, 2 * n]
+        out[:, 0] = self.z_p0
         out[:, 1 : n + 1] = self.z_o_steady + values[:, :n]
         integral = self.integral_base + values[:, n : 2 * n]
         out[:, n + 1 :] = self.z_o_steady + integral / tt[:, None]  # _tasks sets t = 0
         if kept is not None:
             ramp = self.rate * tt[:, None]
-            kept[:, 0:2] = self.x_p_base + ramp + values[:, 2 * n + 1 :]
+            kept[:, 0:2] = self.x_p_base + ramp + values[:, 2 * n :]
             kept[:, 2:] = self.steady + (phases @ self.modes.T).view(np.float64)
 
 
@@ -637,10 +606,10 @@ def consensus_report(
         For bad horizons, an ``rk4`` grid that misses one or breaks a rule
         of :attr:`~SimulationConfig.n_steps`, a ``C/T`` that overflows, or
         a per-element error, trajectory envelope or matrix residual that is
-        not finite.
+        not finite, or a singular chain.
     IntegratorAccuracyError
-        If the conserved plant observable drifted beyond tolerance,
-        or the ``rk4`` state overflowed.
+        If the ``rk4`` route's plant observable drifted beyond tolerance or
+        its state overflowed.
     """
     hs = np.atleast_1d(np.asarray(horizons, dtype=float))
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
@@ -668,7 +637,7 @@ def consensus_report(
     if not np.all(np.isfinite(cert_env)):
         raise ValueError(f"the C/T envelope overflows at horizon {hs[0]}")
 
-    target, _ = steady_vector(realization, plant, z_p0, tol=None)
+    target = ham.steady(realization.input_vector * z_p0)
     err0_norm = float(np.linalg.norm(config.initial_observer - target))
     readout_norm = float(np.linalg.norm(realization.readout, 2))
     floor = 1e-12 * (1.0 + abs(z_p0))
@@ -728,12 +697,12 @@ def write_timeseries_csv(
     Raises
     ------
     ValueError
-        As :attr:`SimulationConfig.n_steps` does, if ``stride < 1``, or if
-        the initial observer does not fit, before the file is opened.
+        As :attr:`SimulationConfig.n_steps` does, if ``stride < 1``, if the
+        initial observer does not fit, or on the exact route if the chain is
+        singular, before the file is opened.
     IntegratorAccuracyError
-        Before the file is opened if the exact route's drift bound
-        ``2 sum_k |c_k|`` exceeds the tolerance, and from the first chunk
-        whose drift does; the partial file is then deleted.
+        From the first ``rk4`` chunk whose drift exceeds the tolerance or
+        whose state overflows; the partial file is then deleted.
     """
     rows, times_of = _grid(config, stride)
     tasks = _tasks(augmented, config, times_of, rows, False)

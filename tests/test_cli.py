@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from qchain import cli, observer, sim
-from qchain.errors import ConfigError
+from qchain.errors import ConfigError, IntegratorAccuracyError
 
 CANONICAL = {
     "name": "canonical_n3",
@@ -312,33 +312,33 @@ def _verify_with_spectrum(tmp_path, capsys, monkeypatch, perturb):
 
 
 def test_verify_catches_a_perturbed_spectrum(tmp_path, capsys, monkeypatch):
-    # verify builds the chain spectrum once and reads every flow from it.
-    # One eigenvalue moved by 1e-6 breaks the closed-form flow's commutation
-    # identity; the energy cannot see it, because a phase error leaves the
-    # error's energy and its cross terms with the steady offset unchanged.
-    for k in range(3):
-
-        def nudge(lam, V, k=k):
-            lam[k] += 1e-6
-            return lam, V
-
-        rc, failed, checks = _verify_with_spectrum(tmp_path, capsys, monkeypatch, nudge)
-        assert rc == 1
-        assert failed == {"commutation_preservation"}
-        assert checks["energy_conservation"]["residual"] < 1e-12
-
-    # Two eigenvectors turned by 1e-6 no longer diagonalize the chain, so the
-    # probe states' energy drifts too.
+    # verify builds the chain spectrum once and reads every flow from it, the
+    # steady offset included, so the closed-form flow is symplectic for any
+    # spectrum and commutation cannot fail.  But a spectrum that is not the
+    # chain's gives a flow and a steady offset that are not the chain's: the
+    # probe states' energy under the true Hamiltonian drifts.
     def turn(lam, V):
+        # two eigenvectors turned by 1e-6 no longer diagonalize the chain
         c, s = np.cos(1e-6), np.sin(1e-6)
         V[:, :2] = V[:, :2] @ np.array([[c, -s], [s, c]])
         return lam, V
 
-    rc, failed, checks = _verify_with_spectrum(tmp_path, capsys, monkeypatch, turn)
-    assert rc == 1
-    assert failed == {"commutation_preservation", "energy_conservation"}
-    energy = checks["energy_conservation"]
-    assert energy["residual"] > 1e2 * energy["tolerance"]
+    def nudge(k):
+        def moved(lam, V):
+            lam[k] += 1e-6  # one eigenvalue moved by 1e-6
+            return lam, V
+
+        return moved
+
+    for perturb in (nudge(0), nudge(1), nudge(2), turn):
+        rc, failed, checks = _verify_with_spectrum(
+            tmp_path, capsys, monkeypatch, perturb
+        )
+        assert rc == 1
+        assert failed == {"energy_conservation"}
+        assert checks["commutation_preservation"]["residual"] < 1e-14
+        energy = checks["energy_conservation"]
+        assert energy["residual"] > 50.0 * energy["tolerance"]
 
 
 def test_each_command_builds_one_spectrum(tmp_path, capsys, monkeypatch):
@@ -567,22 +567,23 @@ def test_simulate_csv_drift_failure_leaves_no_file_and_no_thread(
     assert csv_path.read_bytes().count(b"\n") == 100002  # 19 chunks
     assert threading.active_count() == baseline
 
-    # the drift bound passes, but the stream drifts from its third chunk on
+    # the stream fails from its third chunk on
     evaluate = sim._ExactRoute.evaluate
     chunks = []
 
-    def drifting(self, tt, out, kept=None):
+    def failing(self, tt, out, kept=None):
         evaluate(self, tt, out, kept)
         if tt.size > 2:  # the report reads two rows
             chunks.append(tt[0])
-            out[:, 0] += tt[0] > 100.0
+            if tt[0] > 100.0:
+                raise IntegratorAccuracyError(f"chunk at t = {tt[0]:g} failed")
 
-    monkeypatch.setattr(sim._ExactRoute, "evaluate", drifting)
+    monkeypatch.setattr(sim._ExactRoute, "evaluate", failing)
     failed = tmp_path / "failed.csv"
     rc, out, err = _run(capsys, [*argv, str(failed)])
     assert rc == 1
     assert out == ""
-    assert "simulation failed: plant observable drifted by 1.000e+00" in err
+    assert "simulation failed: chunk at t = 109.22 failed" in err
     assert not failed.exists()
     assert len(chunks) < 19  # the chunks not yet started were cancelled
     assert threading.active_count() == baseline
@@ -800,15 +801,62 @@ def test_wrong_length_omega_override_is_a_config_error(tmp_path, capsys):
     ids=["simulate", "sweep"],
 )
 def test_drift_failure_is_reported_alike(tmp_path, capsys, monkeypatch, argv):
-    # a negative tolerance makes every run's drift check fail
+    # a negative tolerance makes every rk4 run's drift check fail
     monkeypatch.setattr(sim, "Z_DRIFT_TOL", -1.0)
     out_path = tmp_path / "output"
-    command = [argv[0], _write(tmp_path, CANONICAL), *argv[1:]]
+    rk4 = _write(tmp_path, {**CANONICAL, "method": "rk4"})
+    command = [argv[0], rk4, *argv[1:]]
     for extra in ([], ["--out", str(out_path)]):
         rc, out, err = _run(capsys, [*command, *extra])
         assert (rc, out) == (1, "")
         assert err.startswith("simulation failed: plant observable drifted")
     assert not out_path.exists()
+
+
+# design chains on which the rounding of the structural zero alpha^T J alpha
+# once read as a drift of z beyond its tolerance
+@pytest.mark.parametrize(
+    "alpha, mu",
+    [
+        pytest.param([30.0, 40.0], [1.0, 1.0], id="alpha_30_40"),
+        pytest.param([300.0, 400.0], [1.0, 1.0, 1.0], id="alpha_300_400"),
+        pytest.param([144.928, 512.292], [0.491, 2.28], id="alpha_off_axis"),
+    ],
+)
+def test_exact_route_conserves_z_by_construction(tmp_path, capsys, alpha, mu):
+    x_p = [0.3, 0.9]
+    raw = {
+        **CANONICAL,
+        "plant": {"alpha": alpha},
+        "chain": {"mu": mu},
+        "initial": {"plant": x_p, "observer": "zero"},
+    }
+    csv_path = tmp_path / "series.csv"
+    argv = ["simulate", _write(tmp_path, raw), "--csv", str(csv_path)]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, err) == (0, "")
+    report = _strict_json(out)
+    z = float(np.array(alpha) @ np.array(x_p))
+    assert report["passed"]
+    assert (report["z_p"], report["z_p_drift"]) == (z, 0.0)
+    z_p = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=1)
+    assert z_p.size == 10001
+    assert np.all(z_p == z)
+
+
+def test_a_singular_chain_exits_3_from_every_command(tmp_path, capsys):
+    # lambda_min is 1e-16 of lambda_max: positive to rounding, but singular
+    singular = {
+        **CANONICAL,
+        "chain": {"mu": [1.0, 1.0, 1.0], "omega_override": [1.0, 2.0, 1.0]},
+    }
+    path = _write(tmp_path, singular)
+    for argv in (["build", path], ["verify", path], ["simulate", path],
+                 ["sweep", path, "--param", "mu_1", "--values", "1"]):
+        rc, out, err = _run(capsys, argv)
+        assert (rc, out) == (3, ""), argv[0]
+        assert err.startswith("construction error: chain "), argv[0]
+        assert "singular" in err, argv[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1001,6 +1049,29 @@ def test_each_call_reads_qchain_log(tmp_path):
     assert proc.returncode == 0, proc.stderr
     line = "INFO qchain: simulating canonical_n3: 3 elements, horizon 100, dt 0.01\n"
     assert proc.stderr == f"[]\n[info]\n{line}[warning]\n[info]\n{line}"
+
+
+def test_log_lines_go_to_the_stderr_of_their_call(tmp_path):
+    # a fresh process, so qchain adds its own handler on the first call
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, os, sys\n"
+        "from qchain import cli\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "        assert cli.main(['simulate', sys.argv[1], '--out', os.devnull]) == 0\n"
+        "    print(repr(err.getvalue()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, _write(tmp_path, CANONICAL)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "QCHAIN_LOG": "info"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    line = "INFO qchain: simulating canonical_n3: 3 elements, horizon 100, dt 0.01\n"
+    assert proc.stdout == f"{line!r}\n" * 2
 
 
 def test_console_entry_point(tmp_path):

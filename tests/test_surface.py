@@ -11,6 +11,9 @@ can miss a dead method that shares its name with a live attribute.
 
 Every name a module imports must also be read in that module, except
 ``from __future__`` features and the re-exports of ``qchain/__init__.py``.
+
+No chain solve bypasses the chain spectrum: a ``solve`` or ``inv`` appears
+nowhere but in the network's port elimination.
 """
 
 import ast
@@ -96,3 +99,31 @@ def test_every_import_is_read_in_its_module():
             if name not in read
         ]
     assert unused == []
+
+
+#: Where a dense solve may stay: the port equations of
+#: :func:`qchain.network.connect`, which are not the chain's.
+DENSE_SOLVES = {("network", "connect", "solve")}
+
+
+def _dense_solves(tree: ast.Module):
+    """``(scope, name)`` of each ``solve`` or ``inv`` a module reads or imports."""
+    for node in tree.body:
+        scope = getattr(node, "name", "<module>")
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Attribute):
+                names = [inner.attr]
+            elif isinstance(inner, ast.ImportFrom):
+                names = [alias.name for alias in inner.names]
+            else:
+                continue
+            yield from ((scope, name) for name in names if name in ("solve", "inv"))
+
+
+def test_chain_solves_read_the_spectrum():
+    found = {
+        (path.stem, scope, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, name in _dense_solves(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == DENSE_SOLVES
