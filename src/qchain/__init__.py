@@ -2,7 +2,7 @@
 
 The package is organised in layers:
 
-* :mod:`qchain.core` — symplectic structure and the commutation check.
+* :mod:`qchain.core` — symplectic structure and the commutation residual.
 * :mod:`qchain.network` — open cavity elements with two-quadrature field
   ports and algebraic elimination of their interconnections.
 * :mod:`qchain.analysis` — the chain's Jacobi form ``H`` and its spectrum,

@@ -212,26 +212,9 @@ def _alternating_phase_vector(n: int) -> np.ndarray:
     return np.array([1.0, -1j, -1.0, 1j])[np.arange(n) % 4]
 
 
-@dataclass(frozen=True, eq=False)
-class SplitReport:
-    """Residuals of the positivity-split sub-checks (all should be tiny).
-
-    ``residual`` and ``tolerance`` are those of the sub-check that decides
-    ``passed``: the one with the largest ratio of residual to tolerance, a
-    failing one before any that passes.
-    """
-
-    remainder_reconstruction: float
-    remainder_min_eig: float
-    null_residual: float
-    residual: float
-    tolerance: float
-    passed: bool
-
-
 def split_report(
     ham: ObserverHamiltonian, tolerance_scale: float = 1.0
-) -> tuple[SplitReport, list[str]]:
+) -> tuple[float, float, list[str]]:
     """Verify the corner-plus-squares decomposition actually proves positivity.
 
     The corner is the head gain ``mu_1`` in the top-left entry of ``H``, and
@@ -243,7 +226,10 @@ def split_report(
     the corner alone gives it the energy ``mu_1`` and a zero head gain
     leaves ``H`` singular.
 
-    Returns the report plus a list of human-readable failure descriptions,
+    Returns ``(residual, tolerance, failures)``: the residual and tolerance
+    of the sub-check that decides the split, the one with the largest ratio
+    of residual to tolerance (a failing one before any that passes), and a
+    human-readable description of each failed sub-check.  ``failures`` is
     empty for chains that follow the design detuning rule; a detuning
     override is precisely what trips them.
     """
@@ -266,15 +252,7 @@ def split_report(
     )
     failures = [message for resid, tol, message in subchecks if resid > tol]
     resid, tol, _ = max(subchecks, key=lambda c: (c[0] > c[1], c[0] / c[1]))
-    report = SplitReport(
-        remainder_reconstruction=recon,
-        remainder_min_eig=min_eig,
-        null_residual=null_resid,
-        residual=resid,
-        tolerance=float(tol),
-        passed=not failures,
-    )
-    return report, failures
+    return resid, float(tol), failures
 
 
 def check_positive_definite(ham: ObserverHamiltonian) -> tuple[bool, float, float]:

@@ -32,6 +32,7 @@ and :func:`write_timeseries_csv` streams either route.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from collections import deque
@@ -91,8 +92,9 @@ class SimulationConfig:
 
     ``method`` selects the trajectory route: ``"exact"`` (structured spectral
     evaluation, the default) or ``"rk4"`` (fixed-step diagnostic integrator).
-    The grid's rules are checked by :attr:`n_steps`, which every grid reader
-    reads, so a run that reads only ``t = 0`` and the horizons needs no grid.
+    The sample grid runs from 0 to ``horizon_T``.  Its rules are checked by
+    :attr:`n_steps`, which every grid reader reads, so a run that reads only
+    ``t = 0`` and the horizons needs no grid.
     """
 
     initial_plant: np.ndarray
@@ -121,10 +123,11 @@ class SimulationConfig:
 
     @property
     def n_steps(self) -> int:
-        """Steps of the ``sample_dt`` grid to ``horizon_T``.
+        """Steps of the ``sample_dt`` grid to ``horizon_T`` (:func:`_grid_steps`).
 
         Raises ``ValueError`` unless ``sample_dt < horizon_T``, the steps are
-        under ``2^62`` and, on the ``rk4`` route, at most ``MAX_RK4_STEPS``.
+        under ``2^62`` and, on the ``rk4`` route, at most ``MAX_RK4_STEPS``
+        and ending on ``horizon_T``.
         """
         if not self.sample_dt < self.horizon_T:
             raise ValueError("sample_dt must be smaller than horizon_T")
@@ -138,7 +141,23 @@ class SimulationConfig:
                 f"the rk4 route would take over {MAX_RK4_STEPS} steps; "
                 "increase sample_dt or use the exact method"
             )
-        return int(round(steps))
+        return _grid_steps(self.horizon_T, self.sample_dt, self.method)[0]
+
+
+def _grid_steps(t: float, dt: float, method: str) -> tuple[int, bool]:
+    """Steps of the ``dt`` grid to ``t``, and whether ``t`` is on the grid.
+
+    ``t`` is on it when ``k = round(t / dt)`` has ``|k dt - t| <= 1e-9
+    max(1, t)``, and is then ``k`` steps away.  Off it, the ``exact`` route
+    takes ``ceil(t / dt)`` steps, the last one shorter and ending at ``t``
+    itself (:func:`_grid`), and the ``rk4`` route raises ``ValueError``.
+    """
+    k = round(t / dt)
+    if abs(k * dt - t) <= 1e-9 * max(1.0, t):
+        return k, True
+    if method == "rk4":
+        raise ValueError(f"horizon {t} does not land on the sample grid")
+    return math.ceil(t / dt), False
 
 
 def default_sample_dt(omega) -> float:
@@ -185,6 +204,8 @@ def _columns(augmented, keep_states: bool) -> int:
 def _grid(config, stride: int):
     """``rows, times_of``: every ``stride``-th step of the grid, and its last.
 
+    The last step ends at ``n_steps * sample_dt`` if ``horizon_T`` is on
+    the grid, and at ``horizon_T`` itself if not (:func:`_grid_steps`).
     ``times_of(a, b)`` makes entries ``a..b-1``.  Raises ``ValueError`` as
     :attr:`SimulationConfig.n_steps` does, or if ``stride < 1``.
     """
@@ -192,9 +213,12 @@ def _grid(config, stride: int):
     if stride < 1:
         raise ValueError("stride must be >= 1")
     rows = n_steps // stride + 1 + (n_steps % stride != 0)
+    dt, horizon = config.sample_dt, config.horizon_T
+    end = n_steps * dt if _grid_steps(horizon, dt, config.method)[1] else horizon
 
     def times_of(a, b):
-        return np.minimum(np.arange(a, b) * stride, n_steps) * config.sample_dt
+        steps = np.minimum(np.arange(a, b) * stride, n_steps)
+        return np.where(steps == n_steps, end, steps * dt)
 
     return rows, times_of
 
@@ -619,10 +643,8 @@ def consensus_report(
         run_cfg = replace(config, horizon_T=float(hs[-1]))
         dt = run_cfg.sample_dt
         # the grid's rules first; its last step is the last horizon's
-        indices = [int(round(h / dt)) for h in hs[:-1]] + [run_cfg.n_steps]
-        for h, k in zip(hs, indices):
-            if abs(k * dt - h) > 1e-9 * max(1.0, h):
-                raise ValueError(f"horizon {h} does not land on the sample grid")
+        last = run_cfg.n_steps
+        indices = [_grid_steps(h, dt, "rk4")[0] for h in hs[:-1]] + [last]
         times = np.array([0, *indices]) * dt
     series = _evaluate(augmented, run_cfg, times, False)
 
@@ -638,7 +660,6 @@ def consensus_report(
         raise ValueError(f"the C/T envelope overflows at horizon {hs[0]}")
 
     target = ham.steady(realization.input_vector * z_p0)
-    err0_norm = float(np.linalg.norm(config.initial_observer - target))
     readout_norm = float(np.linalg.norm(realization.readout, 2))
     floor = 1e-12 * (1.0 + abs(z_p0))
 
@@ -646,6 +667,7 @@ def consensus_report(
     traj_env = np.empty_like(per_element)
     mat_resid = np.empty(hs.size)
     with np.errstate(over="ignore"):  # every figure is checked below
+        err0_norm = float(np.linalg.norm(config.initial_observer - target))
         for j, h in enumerate(hs):
             traj_env[j] = cert_env[j] * err0_norm + floor
             averaged = time_average_integral(ham, h) / h

@@ -1,0 +1,46 @@
+"""The benchmark's output checks hold on the certify workload's small chains.
+
+``qbench`` rejects a run whose ``build`` or ``verify`` output its reference
+checks refuse: for verify, exactly eight checks and, on a chain detuned by
+1.1, exactly the failed checks of ``workloads.DETUNED_FAILS``.  This test
+runs the certify workload's ``build`` and ``verify`` jobs on chains of at
+most three elements (the shipped configs, the N = 1 and N = 2 design chains,
+the N = 3 probe and the N = 3 detuned chain) through ``cli.main`` and
+applies the same checks, so a change that breaks the benchmark's contract
+fails here first.  ``qbench`` is imported from the repository, read only.
+"""
+
+import pathlib
+import sys
+
+from qchain import cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "qbench"))
+
+import reference  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_certify_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the workload names the shipped configs from here
+    sizes, detuned, problems = set(), [], {}
+    for job in workloads.make_jobs("certify", seed=1, workdir=str(tmp_path)):
+        raw = reference.load(job.config)
+        n = reference.chain_params(raw)[0].size
+        if job.command not in ("build", "verify") or n > 3:
+            continue
+        sizes.add(n)
+        assert cli.main(job.argv()) == job.expect_exit, job.config
+        report = reference.load(job.out)
+        if job.command == "build":
+            problems[job.id] = reference.check_build(report, raw)
+        else:
+            problems[job.id] = reference.check_verify(
+                report, raw, job.expect_failed_checks
+            )
+            if job.expect_failed_checks:
+                detuned.append(job.expect_failed_checks)
+    assert sizes == {1, 2, 3}
+    assert detuned == [workloads.DETUNED_FAILS]
+    assert {job: found for job, found in problems.items() if found} == {}

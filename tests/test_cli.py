@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qchain import cli, observer, sim
 from qchain.errors import ConfigError, IntegratorAccuracyError
@@ -339,6 +340,20 @@ def test_verify_catches_a_perturbed_spectrum(tmp_path, capsys, monkeypatch):
         assert checks["commutation_preservation"]["residual"] < 1e-14
         energy = checks["energy_conservation"]
         assert energy["residual"] > 50.0 * energy["tolerance"]
+
+
+def test_verify_fails_commutation_on_a_damped_flow(tmp_path, capsys, monkeypatch):
+    # uniform damping contracts phase space, which only the commutation check
+    # reads: the other checks take the chain spectrum, not the propagator
+    def damped(augmented, t):
+        drift = augmented.drift - 0.3 * np.eye(augmented.dim)
+        return scipy.linalg.expm(t * drift)
+
+    monkeypatch.setattr(sim, "flow_matrix", damped)
+    rc, out, err = _run(capsys, ["verify", _write(tmp_path, CANONICAL)])
+    assert (rc, err) == (1, "")
+    checks = _strict_json(out)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["commutation_preservation"]
 
 
 def test_each_command_builds_one_spectrum(tmp_path, capsys, monkeypatch):
@@ -715,6 +730,38 @@ _HUGE_OBSERVER = {"plant": [1.0, 0.0], "observer": [1e10, 0, 0, 0, 0, 0]}
             "decrease sample_dt\n",
             id="rk4_state",
         ),
+        *(
+            pytest.param(
+                {**CANONICAL, "plant": {"alpha": alpha}, "chain": {"mu": mu}},
+                [command],
+                3,
+                "construction error: the plant coupling is not finite: "
+                "|alpha|^2 or mu_1 alpha alpha^T overflows\n",
+                id=f"{command}_{name}",
+            )
+            for name, alpha, mu in (
+                ("alpha_sq", [1e200, 0.0], [1.0, 1.0]),
+                ("coupling", [1e150, 0.0], [1e10, 1.0]),
+            )
+            for command in ("build", "verify", "simulate")
+        ),
+        pytest.param(
+            {**CANONICAL, "chain": {"mu": [1.0, 1.0]},
+             "initial": {"plant": [1e300, 0.0], "observer": "zero"}},
+            ["verify"],
+            3,
+            "construction error: the energy_conservation residual is not finite\n",
+            id="verify_energy",
+        ),
+        # ||E||^2 overflows, so the commutation residual is divided by ||E||
+        # twice; the run completes and fails other checks
+        pytest.param(
+            {**CANONICAL, "chain": {"mu": [1e300, 1e300]}},
+            ["verify"],
+            1,
+            "",
+            id="verify_commutation_scale",
+        ),
     ],
 )
 def test_overflowing_runs_fail_without_a_warning_or_a_file(
@@ -727,7 +774,8 @@ def test_overflowing_runs_fail_without_a_warning_or_a_file(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _run(capsys, command) == (code, "", message)
-    assert not out_path.exists()
+    # only a run that completes writes its report
+    assert out_path.exists() == (message == "")
     assert not csv_path.exists()
 
 

@@ -30,49 +30,32 @@ def test_build_symplectic_rejects_bad_counts():
         core.build_symplectic(-2)
 
 
-def test_symplectic_form_rejects_foreign_matrix():
-    with pytest.raises(ValueError):
-        core.SymplecticForm(n_modes=2, matrix=np.eye(4))
-
-
 def test_commutation_preserved_for_realizable_drift():
     rng = np.random.default_rng(5)
     form = core.build_symplectic(3)
     R = rng.standard_normal((6, 6))
     R = 0.5 * (R + R.T)
     A = 2.0 * (form.matrix @ R)
-    report = core.check_commutation_preservation(
-        lambda t: scipy.linalg.expm(A * t), form, [0.0, 0.3, 1.7, 12.0]
-    )
-    assert report.passed
-    assert report.max_residual <= 1e-10
-    assert report.times.shape == report.residuals.shape == report.exp_norms.shape
+    for t in (0.0, 0.3, 1.7, 12.0):
+        residual = core.check_commutation_preservation(scipy.linalg.expm(A * t), form)
+        assert residual <= 1e-10
 
 
 def test_commutation_breaks_for_damped_drift():
     # uniform damping contracts phase space: E Theta E^T = exp(-0.6 t) Theta
     form = core.build_symplectic(1)
     damped = np.array([[-0.3, 1.0], [-1.0, -0.3]])
-    report = core.check_commutation_preservation(
-        lambda t: scipy.linalg.expm(damped * t), form, [1.0]
-    )
-    assert not report.passed
-    assert report.max_residual == pytest.approx(1.0 - np.exp(-0.6), abs=1e-10)
+    residual = core.check_commutation_preservation(scipy.linalg.expm(damped), form)
+    assert residual == pytest.approx(1.0 - np.exp(-0.6), abs=1e-10)
 
 
-def test_commutation_probe_times_validated():
+def test_commutation_scale_never_overflows_into_a_pass():
+    # ||E||^2 = 1e310 overflows; E Theta E^T = det(E) Theta misses Theta by
+    # 1e305, so the scaled residual is 1e-5, not 1e305 / inf = 0
     form = core.build_symplectic(1)
-    A = 2.0 * form.matrix
-
-    def flow(t):
-        return scipy.linalg.expm(A * t)
-
-    with pytest.raises(ValueError):
-        core.check_commutation_preservation(flow, form, [])
-    with pytest.raises(ValueError):
-        core.check_commutation_preservation(flow, form, [-1.0])
-    with pytest.raises(ValueError):
-        core.check_commutation_preservation(lambda t: np.eye(4), form, [1.0])
+    E = np.diag([1e155, 1e150])
+    residual = core.check_commutation_preservation(E, form)
+    assert residual == pytest.approx(1e-5, rel=1e-12)
 
 
 def test_conservative_flow_matches_expm():

@@ -59,6 +59,25 @@ def test_config_grid():
     assert times[-1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_grid_ends_at_a_horizon_off_it(tmp_path):
+    # 0.35 does not divide 1: the exact grid keeps every k dt < 1 and ends
+    # at 1 itself, whatever the stride; the rk4 route refuses it
+    _, real, aug = _make_system([1.0, 1.0])
+    cfg = _config(real, 1.0, 0.35)
+    at_end = sim.states_at(aug, cfg, [1.0])[0]
+    for stride, steps in ((1, [0, 1, 2]), (2, [0, 2]), (3, [0])):
+        series = sim.simulate(aug, cfg, keep_states=True, stride=stride)
+        assert series.times.tolist() == [k * 0.35 for k in steps] + [1.0]
+        assert np.max(np.abs(series.states[-1] - at_end)) <= 1e-14
+    path = tmp_path / "series.csv"
+    sim.write_timeseries_csv(aug, cfg, path, stride=2)
+    assert [row.split(",")[0] for row in path.read_text().splitlines()[1:]] == [
+        "0", "0.69999999999999996", "1"
+    ]
+    with pytest.raises(ValueError, match="horizon 1.0 does not land"):
+        sim.simulate(aug, replace(cfg, method="rk4"))
+
+
 def test_config_validation():
     z2 = np.zeros(2)
     with pytest.raises(ValueError):
