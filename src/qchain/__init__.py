@@ -3,8 +3,9 @@
 The package is organised in layers:
 
 * :mod:`qchain.core` — symplectic structure and the commutation residual.
-* :mod:`qchain.network` — open cavity elements with two-quadrature field
-  ports and algebraic elimination of their interconnections.
+* :mod:`qchain.network` — the chain's open cavity elements with
+  two-quadrature field ports, their links and one solve that eliminates
+  the linked fields.
 * :mod:`qchain.analysis` — the chain's Jacobi form ``H`` and its spectrum,
   positivity certificates and the ``C/T`` time-averaged convergence
   envelope, all taking that spectrum as their only chain argument; it

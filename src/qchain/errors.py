@@ -3,7 +3,9 @@
 Every qchain-specific failure derives from :class:`QchainError` so callers can
 catch the whole family with one clause.  Errors that signal a bad *argument*
 additionally derive from :class:`ValueError`, matching how the library reports
-plain shape/positivity violations.
+plain shape/positivity violations.  The network route defines no error of its
+own: it states the one chain it solves, and an exactly singular port solve
+would surface as numpy's ``LinAlgError``, itself a :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -11,14 +13,6 @@ from __future__ import annotations
 
 class QchainError(Exception):
     """Base class for all qchain-specific failures."""
-
-
-class UnknownPortError(QchainError, ValueError):
-    """An interconnection references a field port no subsystem exposes."""
-
-
-class AlgebraicLoopError(QchainError, ValueError):
-    """The interconnection equations are singular; a feedback loop is ill-posed."""
 
 
 class ConstructionInconsistencyError(QchainError, ValueError):

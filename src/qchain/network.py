@@ -1,73 +1,55 @@
-"""Open cavity networks: two-quadrature field ports and loop elimination.
+"""The chain's field network: cavity elements, links and one port solve.
 
-Optical elements are modelled as linear open systems driven by travelling
-fields.  Every port carries the two quadratures of one field, so port-level
-gains are ``(n, 2)`` / ``(2, n)`` blocks and feedthroughs are ``2 x 2``.  An
-interconnection map identifies output fields with input fields (up to a sign);
-:func:`connect` substitutes the port equations and solves the resulting linear
-loop globally, producing the drift of the reduced network plus whatever noise
-channels remain un-consumed.
+The paper realises the observer as optical elements joined by travelling
+fields.  Each element is a linear open system whose ports carry the two
+quadratures of one field, so port-level gains are ``(n, 2)`` / ``(2, n)``
+blocks and feedthroughs are ``2 x 2``.  :func:`build_chain` states the serial
+chain: the plant/amplifier element feeding a line of passive cavities, with
+counter-propagating links between neighbours.  :func:`connect` substitutes
+the port equations and solves them in one global linear solve, producing
+the drift of the reduced network plus the gains of any input no link drives.
 
-The intended topology is a serial chain: a plant/amplifier element feeding a
-line of passive cavities, with counter-propagating links between neighbours.
-For that closed chain every field port is consumed and the residual noise
-matrix is empty — the interconnection cancels all damping terms exactly.
+Every input of the chain is a link sink, so the residual noise is empty and
+the interconnection cancels all damping terms exactly.  The module states
+that chain; it does not validate arbitrary port graphs.  The loop matrix
+``I - L D`` of every chain is ``sqrt(2)`` times an orthogonal matrix (it
+holds no chain parameter), so the solve is always well-posed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import J2
-from .errors import AlgebraicLoopError, UnknownPortError
 
 #: Quadratures per field port.
 PORT_WIDTH = 2
 
-_DIRECTIONS = ("in", "out")
-_LABELS = ("a", "b")
 
-
-@dataclass(frozen=True, order=True)
-class FieldPort:
+class FieldPort(NamedTuple):
     """One travelling-field port of an optical element.
 
     ``element`` is the 1-based position of the element along the chain,
     ``label`` names the mirror side (``"a"`` faces the previous element,
     ``"b"`` the next), and ``direction`` distinguishes the driving field
     (``"in"``) from the emitted field (``"out"``).  Ports always carry
-    :data:`PORT_WIDTH` quadratures.
+    :data:`PORT_WIDTH` quadratures and sort by element, then label.
     """
 
     element: int
     label: str
     direction: str
 
-    def __post_init__(self):
-        if self.element < 1:
-            raise ValueError("port element index must be >= 1")
-        if self.label not in _LABELS:
-            raise ValueError(f"port label must be one of {_LABELS}, got {self.label!r}")
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(
-                f"port direction must be one of {_DIRECTIONS}, got {self.direction!r}"
-            )
-
-    @property
-    def name(self) -> str:
-        """Compact field name, e.g. ``w1b`` for an input, ``y2a`` for an output."""
-        prefix = "w" if self.direction == "in" else "y"
-        return f"{prefix}{self.element}{self.label}"
-
 
 def inport(element: int, label: str) -> FieldPort:
-    return FieldPort(element=element, label=label, direction="in")
+    return FieldPort(element, label, "in")
 
 
 def outport(element: int, label: str) -> FieldPort:
-    return FieldPort(element=element, label=label, direction="out")
+    return FieldPort(element, label, "out")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,42 +66,6 @@ class OpenSystem:
     input_gains: dict[FieldPort, np.ndarray]
     output_gains: dict[FieldPort, np.ndarray]
     feedthrough: dict[tuple[FieldPort, FieldPort], np.ndarray]
-
-    def __post_init__(self):
-        A = np.asarray(self.drift, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("drift must be square")
-        object.__setattr__(self, "drift", A)
-        n = A.shape[0]
-        ins = {}
-        for port, gain in self.input_gains.items():
-            if port.direction != "in":
-                raise ValueError(f"input gain keyed by non-input port {port.name}")
-            g = np.asarray(gain, dtype=float)
-            if g.shape != (n, PORT_WIDTH):
-                raise ValueError(f"input gain for {port.name} must have shape ({n}, 2)")
-            ins[port] = g
-        outs = {}
-        for port, gain in self.output_gains.items():
-            if port.direction != "out":
-                raise ValueError(f"output gain keyed by non-output port {port.name}")
-            g = np.asarray(gain, dtype=float)
-            if g.shape != (PORT_WIDTH, n):
-                raise ValueError(f"output gain for {port.name} must have shape (2, {n})")
-            outs[port] = g
-        feed = {}
-        for (out_p, in_p), block in self.feedthrough.items():
-            if out_p not in outs:
-                raise ValueError(f"feedthrough references unknown output {out_p.name}")
-            if in_p not in ins:
-                raise ValueError(f"feedthrough references unknown input {in_p.name}")
-            b = np.asarray(block, dtype=float)
-            if b.shape != (PORT_WIDTH, PORT_WIDTH):
-                raise ValueError("feedthrough blocks must be 2x2")
-            feed[(out_p, in_p)] = b
-        object.__setattr__(self, "input_gains", ins)
-        object.__setattr__(self, "output_gains", outs)
-        object.__setattr__(self, "feedthrough", feed)
 
     @property
     def state_dim(self) -> int:
@@ -218,49 +164,15 @@ def make_end_cavity(omega, kappa_a, element: int) -> OpenSystem:
     )
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """Identification of an emitted field with a driving field, up to sign."""
 
     source: FieldPort
     sink: FieldPort
     sign: int
 
-    def __post_init__(self):
-        if self.source.direction != "out":
-            raise ValueError(f"link source {self.source.name} is not an output port")
-        if self.sink.direction != "in":
-            raise ValueError(f"link sink {self.sink.name} is not an input port")
-        if self.sign not in (1, -1):
-            raise ValueError("link sign must be +1 or -1")
-        if (self.source.element, self.source.label) == (
-            self.sink.element,
-            self.sink.label,
-        ):
-            raise ValueError(
-                f"link would short port pair {self.source.name}/{self.sink.name} "
-                "on the same mirror"
-            )
 
-
-@dataclass(frozen=True)
-class InterconnectionMap:
-    """A set of field links with unique sources and unique sinks."""
-
-    links: tuple[Link, ...]
-
-    def __post_init__(self):
-        links = tuple(self.links)
-        object.__setattr__(self, "links", links)
-        sources = [l.source for l in links]
-        sinks = [l.sink for l in links]
-        if len(set(sources)) != len(sources):
-            raise ValueError("an output port is used by more than one link")
-        if len(set(sinks)) != len(sinks):
-            raise ValueError("an input port is driven by more than one link")
-
-
-def chain_links(n_elements: int) -> InterconnectionMap:
+def chain_links(n_elements: int) -> tuple[Link, ...]:
     """Counter-propagating links of the serial chain.
 
     For each neighbouring pair ``i, i+1`` the forward field enters with a sign
@@ -273,132 +185,66 @@ def chain_links(n_elements: int) -> InterconnectionMap:
     for i in range(1, n_elements):
         links.append(Link(source=outport(i, "a"), sink=inport(i + 1, "a"), sign=-1))
         links.append(Link(source=outport(i + 1, "b"), sink=inport(i, "b"), sign=1))
-    return InterconnectionMap(links=tuple(links))
+    return tuple(links)
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedSystem:
     """Closed-loop result of eliminating the linked field ports.
 
-    ``drift`` acts on the concatenated states of the input systems (in the
-    order given to :func:`connect`; ``state_dims`` records the split).
-    ``residual_noise`` has one ``(n, 2)`` column block per remaining free
-    input, in ``free_inputs`` order; it is empty when the network is closed.
+    ``drift`` acts on the concatenated states of the systems, in the order
+    given to :func:`connect`.  ``residual_noise`` has one ``(n, 2)`` column
+    block per input no link drives, in port order; it is empty when the
+    network is closed.
     """
 
     drift: np.ndarray
     residual_noise: np.ndarray
-    eliminated: tuple[FieldPort, ...]
-    free_inputs: tuple[FieldPort, ...]
-    state_dims: tuple[int, ...]
 
 
-def connect(systems, interconnections: InterconnectionMap) -> ReducedSystem:
-    """Eliminate linked ports and return the reduced network.
+def connect(systems, links) -> ReducedSystem:
+    """Eliminate the linked ports and return the reduced network.
 
-    The port equations ``w = L y + E u`` (u = free inputs) and ``y = C x +
-    D w`` are solved globally for ``w``; the loop matrix ``I - L D`` must be
-    well-conditioned, otherwise the interconnection hides an ill-posed
-    algebraic feedback loop.
-
-    Raises
-    ------
-    UnknownPortError
-        If a link references a port no system exposes.
-    AlgebraicLoopError
-        If the loop matrix is singular to working precision; the message
-        names the ports involved in the degenerate loop.
+    The port equations ``w = L y + E u`` (``u`` = the inputs no link drives)
+    and ``y = C x + D w`` are solved globally for ``w`` through the loop
+    matrix ``I - L D``.  ``links`` must name ports the systems expose.
     """
-    systems = list(systems)
-    if not systems:
-        raise ValueError("connect() needs at least one system")
-
-    state_dims = tuple(s.state_dim for s in systems)
-    offsets = np.concatenate([[0], np.cumsum(state_dims)])
+    offsets = np.concatenate([[0], np.cumsum([s.state_dim for s in systems])])
     n = int(offsets[-1])
-
-    in_ports: list[FieldPort] = []
-    out_ports: list[FieldPort] = []
-    owner: dict[FieldPort, int] = {}
-    for k, s in enumerate(systems):
-        for p in list(s.input_gains) + list(s.output_gains):
-            if p in owner:
-                raise ValueError(f"port {p.name} is exposed by more than one system")
-            owner[p] = k
-            (in_ports if p.direction == "in" else out_ports).append(p)
-    in_ports.sort()
-    out_ports.sort()
-    in_index = {p: i for i, p in enumerate(in_ports)}
-    out_index = {p: i for i, p in enumerate(out_ports)}
+    in_ports = sorted(p for s in systems for p in s.input_gains)
+    out_ports = sorted(p for s in systems for p in s.output_gains)
+    in_index = {p: PORT_WIDTH * i for i, p in enumerate(in_ports)}
+    out_index = {p: PORT_WIDTH * i for i, p in enumerate(out_ports)}
+    n_in, n_out = PORT_WIDTH * len(in_ports), PORT_WIDTH * len(out_ports)
 
     A = np.zeros((n, n))
-    for k, s in enumerate(systems):
-        A[offsets[k] : offsets[k + 1], offsets[k] : offsets[k + 1]] = s.drift
-
-    B = np.zeros((n, PORT_WIDTH * len(in_ports)))
-    for k, s in enumerate(systems):
+    B = np.zeros((n, n_in))
+    C = np.zeros((n_out, n))
+    D = np.zeros((n_out, n_in))
+    for s, lo, hi in zip(systems, offsets[:-1], offsets[1:]):
+        A[lo:hi, lo:hi] = s.drift
         for p, g in s.input_gains.items():
-            j = PORT_WIDTH * in_index[p]
-            B[offsets[k] : offsets[k + 1], j : j + PORT_WIDTH] = g
-
-    C = np.zeros((PORT_WIDTH * len(out_ports), n))
-    D = np.zeros((PORT_WIDTH * len(out_ports), PORT_WIDTH * len(in_ports)))
-    for k, s in enumerate(systems):
+            B[lo:hi, in_index[p] : in_index[p] + PORT_WIDTH] = g
         for p, g in s.output_gains.items():
-            i = PORT_WIDTH * out_index[p]
-            C[i : i + PORT_WIDTH, offsets[k] : offsets[k + 1]] = g
+            C[out_index[p] : out_index[p] + PORT_WIDTH, lo:hi] = g
         for (out_p, in_p), block in s.feedthrough.items():
-            i = PORT_WIDTH * out_index[out_p]
-            j = PORT_WIDTH * in_index[in_p]
+            i, j = out_index[out_p], in_index[in_p]
             D[i : i + PORT_WIDTH, j : j + PORT_WIDTH] = block
 
-    L = np.zeros((PORT_WIDTH * len(in_ports), PORT_WIDTH * len(out_ports)))
-    for link in interconnections.links:
-        if link.source not in out_index:
-            raise UnknownPortError(f"no system exposes output port {link.source.name}")
-        if link.sink not in in_index:
-            raise UnknownPortError(f"no system exposes input port {link.sink.name}")
-        i = PORT_WIDTH * in_index[link.sink]
-        j = PORT_WIDTH * out_index[link.source]
+    L = np.zeros((n_in, n_out))
+    for link in links:
+        i, j = in_index[link.sink], out_index[link.source]
         L[i : i + PORT_WIDTH, j : j + PORT_WIDTH] = link.sign * np.eye(PORT_WIDTH)
 
-    sinks = {l.sink for l in interconnections.links}
-    free = tuple(p for p in in_ports if p not in sinks)
-    E = np.zeros((PORT_WIDTH * len(in_ports), PORT_WIDTH * len(free)))
-    for j, p in enumerate(free):
-        i = PORT_WIDTH * in_index[p]
-        E[i : i + PORT_WIDTH, PORT_WIDTH * j : PORT_WIDTH * (j + 1)] = np.eye(
-            PORT_WIDTH
-        )
-
-    loop = np.eye(L.shape[0]) - L @ D
-    if loop.size and np.linalg.cond(loop) > 1e12:
-        _, _, vt = np.linalg.svd(loop)
-        null = np.abs(vt[-1])
-        involved = sorted(
-            {
-                in_ports[i // PORT_WIDTH].name
-                for i in np.nonzero(null > 0.5 * null.max())[0]
-            }
-        )
-        raise AlgebraicLoopError(
-            "interconnection is algebraically singular around ports "
-            + ", ".join(involved)
-        )
-
+    loop = np.eye(n_in) - L @ D
     drift = A + (B @ np.linalg.solve(loop, L @ C))
-    residual = B @ np.linalg.solve(loop, E) if free else np.zeros((n, 0))
-
-    eliminated = tuple(
-        sorted({l.source for l in interconnections.links} | sinks)
-    )
-    return ReducedSystem(
-        drift=drift,
-        residual_noise=residual,
-        eliminated=eliminated,
-        free_inputs=free,
-        state_dims=state_dims,
-    )
+    sinks = {link.sink for link in links}
+    free = [i + q for p, i in in_index.items() if p not in sinks
+            for q in range(PORT_WIDTH)]
+    residual = np.zeros((n, 0))
+    if free:  # E holds the identity's columns at the inputs no link drives
+        residual = B @ np.linalg.solve(loop, np.eye(n_in)[:, free])
+    return ReducedSystem(drift=drift, residual_noise=residual)
 
 
 def verify_noise_cancellation(reduced: ReducedSystem) -> float:
@@ -423,7 +269,7 @@ def build_chain(alpha, beta, omegas, kappas):
 
     Returns
     -------
-    (list[OpenSystem], InterconnectionMap)
+    (list[OpenSystem], tuple[Link, ...])
         Ready to pass to :func:`connect`.
     """
     om = np.asarray(omegas, dtype=float)

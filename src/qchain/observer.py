@@ -189,8 +189,9 @@ def build_observer(
         configuration, which :func:`steady_vector` will report.  It must be
         finite.
 
-    Raises ``ValueError`` for gains that are not positive and finite, or if
-    ``|alpha|^2`` or the plant coupling ``mu_1 alpha alpha^T`` overflows.
+    Raises ``ValueError`` for gains that are not positive and finite, if
+    ``|alpha|^2`` or twice the plant coupling ``mu_1 alpha alpha^T``
+    overflows, or if the chain drift ``-2i H`` does.
     """
     m = np.asarray(mu, dtype=float)
     if m.ndim != 1 or m.size < 1:
@@ -201,18 +202,23 @@ def build_observer(
     ham = observer_hamiltonian(m, omega_override)
 
     alpha = plant.alpha
+    input_vector = np.zeros(2 * n)
     with np.errstate(over="ignore", invalid="ignore"):
         beta = -m[0] * alpha
         coupling = np.outer(alpha, beta)
-    if not (np.isfinite(plant.norm_sq) and np.all(np.isfinite(coupling))):
+        input_vector[0:2] = 2.0 * (J2 @ beta)
+        # assemble_augmented's cross blocks are 2 J coupling
+        plant_finite = np.isfinite(plant.norm_sq) and np.all(
+            np.isfinite(np.column_stack([2.0 * coupling, input_vector[0:2]]))
+        )
+        drift = real_embedding(-2j * ham.H)
+    if not plant_finite:
         raise ValueError(
             "the plant coupling is not finite: "
             "|alpha|^2 or mu_1 alpha alpha^T overflows"
         )
-    drift = real_embedding(-2j * ham.H)
-
-    input_vector = np.zeros(2 * n)
-    input_vector[0:2] = 2.0 * (J2 @ beta)
+    if not np.all(np.isfinite(drift)):
+        raise ValueError("the chain drift is not finite: a detuning or gain overflows")
 
     readout = np.empty((n, 2 * n))
     rot = np.eye(2)  # accumulates (-J)^(i-1)

@@ -1,13 +1,14 @@
-"""The benchmark's output checks hold on the certify workload's small chains.
+"""The benchmark's output checks hold on every chain of the certify workload.
 
 ``qbench`` rejects a run whose ``build`` or ``verify`` output its reference
 checks refuse: for verify, exactly eight checks and, on a chain detuned by
 1.1, exactly the failed checks of ``workloads.DETUNED_FAILS``.  This test
-runs the certify workload's ``build`` and ``verify`` jobs on chains of at
-most three elements (the shipped configs, the N = 1 and N = 2 design chains,
-the N = 3 probe and the N = 3 detuned chain) through ``cli.main`` and
-applies the same checks, so a change that breaks the benchmark's contract
-fails here first.  ``qbench`` is imported from the repository, read only.
+runs every ``build`` and ``verify`` job of the certify workload (the shipped
+configs, the design chains of N = 1, 2, 5, 10, 30 and 100 in both chain
+forms, the N = 3 probe and the three detuned chains) through ``cli.main``
+and applies the same checks, so a change that breaks the benchmark's
+contract on any chain size fails here first.  ``qbench`` is imported from
+the repository, read only.
 """
 
 import pathlib
@@ -28,7 +29,7 @@ def test_certify_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
     for job in workloads.make_jobs("certify", seed=1, workdir=str(tmp_path)):
         raw = reference.load(job.config)
         n = reference.chain_params(raw)[0].size
-        if job.command not in ("build", "verify") or n > 3:
+        if job.command not in ("build", "verify"):
             continue
         sizes.add(n)
         assert cli.main(job.argv()) == job.expect_exit, job.config
@@ -41,6 +42,6 @@ def test_certify_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
             )
             if job.expect_failed_checks:
                 detuned.append(job.expect_failed_checks)
-    assert sizes == {1, 2, 3}
-    assert detuned == [workloads.DETUNED_FAILS]
+    assert sizes == {1, 2, 3, 5, 10, 30, 100}
+    assert detuned == [workloads.DETUNED_FAILS] * 3
     assert {job: found for job, found in problems.items() if found} == {}

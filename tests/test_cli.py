@@ -742,6 +742,39 @@ _HUGE_OBSERVER = {"plant": [1.0, 0.0], "observer": [1e10, 0, 0, 0, 0, 0]}
             for name, alpha, mu in (
                 ("alpha_sq", [1e200, 0.0], [1.0, 1.0]),
                 ("coupling", [1e150, 0.0], [1e10, 1.0]),
+                ("mu_1", [1.0, 0.0], [1e308, 1.0]),
+                # mu_1 alpha alpha^T is finite; the drift's cross block doubles it
+                ("cross_block", [1e10, 0.0], [1e288, 1.0]),
+            )
+            for command in ("build", "verify", "simulate")
+        ),
+        pytest.param(
+            CANONICAL,
+            ["sweep", "--param", "mu_1", "--values", "1", "1e308"],
+            3,
+            "construction error: the plant coupling is not finite: "
+            "|alpha|^2 or mu_1 alpha alpha^T overflows\n",
+            id="sweep_mu_1",
+        ),
+        # 2 mu_1 alpha overflows although 2 mu_1 alpha alpha^T does not
+        pytest.param(
+            {**CANONICAL, "plant": {"alpha": [0.6, 0.0]},
+             "chain": {"mu": [1.7e308, 1.0], "omega_override": [1.0, 1.0]}},
+            ["build"],
+            3,
+            "construction error: the plant coupling is not finite: "
+            "|alpha|^2 or mu_1 alpha alpha^T overflows\n",
+            id="build_input_vector",
+        ),
+        *(
+            pytest.param(
+                {**CANONICAL,
+                 "chain": {"mu": [1.0, 1.0], "omega_override": [1e308, 1.0]}},
+                [command],
+                3,
+                "construction error: the chain drift is not finite: "
+                "a detuning or gain overflows\n",
+                id=f"{command}_chain_drift",
             )
             for command in ("build", "verify", "simulate")
         ),

@@ -3,26 +3,17 @@ import pytest
 
 from qchain import analysis, network, observer
 from qchain.core import J2
-from qchain.errors import AlgebraicLoopError, UnknownPortError
 
 ALPHA = np.array([1.0, 0.0])
 
 
-def test_port_names_and_validation():
-    p = network.inport(2, "b")
-    assert p.name == "w2b"
-    assert network.outport(1, "a").name == "y1a"
-    with pytest.raises(ValueError):
-        network.FieldPort(element=0, label="a", direction="in")
-    with pytest.raises(ValueError):
-        network.FieldPort(element=1, label="c", direction="in")
-    with pytest.raises(ValueError):
-        network.FieldPort(element=1, label="a", direction="sideways")
-
-
 def test_ports_order_by_element_then_label():
     ports = [network.inport(2, "a"), network.inport(1, "b"), network.inport(1, "a")]
-    assert [p.name for p in sorted(ports)] == ["w1a", "w1b", "w2a"]
+    assert sorted(ports) == [
+        network.inport(1, "a"),
+        network.inport(1, "b"),
+        network.inport(2, "a"),
+    ]
 
 
 def test_make_cavity_blocks():
@@ -55,7 +46,7 @@ def test_make_plant_ndpa_layout():
     expected[2:4, 2:4] = 4.0 * J2 - 2.0 * np.eye(2)
     assert np.array_equal(sys1.drift, expected)
     (w_b,) = sys1.input_gains
-    assert w_b.name == "w1b"
+    assert w_b == network.inport(1, "b")
     gain = sys1.input_gains[w_b]
     assert np.array_equal(gain[2:4], -2.0 * np.eye(2))
     assert np.array_equal(gain[0:2], np.zeros((2, 2)))
@@ -70,58 +61,16 @@ def test_element_factories_reject_closed_mirrors():
         network.make_plant_ndpa(ALPHA, -ALPHA, kappa_1b=0.0, omega_1=1.0)
 
 
-def test_open_system_validates_port_blocks():
-    w = network.inport(1, "a")
-    y = network.outport(1, "b")
-    with pytest.raises(ValueError):
-        network.OpenSystem(
-            drift=np.zeros((2, 2)),
-            input_gains={w: np.zeros((3, 2))},
-            output_gains={},
-            feedthrough={},
-        )
-    with pytest.raises(ValueError):
-        network.OpenSystem(
-            drift=np.zeros((2, 2)),
-            input_gains={},
-            output_gains={},
-            feedthrough={(y, w): np.eye(2)},
-        )
-
-
-def test_link_validation():
-    with pytest.raises(ValueError):
-        network.Link(source=network.inport(1, "a"), sink=network.inport(2, "a"), sign=1)
-    with pytest.raises(ValueError):
-        network.Link(source=network.outport(1, "a"), sink=network.outport(2, "a"), sign=1)
-    with pytest.raises(ValueError):
-        network.Link(source=network.outport(1, "a"), sink=network.inport(2, "a"), sign=2)
-    with pytest.raises(ValueError):
-        # would short the same mirror of the same element
-        network.Link(source=network.outport(1, "a"), sink=network.inport(1, "a"), sign=1)
-
-
 def test_chain_links_layout():
-    imap = network.chain_links(3)
-    triples = [(l.source.name, l.sink.name, l.sign) for l in imap.links]
-    assert triples == [
-        ("y1a", "w2a", -1),
-        ("y2b", "w1b", 1),
-        ("y2a", "w3a", -1),
-        ("y3b", "w2b", 1),
-    ]
+    out, inp = network.outport, network.inport
+    assert network.chain_links(3) == (
+        network.Link(out(1, "a"), inp(2, "a"), -1),
+        network.Link(out(2, "b"), inp(1, "b"), 1),
+        network.Link(out(2, "a"), inp(3, "a"), -1),
+        network.Link(out(3, "b"), inp(2, "b"), 1),
+    )
     with pytest.raises(ValueError):
         network.chain_links(1)
-
-
-def test_interconnection_rejects_duplicates():
-    a = network.Link(source=network.outport(1, "a"), sink=network.inport(2, "a"), sign=1)
-    b = network.Link(source=network.outport(2, "b"), sink=network.inport(2, "a"), sign=1)
-    with pytest.raises(ValueError):
-        network.InterconnectionMap(links=(a, b))
-    c = network.Link(source=network.outport(1, "a"), sink=network.inport(3, "a"), sign=1)
-    with pytest.raises(ValueError):
-        network.InterconnectionMap(links=(a, c))
 
 
 def test_two_element_chain_reduces_to_literal_drift():
@@ -140,94 +89,46 @@ def test_two_element_chain_reduces_to_literal_drift():
         ]
     )
     assert np.allclose(reduced.drift, expected, atol=1e-12)
-    assert reduced.free_inputs == ()
     assert reduced.residual_noise.shape == (6, 0)
     assert network.verify_noise_cancellation(reduced) == 0.0
-    assert reduced.state_dims == (4, 2)
-    assert len(reduced.eliminated) == 4
 
 
 def test_elimination_matches_closed_form_construction():
+    # Wide, unbalanced draws: connect has no conditioning check, because the
+    # loop matrix I - L D of every chain is sqrt(2) times an orthogonal matrix.
     rng = np.random.default_rng(41)
-    for n_el in (2, 3, 5):
-        mu = rng.uniform(0.3, 2.0, size=n_el)
-        spread = float(rng.uniform(0.5, 2.0))
-        kappas = [k for g in mu[1:] for k in (4.0 * g * spread, 4.0 * g / spread)]
-        omegas = analysis.detunings_from_gains(mu)
+    for _ in range(400):
+        n_el = int(rng.integers(2, 41))
+        mu_1 = 10.0 ** rng.uniform(-1.0, 1.0)
+        kappas = 10.0 ** rng.uniform(-3.0, 3.0, size=2 * n_el - 2)
+        mu = observer.gains_from_kappas(
+            observer.ChainParams(n_elements=n_el, mu_1=mu_1, kappas=kappas)
+        )
         alpha = rng.standard_normal(2)
-        alpha /= np.linalg.norm(alpha)
+        alpha *= 10.0 ** rng.uniform(-1.0, 1.0) / np.linalg.norm(alpha)
         plant = observer.PlantSpec(alpha=alpha)
         real = observer.build_observer(plant, mu)
         aug = observer.assemble_augmented(real, plant)
         systems, links = network.build_chain(
-            alpha, -mu[0] * alpha, omegas, kappas
+            alpha, -mu_1 * alpha, analysis.detunings_from_gains(mu), kappas
         )
         reduced = network.connect(systems, links)
-        assert np.max(np.abs(reduced.drift - aug.drift)) <= 1e-12
+        scale = max(1.0, kappas.max(), np.max(np.abs(aug.drift)))
+        assert np.max(np.abs(reduced.drift - aug.drift)) <= 1e-15 * scale
         assert network.verify_noise_cancellation(reduced) == 0.0
 
 
 def test_partial_interconnection_leaves_noise():
     systems, _ = network.build_chain(ALPHA, -ALPHA, [2.0, 1.0], [4.0, 4.0])
-    forward_only = network.InterconnectionMap(
-        links=(
-            network.Link(
-                source=network.outport(1, "a"), sink=network.inport(2, "a"), sign=-1
-            ),
-        )
+    forward_only = (
+        network.Link(
+            source=network.outport(1, "a"), sink=network.inport(2, "a"), sign=-1
+        ),
     )
     reduced = network.connect(systems, forward_only)
-    assert [p.name for p in reduced.free_inputs] == ["w1b"]
+    # one free input, w1b, leaves one (6, 2) noise block
     assert reduced.residual_noise.shape == (6, 2)
     assert network.verify_noise_cancellation(reduced) > 0.0
-
-
-def test_unknown_port_raises():
-    systems, _ = network.build_chain(ALPHA, -ALPHA, [2.0, 1.0], [4.0, 4.0])
-    bad = network.InterconnectionMap(
-        links=(
-            network.Link(
-                source=network.outport(2, "a"), sink=network.inport(1, "b"), sign=1
-            ),
-        )
-    )
-    with pytest.raises(UnknownPortError):
-        network.connect(systems, bad)
-
-
-def _passthrough(element):
-    w = network.inport(element, "a")
-    y = network.outport(element, "b")
-    return network.OpenSystem(
-        drift=np.zeros((2, 2)),
-        input_gains={w: np.zeros((2, 2))},
-        output_gains={y: np.zeros((2, 2))},
-        feedthrough={(y, w): np.eye(2)},
-    )
-
-
-def test_degenerate_loop_names_its_ports():
-    links = network.InterconnectionMap(
-        links=(
-            network.Link(
-                source=network.outport(1, "b"), sink=network.inport(2, "a"), sign=1
-            ),
-            network.Link(
-                source=network.outport(2, "b"), sink=network.inport(1, "a"), sign=1
-            ),
-        )
-    )
-    with pytest.raises(AlgebraicLoopError) as info:
-        network.connect([_passthrough(1), _passthrough(2)], links)
-    message = str(info.value)
-    assert "w1a" in message and "w2a" in message
-
-
-def test_duplicate_port_exposure_rejected():
-    with pytest.raises(ValueError):
-        network.connect(
-            [_passthrough(1), _passthrough(1)], network.InterconnectionMap(links=())
-        )
 
 
 def test_build_chain_validates_lengths():
