@@ -113,15 +113,6 @@ class ObserverHamiltonian:
         """Unitary chain flow ``exp(-2i H t)`` acting on the amplitudes."""
         return self.spectral_matrix(np.exp(-2j * self.lam * float(t)))
 
-    def integral(self, t: float) -> np.ndarray:
-        """The flow's integral over ``[0, t]``, acting on the amplitudes.
-
-        Each phase becomes ``(1 - e^{-2i lam t}) / (2i lam)``, which needs
-        only ``lam != 0``, not a positive definite chain.
-        """
-        lam = self.lam
-        return self.spectral_matrix((1.0 - np.exp(-2j * lam * float(t))) / (2j * lam))
-
     @property
     def singular(self) -> bool:
         """Whether ``min|lam| <= SINGULAR_TOL * max|lam|``: no steady offset exists."""
@@ -315,12 +306,16 @@ def time_average_integral(ham: ObserverHamiltonian, horizon: float) -> np.ndarra
     Uses the closed form ``D V diag((1 - exp(-2i lam T)) / (2i lam)) V^T D^H``
     in the amplitudes, returned as the real ``2N x 2N`` matrix acting on the
     quadratures; no quadrature rule is involved, so the result is accurate at
-    any horizon.
+    any horizon.  It needs only ``lam != 0``: it refuses a negative horizon
+    or a :attr:`~ObserverHamiltonian.singular` chain, not an indefinite one.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    _positive_spectrum(ham)
-    return real_embedding(ham.integral(horizon))
+    if not horizon >= 0:
+        raise ValueError("horizon must be non-negative")
+    if ham.singular:
+        raise ValueError("chain Hamiltonian is singular; the integral needs lam != 0")
+    lam = ham.lam
+    weights = (1.0 - np.exp(-2j * lam * float(horizon))) / (2j * lam)
+    return real_embedding(ham.spectral_matrix(weights))
 
 
 @dataclass(frozen=True)

@@ -360,7 +360,7 @@ def flow_matrix(augmented: AugmentedSystem, t: float) -> np.ndarray:
     ham = realization.hamiltonian
     s = ham.steady(realization.input_vector)
     P = real_embedding(ham.propagator(t))
-    integral = real_embedding(ham.integral(t))
+    integral = time_average_integral(ham, t)
     G = augmented.drift[0:2, 2:]
     alpha = augmented.plant.alpha
     E = np.empty((augmented.dim, augmented.dim))
@@ -580,11 +580,11 @@ class ConsensusReport:
     ``per_element_error[h, i]`` is the deviation of element ``i``'s running
     average from the plant observable at ``horizons[h]``;
     ``certificate_envelope`` holds the raw ``C/T`` values at the same
-    horizons, and ``trajectory_envelope`` scales them by the initial error
-    norm (plus a rounding floor) to bound the per-element errors.
-    ``matrix_residual`` is the exact norm of the averaged readout-deviation
-    operator, bounded by ``C/T`` times the readout norm, and ``slope`` the
-    fitted log-log decay rate of that residual (NaN, and ``null`` in
+    horizons, and ``trajectory_envelope`` bounds the per-element errors by
+    ``C/T ||r_i|| ||err0||`` plus a rounding floor.  ``matrix_residual`` is
+    the exact norm of the averaged readout-deviation operator, bounded by
+    ``C/T`` times the readout norm ``||r_i|| = 1/|alpha|``, and ``slope``
+    the fitted log-log decay rate of that residual (NaN, and ``null`` in
     :meth:`to_dict`, when there is nothing to fit).
     """
 
@@ -618,11 +618,14 @@ def consensus_report(
 
     Compares each element's running average at every horizon against the
     plant observable, and checks both those errors and the exactly-evaluated
-    averaged deviation operator against the ``C/T`` certificate.  Both
-    routes keep the averages at the horizons alone.  The exact route
-    evaluates each at the horizon itself, so ``sample_dt`` plays no part.
-    The ``rk4`` route steps the full grid out to the largest horizon to get
-    its trapezoid averages, so there every horizon must land on the grid.
+    averaged deviation operator against the ``C/T`` certificate.  In the
+    amplitudes, readout row ``i`` is one common phase times ``+-d_i /
+    |alpha|``, so that operator's norm is ``max_k |sin(lam_k T)| / (|lam_k|
+    T |alpha|)``, read off the chain spectrum.  Both routes keep the
+    averages at the horizons alone.  The exact route evaluates each at the
+    horizon itself, so ``sample_dt`` plays no part.  The ``rk4`` route
+    steps the full grid out to the largest horizon to get its trapezoid
+    averages, so there every horizon must land on the grid.
 
     Raises
     ------
@@ -660,18 +663,17 @@ def consensus_report(
         raise ValueError(f"the C/T envelope overflows at horizon {hs[0]}")
 
     target = ham.steady(realization.input_vector * z_p0)
-    readout_norm = float(np.linalg.norm(realization.readout, 2))
+    readout_norm = 1.0 / math.sqrt(plant.norm_sq)  # each row alpha (-J)^i / |alpha|^2
     floor = 1e-12 * (1.0 + abs(z_p0))
 
     per_element = np.abs(averages - z_p0)
     traj_env = np.empty_like(per_element)
-    mat_resid = np.empty(hs.size)
-    with np.errstate(over="ignore"):  # every figure is checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # every figure is checked below
         err0_norm = float(np.linalg.norm(config.initial_observer - target))
-        for j, h in enumerate(hs):
-            traj_env[j] = cert_env[j] * err0_norm + floor
-            averaged = time_average_integral(ham, h) / h
-            mat_resid[j] = np.linalg.norm(realization.readout @ averaged, 2)
+        traj_env[:] = (cert_env * readout_norm * err0_norm + floor)[:, None]
+        # singular values of readout @ integral / h: |sin(lam h)| / (|lam| h |alpha|)
+        weights = np.abs(np.sin(np.outer(hs, ham.lam)) / ham.lam)
+        mat_resid = np.max(weights, axis=1) / hs * readout_norm
     for name, figure in (
         ("per_element_error", per_element),
         ("trajectory_envelope", traj_env),

@@ -194,13 +194,18 @@ def test_time_average_integral_against_quadrature():
 
 
 def test_time_average_integral_validates():
+    # the closed form needs only lam != 0: a zero horizon and an indefinite
+    # chain are fine, a negative horizon and a singular chain are not
     ham = analysis.observer_hamiltonian([0.7, 1.2])
-    with pytest.raises(ValueError):
-        analysis.time_average_integral(ham, 0.0)
-    with pytest.raises(ValueError):
-        analysis.time_average_integral(
-            analysis.observer_hamiltonian([1.0, 1.0], omega=[-2.0, 1.0]), 1.0
-        )
+    assert np.all(analysis.time_average_integral(ham, 0.0) == 0.0)
+    indefinite = analysis.observer_hamiltonian([1.0, 1.0], omega=[-2.0, 1.0])
+    assert np.all(np.isfinite(analysis.time_average_integral(indefinite, 1.0)))
+    with pytest.raises(ValueError, match="non-negative"):
+        analysis.time_average_integral(ham, -1.0)
+    singular = analysis.observer_hamiltonian([0.0, 1.0])  # tri(1, 1; 1) has lam = 0
+    assert singular.singular
+    with pytest.raises(ValueError, match="singular"):
+        analysis.time_average_integral(singular, 1.0)
 
 
 def test_convergence_certificate_values():

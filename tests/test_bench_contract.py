@@ -7,8 +7,12 @@ runs every ``build`` and ``verify`` job of the certify workload (the shipped
 configs, the design chains of N = 1, 2, 5, 10, 30 and 100 in both chain
 forms, the N = 3 probe and the three detuned chains) through ``cli.main``
 and applies the same checks, so a change that breaks the benchmark's
-contract on any chain size fails here first.  ``qbench`` is imported from
-the repository, read only.
+contract on any chain size fails here first.  The second test does the same
+for every ``simulate`` and ``sweep`` job of the series_long workload (its
+N = 3 to 100 design chains, the shipped configs, the sweep and the N = 3
+probes, the ``--csv`` and rk4 ones among them): each report must pass and
+agree with the Van Loan reference, ``matrix_residual`` included.  ``qbench``
+is imported from the repository, read only.
 """
 
 import pathlib
@@ -44,4 +48,30 @@ def test_certify_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
                 detuned.append(job.expect_failed_checks)
     assert sizes == {1, 2, 3, 5, 10, 30, 100}
     assert detuned == [workloads.DETUNED_FAILS] * 3
+    assert {job: found for job, found in problems.items() if found} == {}
+
+
+def test_series_long_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    kinds, problems = set(), {}
+    for job in workloads.make_jobs("series_long", seed=1, workdir=str(tmp_path)):
+        if job.command not in ("simulate", "sweep"):
+            continue
+        kinds.add(job.kind)
+        assert cli.main(job.argv()) == job.expect_exit, job.config
+        raw = reference.load(job.config)
+        if job.command == "sweep":
+            refs = [reference.sim_reference(reference.swept_config(raw, v))
+                    for v in job.sweep_values]
+            problems[job.id] = reference.check_sweep(
+                pathlib.Path(job.out).read_text(), job.sweep_values, refs
+            )
+            continue
+        ref = reference.sim_reference(raw)
+        problems[job.id] = reference.check_simulate(
+            reference.load(job.out), ref, rk4=job.kind == "rk4"
+        )
+        if job.csv:
+            problems[job.id] += reference.check_csv(job.csv, raw, ref)[0]
+    assert kinds == {"simulate", "sweep", "csv", "rk4"}
     assert {job: found for job, found in problems.items() if found} == {}

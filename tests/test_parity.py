@@ -198,3 +198,56 @@ def test_one_svd_bounds_the_flow_at_every_probe_time():
                 assert np.all(report.norms == bound)
             for t in times:
                 assert bound >= np.linalg.norm(ham.propagator(t), 2) - 4 * n * eps
+
+
+# ---------------------------------------------------------------------------
+# the horizon report's matrix residual from the chain spectrum
+
+#: Horizons of the matrix-residual parity test.
+RESIDUAL_HORIZONS = (0.1, 1.0, 10.0, 1e3, 1e5)
+
+
+def _residual_chain(rng, detune):
+    """A definite chain: N in 1..40, gains 10^+-1, |alpha| 10^+-2, design
+    detunings or, for ``detune``, the design rule off by up to 1e-3 relative."""
+    while True:
+        n = int(rng.integers(1, 41))
+        mu = 10.0 ** rng.uniform(-1.0, 1.0, n)
+        omega = analysis.detunings_from_gains(mu)
+        if detune:
+            omega = omega * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, n))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        alpha = 10.0 ** rng.uniform(-2.0, 2.0) * np.array([np.cos(theta), np.sin(theta)])
+        plant = observer.PlantSpec(alpha=alpha)
+        real = observer.build_observer(plant, mu, omega_override=omega)
+        if real.hamiltonian.lam[0] > 0:
+            return plant, real
+
+
+def test_matrix_residual_matches_the_dense_route():
+    """``consensus_report``'s ``max_k |sin(lam_k T)| / (|lam_k| T |alpha|)``
+    against the route it replaced, ``||R @ time_average_integral(ham, T) / T||_2``:
+    the readout row of element i is one common phase times ``+-(D)_ii / |alpha|``
+    in the amplitudes, so the averaged readout's singular values are the
+    ``|sin(lam_k T)| / (|lam_k| T |alpha|)`` themselves."""
+    rng = np.random.default_rng(26)
+    for draw in range(210):
+        plant, real = _residual_chain(rng, detune=draw % 3 == 0)
+        ham, readout = real.hamiltonian, real.readout
+        abs_alpha = np.sqrt(plant.norm_sq)
+        assert np.linalg.norm(readout, 2) * abs_alpha == pytest.approx(1.0, rel=1e-15)
+        aug = observer.assemble_augmented(real, plant)
+        cfg = sim.SimulationConfig(
+            initial_plant=rng.standard_normal(2),
+            initial_observer=np.zeros(real.state_dim),
+            horizon_T=RESIDUAL_HORIZONS[-1],
+            sample_dt=0.01,
+        )
+        report = sim.consensus_report(aug, cfg, RESIDUAL_HORIZONS)
+        for T, got in zip(RESIDUAL_HORIZONS, report.matrix_residual):
+            singular = np.linalg.svd(
+                readout @ analysis.time_average_integral(ham, T) / T, compute_uv=False
+            )
+            assert got == pytest.approx(singular[0], rel=1e-13)
+            closed = np.abs(np.sin(ham.lam * T)) / (np.abs(ham.lam) * T * abs_alpha)
+            assert np.all(np.abs(np.sort(closed)[::-1] - singular) <= 1e-13 * singular[0])

@@ -7,6 +7,7 @@ the three-element design chain.
 
 import concurrent.futures
 import itertools
+import json
 import sys
 import threading
 import tracemalloc
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_reference import running_average
-from qchain import _fmt17, observer, sim
+from qchain import _fmt17, cli, observer, sim
 from qchain.analysis import time_average_integral
 from qchain.errors import IntegratorAccuracyError
 
@@ -401,6 +402,40 @@ def test_consensus_report_flags_detuned_chain():
     report = sim.consensus_report(aug, cfg, [1e3, 5e3])
     assert not report.passed
     assert np.max(report.per_element_error[-1] / report.trajectory_envelope[-1]) > 1.5
+
+
+def test_a_small_alpha_chain_keeps_its_envelope(tmp_path):
+    # readout row i has norm 1/|alpha|, so the per-element envelope is
+    # C/T ||r_i|| ||err0|| + floor; without ||r_i|| this chain reads 2.63
+    config = tmp_path / "small_alpha.json"
+    config.write_text(json.dumps({
+        "plant": {"alpha": [0.05, 0.0]}, "chain": {"mu": [1.0, 1.0, 1.0]},
+        "initial": {"plant": [1.0, 0.0], "observer": "zero"}, "horizons": [10.0, 100.0],
+    }))
+    out = tmp_path / "report.json"
+    assert cli.main(["simulate", str(config), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    ratio = np.divide(report["per_element_error"], report["trajectory_envelope"])
+    assert np.max(ratio) == pytest.approx(0.1317, abs=1e-4)
+
+
+def test_design_chains_never_break_their_envelope():
+    """A seeded census of design chains: N <= 30, gains 10^+-1, |alpha| 10^+-3,
+    a zero or random initial observer and three horizons between 1 and 1000."""
+    rng = np.random.default_rng(26)
+    worst = 0.0
+    for _ in range(300):
+        n = int(rng.integers(1, 31))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        alpha = 10.0 ** rng.uniform(-3, 3) * np.array([np.cos(theta), np.sin(theta)])
+        plant, real, aug = _make_system(10.0 ** rng.uniform(-1, 1, n), alpha)
+        obs = rng.standard_normal(2 * n) if rng.random() < 0.5 else None
+        horizons = np.sort(10.0 ** rng.uniform(0, 3, 3))
+        cfg = _config(real, horizons[-1], 0.01, rng.standard_normal(2), obs)
+        report = sim.consensus_report(aug, cfg, horizons)
+        assert report.passed
+        worst = max(worst, np.max(report.per_element_error / report.trajectory_envelope))
+    assert 0.5 < worst <= 1.0
 
 
 # ---------------------------------------------------------------------------
