@@ -66,18 +66,26 @@ class _Scratch:
     """Work buffers for :func:`_format_17g` calls of up to ``size`` values.
 
     Every call overwrites them, so one thread at a time may use a scratch.
-    ``floats`` also serve as ``int64`` temporaries once their values are
-    used up; ``placed`` also holds the mask that drops the NUL padding.
+    They are views of one arena of 87 bytes per value, laid out as
+    ``floats`` (48), ``ints`` (16), ``digits`` (20) and ``bools`` (3), and
+    buffers whose lifetimes do not overlap share its bytes.  ``floats``
+    serve as ``int64`` temporaries once their values are used up, and hold
+    ``placed`` once the digits are split.  ``rows`` span ``ints`` and
+    ``digits``, which are spent once the digits are placed, and end before
+    ``bools``, whose kernel mask is read last.  ``placed`` also holds the
+    mask that drops the NUL padding.
     """
 
     def __init__(self, size: int):
         self.size = size
-        self.floats = np.empty((6, size))
-        self.ints = np.empty((2, size), dtype=np.int64)
-        self.bools = np.empty((3, size), dtype=bool)
-        self.digits = np.empty((size, 20), dtype=np.uint8)
-        self.placed = np.empty((size, 25), dtype=np.uint8)
-        self.rows = np.empty((size, 25), dtype=np.uint8)
+        arena = np.empty(87 * size, dtype=np.uint8)
+        floats, ints, digits, bools = np.split(arena, np.array([48, 64, 84]) * size)
+        self.floats = floats.view(np.float64).reshape(6, size)
+        self.ints = ints.view(np.int64).reshape(2, size)
+        self.digits = digits.reshape(size, 20)
+        self.bools = bools.view(bool).reshape(3, size)
+        self.placed = arena[: 25 * size].reshape(size, 25)
+        self.rows = arena[48 * size : 73 * size].reshape(size, 25)
 
 
 def _format_17g(values, seps, scratch: _Scratch) -> np.ndarray:

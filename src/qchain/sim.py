@@ -74,11 +74,6 @@ if hasattr(os, "sched_getaffinity"):
 else:
     _CSV_WORKERS = min(2, os.cpu_count() or 1)
 
-#: Most values per :func:`_format_17g` call, so about two per chunk.  Each
-#: CSV worker's scratch takes 137 bytes per value of its largest call;
-#: halving a chunk halves it, and smaller calls pay more interpreter time.
-_FORMAT_VALUES = 2**15
-
 #: Steps per block of RK4 power stepping.
 _RK4_BLOCK = 256
 
@@ -252,7 +247,7 @@ def _tasks(augmented, config, times_of, count, keep_states):
     def task(start, stop):
         block = np.empty((stop - start, columns))
         block[:, 0] = times_of(start, stop)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             drift = route.fill(block)
         at_zero = block[:, 0] == 0.0
         block[at_zero, n + 2 : 2 * n + 2] = block[at_zero, 2 : n + 2]
@@ -738,10 +733,13 @@ def _write_csv(n: int, tasks, path) -> None:
 
     The tasks are pulled on the calling thread, run and formatted on
     ``_CSV_WORKERS`` threads and written in order (:func:`_write_in_order`).
-    Each thread formats in its own scratch buffers, made for the first
-    values it formats and freed when the export returns.  If a task raises,
-    the tasks not yet started are cancelled, the partial file is deleted and
-    the error propagates.
+    Each chunk is formatted in one :func:`_format_17g` call: a call makes
+    over a hundred numpy calls whatever its size, and on two threads each
+    of them may wait for the interpreter lock.  Each thread formats in its
+    own scratch of 87 bytes per value (:class:`_Scratch`), made for its
+    first chunk, as only the last chunk is short, and freed when the export
+    returns.  If a task raises, the tasks not yet started are cancelled, the
+    partial file is deleted and the error propagates.
     """
     header = (
         ["t", "z_p"]
@@ -755,18 +753,10 @@ def _write_csv(n: int, tasks, path) -> None:
 
     def formatted(task):
         block, _ = task()
-        parts = -(-block.size // _FORMAT_VALUES)
-        out = []
-        for values, part_seps in zip(
-            np.array_split(block, parts), np.array_split(seps[: len(block)], parts)
-        ):
-            # a chunk's first part is its largest, and only the last chunk
-            # is short, so a thread's scratch is made once
-            scratch = getattr(local, "scratch", None)
-            if scratch is None or scratch.size < values.size:
-                scratch = local.scratch = _Scratch(values.size)
-            out.append(_format_17g(values, part_seps, scratch))
-        return out
+        scratch = getattr(local, "scratch", None)
+        if scratch is None or scratch.size < block.size:
+            scratch = local.scratch = _Scratch(block.size)
+        return _format_17g(block, seps[: len(block)], scratch)
 
     f = open(path, "wb")
     try:
@@ -781,7 +771,7 @@ def _write_csv(n: int, tasks, path) -> None:
 
 
 def _write_in_order(f, work, tasks) -> None:
-    """Write the buffers of ``work(task)`` for each of ``tasks`` to ``f``, in order.
+    """Write the buffer ``work(task)`` for each of ``tasks`` to ``f``, in order.
 
     The tasks are pulled here, on the calling thread.  A single task runs
     inline.  More run on ``_CSV_WORKERS`` threads, at most two per worker in
@@ -794,7 +784,7 @@ def _write_in_order(f, work, tasks) -> None:
     tasks = itertools.chain(head, tasks)
     if len(head) < 2 or _CSV_WORKERS <= 1:
         for task in tasks:
-            f.writelines(work(task))
+            f.write(work(task))
         return
     from concurrent.futures import ThreadPoolExecutor
 
@@ -804,9 +794,9 @@ def _write_in_order(f, work, tasks) -> None:
             for task in tasks:
                 pending.append(pool.submit(work, task))
                 if len(pending) == 2 * _CSV_WORKERS:
-                    f.writelines(pending.popleft().result())
+                    f.write(pending.popleft().result())
             while pending:
-                f.writelines(pending.popleft().result())
+                f.write(pending.popleft().result())
         except BaseException:
             for future in pending:
                 future.cancel()

@@ -11,8 +11,10 @@ contract on any chain size fails here first.  The second test does the same
 for every ``simulate`` and ``sweep`` job of the series_long workload (its
 N = 3 to 100 design chains, the shipped configs, the sweep and the N = 3
 probes, the ``--csv`` and rk4 ones among them): each report must pass and
-agree with the Van Loan reference, ``matrix_residual`` included.  ``qbench``
-is imported from the repository, read only.
+agree with the Van Loan reference, ``matrix_residual`` included.  The third
+does the same for the csv_export workload, whose stride-1 exports of N = 10
+and N = 30 span many chunks of the CSV writer.  ``qbench`` is imported from
+the repository, read only.
 """
 
 import pathlib
@@ -51,13 +53,13 @@ def test_certify_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
     assert {job: found for job, found in problems.items() if found} == {}
 
 
-def test_series_long_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
-    monkeypatch.chdir(ROOT)
-    kinds, problems = set(), {}
-    for job in workloads.make_jobs("series_long", seed=1, workdir=str(tmp_path)):
+def _check_simulate_and_sweep_jobs(workload, workdir):
+    """Run ``workload``'s simulate and sweep jobs at seed 1; their kinds, problems."""
+    kinds, problems = [], {}
+    for job in workloads.make_jobs(workload, seed=1, workdir=str(workdir)):
         if job.command not in ("simulate", "sweep"):
             continue
-        kinds.add(job.kind)
+        kinds.append(job.kind)
         assert cli.main(job.argv()) == job.expect_exit, job.config
         raw = reference.load(job.config)
         if job.command == "sweep":
@@ -73,5 +75,20 @@ def test_series_long_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
         )
         if job.csv:
             problems[job.id] += reference.check_csv(job.csv, raw, ref)[0]
-    assert kinds == {"simulate", "sweep", "csv", "rk4"}
-    assert {job: found for job, found in problems.items() if found} == {}
+    return kinds, {job: found for job, found in problems.items() if found}
+
+
+def test_series_long_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    kinds, problems = _check_simulate_and_sweep_jobs("series_long", tmp_path)
+    assert set(kinds) == {"simulate", "sweep", "csv", "rk4"}
+    assert problems == {}
+
+
+def test_csv_export_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    kinds, problems = _check_simulate_and_sweep_jobs("csv_export", tmp_path)
+    # the N = 10, N = 30 and shipped exports, and the probe's
+    assert kinds.count("csv") == 4
+    assert set(kinds) == {"simulate", "sweep", "csv", "rk4"}
+    assert problems == {}

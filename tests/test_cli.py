@@ -795,6 +795,15 @@ _HUGE_OBSERVER = {"plant": [1.0, 0.0], "observer": [1e10, 0, 0, 0, 0, 0]}
             "",
             id="verify_commutation_scale",
         ),
+        # the phase table overflows at the last horizon
+        pytest.param(
+            {**CANONICAL, "horizons": [1e300, 1e308]},
+            ["simulate"],
+            3,
+            "construction error: the per_element_error is not finite "
+            "at horizon 1e+308\n",
+            id="simulate_huge_horizon",
+        ),
     ],
 )
 def test_overflowing_runs_fail_without_a_warning_or_a_file(

@@ -545,6 +545,24 @@ def test_stream_writes_in_the_memory_of_a_few_chunks(tmp_path, monkeypatch):
     assert peak <= 12e6
 
 
+@pytest.mark.parametrize("n, horizon", [(1, 1000.0), (100, 100.0)])
+def test_stream_memory_at_one_and_a_hundred_elements(tmp_path, monkeypatch, n, horizon):
+    # a kernel call takes a whole chunk: 65,536 values at N = 1, the most of
+    # any chain, and 32,926 at N = 100, against 36,036 at N = 10
+    monkeypatch.setattr(sim, "_CSV_WORKERS", 2)
+    _, real, aug = _make_system(np.linspace(0.5, 1.5, n))
+    cfg = _config(real, horizon, 0.01, plant_x=(0.3, 0.9))
+    path = tmp_path / "stream.csv"
+    tracemalloc.start()
+    try:
+        sim.write_timeseries_csv(aug, cfg, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes().count(b"\n") == round(horizon / 0.01) + 2
+    assert peak <= 20e6
+
+
 def test_rk4_stream_writes_in_the_memory_of_a_few_chunks(tmp_path, monkeypatch):
     # the rk4 route steps as its chunks are pulled, so, like the exact
     # route, it never holds the 17.6 MB series
@@ -604,7 +622,8 @@ def test_one_chunk_export_starts_no_thread(tmp_path, monkeypatch):
     assert path.read_bytes().count(b"\n") == 202
 
 
-def test_block_writer_matches_per_value_format(tmp_path):
+def test_block_writer_matches_per_value_format(tmp_path, monkeypatch):
+    monkeypatch.setattr(sim, "_CSV_WORKERS", 2)
     table = np.array(
         [
             [0.0, -0.0, 1e-300, 1e300, 3.0, -7.0],
@@ -612,12 +631,30 @@ def test_block_writer_matches_per_value_format(tmp_path):
             [1e-3, 5e-324, -2.5, 0.0, -0.0, 42.0],
         ]
     )
-    table = np.tile(table, (2000, 1))  # more values than one kernel call
+    # 18,000 rows: two chunks of 8,192 and a short last one, so a thread's
+    # scratch is reused, once for a shorter call
+    table = np.tile(table, (6000, 1))
+    assert len(table) % sim._chunk_rows(2) and len(table) > 2 * sim._chunk_rows(2)
     path = tmp_path / "block.csv"
     sim._write_csv(*_table_stream(table), path)
     lines = ["t,z_p,z_o_1,z_o_2,avg_z_o_1,avg_z_o_2"]
     lines += [",".join(format(float(v), ".17g") for v in row) for row in table]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_export_formats_each_chunk_in_one_kernel_call(tmp_path, monkeypatch):
+    monkeypatch.setattr(sim, "_CSV_WORKERS", 2)
+    calls = []
+
+    def counted(values, seps, scratch):
+        calls.append(values.shape)  # list.append holds the interpreter lock
+        return _fmt17._format_17g(values, seps, scratch)
+
+    monkeypatch.setattr(sim, "_format_17g", counted)
+    _, real, aug = _make_system(np.linspace(0.5, 1.5, 10))
+    sim.write_timeseries_csv(aug, _config(real, 100.0, 0.01), tmp_path / "run.csv")
+    rows = sim._chunk_rows(10)  # 10,001 rows: six chunks of 1,638 and one of 173
+    assert sorted(calls) == [(173, 22)] + [(rows, 22)] * 6
 
 
 
