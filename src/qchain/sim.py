@@ -19,8 +19,9 @@ Every sample, and every running time average, is therefore exact to
 rounding at any horizon, and only the times a caller reads are evaluated.
 The same split gives the whole propagator in closed form
 (:func:`flow_matrix`).  A fixed-step RK4 route over the raw augmented drift,
-with trapezoidal running averages and a check that ``z`` stays constant, is
-an independent diagnostic; it keeps only the rows a caller reads.
+with trapezoidal running averages and a check that ``z`` stays constant at
+every step, is an independent diagnostic.  It steps its grid in blocks, one
+product per block, and evaluates readouts only in the blocks a caller reads.
 
 :func:`_tasks` is the one source of rows for both routes: it cuts the times
 into chunks, lays out each chunk's block and sets the average at ``t = 0``;
@@ -74,11 +75,8 @@ if hasattr(os, "sched_getaffinity"):
 else:
     _CSV_WORKERS = min(2, os.cpu_count() or 1)
 
-#: Steps per block of RK4 power stepping.
+#: Most steps per block of RK4 power stepping.
 _RK4_BLOCK = 256
-
-#: Values (samples times yielded rows) per group of RK4 blocks: 64 KB.
-_RK4_GROUP_ENTRIES = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +223,10 @@ def _tasks(augmented, config, times_of, count, keep_states):
     order, one per ``_chunk_rows(N)`` times.  Each returns ``block, drift``:
     the chunk's columns (:func:`_columns`), with the average at ``t = 0`` the
     readout itself, and the route's ``drift`` (:class:`TimeSeries`) up to
-    its last time.  Exact tasks may run on any thread.  The ``rk4`` route
-    steps its grid in order as the tasks are pulled, so its times must be
-    ascending grid samples, and its tasks raise as :class:`_Rk4Route` does.
+    at least its last time.  Exact tasks may run on any thread.  The
+    ``rk4`` route steps its grid in order as the tasks are pulled, so its
+    times must be ascending grid samples, and its tasks raise as
+    :class:`_Rk4Route` does.
     Raises :class:`ValueError` if the initial observer state does not fit
     the chain, or on the exact route if the chain is singular.
     """
@@ -366,88 +365,81 @@ def flow_matrix(augmented: AugmentedSystem, t: float) -> np.ndarray:
     return E
 
 
-def _rk4_blocks(A, x0, dt, n_steps, rows):
-    """Fixed-step classical RK4 for ``dx/dt = A x``, yielding ``rows @ x``.
+def _rk4_blocks(A, dt, n_steps, rows):
+    """``P, M^B``: the readouts ``P[b] = rows M^b`` of a block of ``B`` RK4 steps.
 
-    On a linear drift one RK4 step is exactly ``x -> M x`` with ``M`` the
-    degree-4 Taylor polynomial of ``exp(A dt)``.  The products
-    ``rows M^0 .. rows M^{B-1}`` are stacked once, so each block of ``B``
-    samples is one product with the block's first state, which then
-    advances by ``M^B``; the blocks of a group share one product.  Yields
-    ``rows @ x`` for the ``n_steps + 1`` samples, as consecutive groups of
-    at most ``_RK4_GROUP_ENTRIES`` values.
+    On a linear drift one classical RK4 step of ``dx/dt = A x`` is exactly
+    ``x -> M x`` with ``M`` the degree-4 Taylor polynomial of ``exp(A dt)``.
+    ``M^b`` is built one step at a time, as stepping compounds it: squaring
+    loses the transients of a far-from-normal drift.  Building costs in
+    proportion to ``B`` and stepping the grid to ``n_steps / B``, so ``B =
+    min(_RK4_BLOCK, n_steps + 1, 2 isqrt(n_steps) + 1)``.  A block starting
+    at ``x`` reads ``P[b] @ x`` at its step ``b``; ``M^B @ x`` starts the next.
     """
-    n = x0.shape[0]
+    n = A.shape[0]
     eye = np.eye(n)
     hA = dt * A
     M = eye + hA @ (eye + hA @ (eye / 2.0 + hA @ (eye / 6.0 + hA / 24.0)))
-    B = min(_RK4_BLOCK, n_steps + 1)
+    B = min(_RK4_BLOCK, n_steps + 1, 2 * math.isqrt(n_steps) + 1)
     pows = np.empty((B, n, n))
     pows[0] = eye
     for b in range(1, B):
         pows[b] = M @ pows[b - 1]
-    step_block = M @ pows[B - 1]
-    pows = rows @ pows
-    m = pows.shape[1]
-    stacked = pows.reshape(B * m, n)
-    per_group = B * max(1, _RK4_GROUP_ENTRIES // (B * m))
-    x = np.array(x0, dtype=float)
-    for start in range(0, n_steps + 1, per_group):
-        k = min(per_group, n_steps + 1 - start)
-        firsts = np.empty((n, -(-k // B)))  # the state at each block's start
-        for j in range(firsts.shape[1]):
-            firsts[:, j] = x
-            x = step_block @ x
-        out = (stacked @ firsts).reshape(B, m, -1).transpose(2, 0, 1)
-        yield out.reshape(-1, m)[:k]
+    return rows @ pows, M @ pows[B - 1]
 
 
 class _Rk4Route:
     """RK4 over the full ``sample_dt`` grid; :meth:`fill` reads it in order.
 
-    :meth:`fill` steps as far as its block's times, a group of
-    :func:`_rk4_blocks` at a time.  Each group extends the trapezoid sums of
-    the running averages, so they are the trapezoid rule's over the whole
-    grid, and ``drift``, the largest ``|z_p - z_p(0)|`` over every step so
-    far.  Memory is one group, whatever the grid length.  It raises
-    :class:`IntegratorAccuracyError` if a group overflows or ``drift``
+    The route steps the blocks of :func:`_rk4_blocks`.  Entering a block is
+    one product with its first state ``x``, ``[P[:, 0]; sum_b P[b, 1:N+1];
+    M^B] @ x``: ``z_p`` at each step, for ``drift`` (the largest ``|z_p -
+    z_p(0)|`` so far), the block's readout sum and the next first state.
+    Only a block holding a row a caller reads evaluates ``P @ x``, every
+    row of it, so a row's bytes do not depend on which others are read.
+    With ``S_K`` the sum of the readouts ``v_j`` over the steps ``j <= K``,
+    the trapezoid average at step ``K`` is ``(S_K - (v_0 + v_K) / 2) / K``.
+    Memory is one block's ``P``, whatever the grid length.  It raises
+    :class:`IntegratorAccuracyError` if a block overflows or ``drift``
     exceeds ``Z_DRIFT_TOL * (1 + |z_p(0)|)``.
     """
 
     def __init__(self, augmented, config, keep_states):
         self.dt = float(config.sample_dt)
         self.n = n = augmented.realization.n_elements
+        self.n_steps = config.n_steps
         x0 = np.concatenate([config.initial_plant, config.initial_observer])
         readouts = [augmented.plant_readout[None, :], augmented.observer_readout]
         if keep_states:
             readouts.append(np.eye(augmented.dim))
-        self.groups = _rk4_blocks(
-            augmented.drift, x0, self.dt, config.n_steps, np.vstack(readouts)
-        )
-        self.keep_states = keep_states
-        # z(0) read from the full state, as every step reads z; alpha @ x_p(0)
-        # can differ from it by rounding
+        rows = np.vstack(readouts)
+        self.P, step = _rk4_blocks(augmented.drift, self.dt, self.n_steps, rows)
+        self.enter = np.vstack([self.P[:, 0], self.P[:, 1 : n + 1].sum(axis=0), step])
+        # z(0) and v_0 read from the full state, as every step reads them
+        # (alpha @ x_p(0) can differ from z(0) by rounding); base is
+        # S_{start-1} - v_0 / 2, and a block of no steps ends before step 0
         self.z_p0 = float(augmented.plant_readout @ x0)
+        self.base = -0.5 * (augmented.observer_readout @ x0)
         self.drift = 0.0
-        self.start = self.stop = 0  # the group in hand holds the steps start..stop-1
-        self.last = 0.0, np.zeros(n), np.zeros(n)  # a zero-length step ending at t = 0
+        self.start, self.ahead = -len(self.P), np.concatenate([np.zeros(n), x0])
 
     def fill(self, block):
         """Fill a block of :func:`_tasks` after its ``t`` column; returns ``drift``."""
-        n = self.n
+        B = len(self.P)
         idx = np.rint(block[:, 0] / self.dt).astype(np.int64)
         lo = 0
-        while lo < idx.size:
-            while idx[lo] >= self.stop:
-                self._step()
-            hi = int(np.searchsorted(idx, self.stop))
-            local = idx[lo:hi] - self.start
-            rows = block[lo:hi]
-            rows[:, 1 : n + 2] = self.group[local, : n + 1]  # z_p, z_o
-            rows[:, n + 2 : 2 * n + 2] = self.sums[local + 1] / self.t[local + 1, None]
-            if self.keep_states:
-                rows[:, 2 * n + 2 :] = self.group[local, n + 1 :]
-            lo = hi
+        try:
+            with np.errstate(over="raise"):
+                while lo < idx.size:
+                    while idx[lo] >= self.start + B:
+                        self._next_block()
+                    hi = int(np.searchsorted(idx, self.start + B))
+                    block[lo:hi, 1:] = self._read()[idx[lo:hi] - self.start]
+                    lo = hi
+        except FloatingPointError:
+            raise IntegratorAccuracyError(
+                f"the rk4 state overflows past step {self.start}; decrease sample_dt"
+            ) from None
         tol = Z_DRIFT_TOL * (1.0 + abs(self.z_p0))
         if self.drift > tol:
             raise IntegratorAccuracyError(
@@ -457,28 +449,34 @@ class _Rk4Route:
             )
         return self.drift
 
-    def _step(self):
-        """Take the next group of steps: extend ``drift`` and the trapezoid sums."""
-        try:
-            with np.errstate(over="raise"):
-                group = next(self.groups)
-        except FloatingPointError:
-            raise IntegratorAccuracyError(
-                f"the rk4 state overflows past step {self.stop}; decrease sample_dt"
-            ) from None
-        n, start, stop = self.n, self.stop, self.stop + group.shape[0]
-        self.drift = max(self.drift, float(np.max(np.abs(group[:, 0] - self.z_p0))))
-        # row 0 is the step before the group: its time, readouts and sums
-        t = np.arange(start - 1, stop) * self.dt
-        v = np.empty((stop - start + 1, n))
-        sums = np.empty_like(v)
-        t[0], v[0], sums[0] = self.last
-        v[1:] = group[:, 1 : n + 1]
-        sums[1:] = 0.5 * (v[1:] + v[:-1]) * np.diff(t)[:, None]
-        np.cumsum(sums, axis=0, out=sums)
-        self.last = t[-1], v[-1], sums[-1]
-        self.start, self.stop, self.group = start, stop, group
-        self.t, self.sums = t, sums
+    def _next_block(self):
+        """Leave the block in hand, enter the next; the last reads only its ``z_p``."""
+        n, B = self.n, len(self.P)
+        self.base = self.base + self.ahead[:n]
+        self.start, self.x = self.start + B, self.ahead[n:]
+        count = min(B, self.n_steps + 1 - self.start)
+        last = self.start + B > self.n_steps
+        out = (self.enter[:count] if last else self.enter) @ self.x
+        self.z_p, self.ahead, self.rows = out[:count], out[B:], None
+        self.drift = max(self.drift, float(np.abs(self.z_p - self.z_p0).max()))
+
+    def _read(self):
+        """The block's rows after ``t``: one product ``P @ x``, on its first read."""
+        if self.rows is None:
+            n, count = self.n, self.z_p.size
+            P = self.P[:count]
+            values = (P.reshape(-1, P.shape[2]) @ self.x).reshape(count, -1).T
+            columns = np.empty((len(values) + n, count))  # the sums run along time
+            columns[0] = self.z_p
+            columns[1 : n + 1] = v = values[1 : n + 1]
+            avg = columns[n + 1 : 2 * n + 1]
+            np.cumsum(v, axis=1, out=avg)
+            avg += self.base[:, None]
+            avg -= 0.5 * v
+            avg /= np.arange(self.start, self.start + count)
+            columns[2 * n + 1 :] = values[n + 1 :]
+            self.rows = columns.T
+        return self.rows
 
 
 class _ExactRoute:
@@ -620,7 +618,8 @@ def consensus_report(
     averages at the horizons alone.  The exact route evaluates each at the
     horizon itself, so ``sample_dt`` plays no part.  The ``rk4`` route
     steps the full grid out to the largest horizon to get its trapezoid
-    averages, so there every horizon must land on the grid.
+    averages and drift, but reads only the blocks that hold ``t = 0`` and a
+    horizon, so there every horizon must land on the grid.
 
     Raises
     ------

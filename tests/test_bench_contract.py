@@ -7,7 +7,9 @@ runs every ``build`` and ``verify`` job of the certify workload (the shipped
 configs, the design chains of N = 1, 2, 5, 10, 30 and 100 in both chain
 forms, the N = 3 probe and the three detuned chains) through ``cli.main``
 and applies the same checks, so a change that breaks the benchmark's
-contract on any chain size fails here first.  The second test does the same
+contract on any chain size fails here first; its ``simulate`` and ``sweep``
+jobs, the N = 3 and N = 10 rk4 reports among them, go through the checks
+of the second test.  The second test does the same
 for every ``simulate`` and ``sweep`` job of the series_long workload (its
 N = 3 to 100 design chains, the shipped configs, the sweep and the N = 3
 probes, the ``--csv`` and rk4 ones among them): each report must pass and
@@ -51,6 +53,11 @@ def test_certify_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
     assert sizes == {1, 2, 3, 5, 10, 30, 100}
     assert detuned == [workloads.DETUNED_FAILS] * 3
     assert {job: found for job, found in problems.items() if found} == {}
+    # the rk4_n3, rk4_n10 and probe reports, and the probe's other commands
+    kinds, found = _check_simulate_and_sweep_jobs("certify", tmp_path)
+    assert kinds.count("rk4") == 3
+    assert set(kinds) == {"simulate", "sweep", "csv", "rk4"}
+    assert found == {}
 
 
 def _check_simulate_and_sweep_jobs(workload, workdir):

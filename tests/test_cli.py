@@ -726,7 +726,7 @@ _HUGE_OBSERVER = {"plant": [1.0, 0.0], "observer": [1e10, 0, 0, 0, 0, 0]}
              "method": "rk4", "sample_dt": 0.001, "horizons": [10.0, 100.0]},
             ["simulate"],
             1,
-            "simulation failed: the rk4 state overflows past step 23040; "
+            "simulation failed: the rk4 state overflows past step 24832; "
             "decrease sample_dt\n",
             id="rk4_state",
         ),

@@ -151,12 +151,22 @@ def test_running_average_matches_scipy_trapezoid():
 # full simulation
 
 
+def _rk4_rows(A, x0, dt, n_steps, rows):
+    """``rows @ x`` at steps ``0..n_steps``, stepped in ``sim._rk4_blocks``' blocks."""
+    P, step_block = sim._rk4_blocks(A, dt, n_steps, rows)
+    out, x = [], x0
+    for _ in range(0, n_steps + 1, len(P)):
+        out.append(P @ x)
+        x = step_block @ x
+    return np.vstack(out)[: n_steps + 1]
+
+
 def test_rk4_matches_matrix_exponential():
     rng = np.random.default_rng(2)
     A = 0.4 * rng.standard_normal((6, 6))
     x0 = rng.standard_normal(6)
     dt, n_steps = 0.01, 400
-    out = np.vstack(list(sim._rk4_blocks(A, x0, dt, n_steps, np.eye(6))))
+    out = _rk4_rows(A, x0, dt, n_steps, np.eye(6))
     assert out.shape == (n_steps + 1, 6)
     assert np.array_equal(out[0], x0)
     exact = scipy.linalg.expm(A * dt * n_steps) @ x0
@@ -182,9 +192,7 @@ def test_rk4_power_stepping_matches_plain_loop():
     rng = np.random.default_rng(5)
     x0 = rng.standard_normal(aug.dim)
     dt, n_steps = 0.01, 200_000
-    blocked = np.vstack(
-        list(sim._rk4_blocks(aug.drift, x0, dt, n_steps, np.eye(aug.dim)))
-    )
+    blocked = _rk4_rows(aug.drift, x0, dt, n_steps, np.eye(aug.dim))
     A = aug.drift
     plain = np.empty_like(blocked)
     plain[0] = x = x0.copy()
@@ -249,6 +257,34 @@ def test_integrator_accuracy_guard_trips():
     assert info.value.drift > 1e-3
 
 
+@pytest.mark.parametrize("leak", [(0, 0), (0, 3)], ids=["doctored", "oscillating"])
+def test_rk4_drift_covers_every_step(leak):
+    # the report reads t = 0, 10 and 50 alone, yet its drift is the largest
+    # over all 5000 steps: (0, 0) is the doctored drift above, and the
+    # oscillating leak (0, 3) drifts most at step 418, which no row reads
+    _, real, aug = _make_system([1.0, 1.0])
+    A = aug.drift.copy()
+    A[leak] = 1e-3
+    cfg = _config(real, 50.0, 0.01, method="rk4")
+    with pytest.raises(IntegratorAccuracyError) as info:
+        sim.consensus_report(replace(aug, drift=A), cfg, [10.0, 50.0])
+    dt = cfg.sample_dt
+    x = np.concatenate([cfg.initial_plant, cfg.initial_observer])
+    z = np.empty(cfg.n_steps + 1)
+    z[0] = aug.plant_readout @ x
+    for k in range(cfg.n_steps):
+        k1 = A @ x
+        k2 = A @ (x + 0.5 * dt * k1)
+        k3 = A @ (x + 0.5 * dt * k2)
+        k4 = A @ (x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z[k + 1] = aug.plant_readout @ x
+    drift = np.max(np.abs(z - z[0]))
+    assert info.value.drift == pytest.approx(drift, rel=1e-9)
+    if leak == (0, 3):
+        assert np.max(np.abs(z[[1000, 5000]] - z[0])) < 0.5 * drift
+
+
 @pytest.mark.parametrize("n", [3, 100])
 def test_exact_route_admits_horizon_1e9(n):
     # z_p is alpha @ x_p(0) by construction and the averages are closed
@@ -270,19 +306,19 @@ def test_exact_route_admits_horizon_1e9(n):
 
 
 def test_rk4_streams_the_full_grid_rows(monkeypatch):
-    # groups of 256-step blocks with the trapezoid sums carried across them
-    # give the numbers of stepping and averaging the whole grid at once, to
-    # the rounding of reading the readouts through the stacked powers, in
-    # chunks of 5461 rows (the whole series) and of 21 rows, whose edges fall
-    # inside, on and across the 512-step groups
+    # 89-step blocks with the readout sums carried across them give the
+    # numbers of stepping and averaging the whole grid at once, to the
+    # rounding of reading the readouts through the stacked powers, in chunks
+    # of 5461 rows (the whole series) and of 21 rows, whose edges fall
+    # inside, on (step 1869) and across the block edges
     _, real, aug = _make_system([1.0, 0.8, 1.3])
     rng = np.random.default_rng(31)
     cfg = _config(real, 20.0, 0.01, plant_x=(0.4, 1.1),
                   obs=rng.standard_normal(real.state_dim), method="rk4")
     x0 = np.concatenate([cfg.initial_plant, cfg.initial_observer])
-    states = np.vstack(
-        list(sim._rk4_blocks(aug.drift, x0, 0.01, cfg.n_steps, np.eye(aug.dim)))
-    )
+    P, _ = sim._rk4_blocks(aug.drift, 0.01, cfg.n_steps, np.eye(aug.dim))
+    assert len(P) == 89
+    states = _rk4_rows(aug.drift, x0, 0.01, cfg.n_steps, np.eye(aug.dim))
     assert states.shape == (cfg.n_steps + 1, aug.dim)
     z_o = states @ aug.observer_readout.T
     avg = running_average(np.arange(cfg.n_steps + 1) * cfg.sample_dt, z_o)
@@ -298,6 +334,28 @@ def test_rk4_streams_the_full_grid_rows(monkeypatch):
     report = sim.consensus_report(aug, cfg, [2.56, 5.0, 20.0])
     errors = np.abs(avg[[256, 500, 2000]] - report.z_p)
     assert np.max(np.abs(report.per_element_error - errors)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "horizons", [[0.5, 0.89, 1.78, 20.0], [2.67, 8.9, 19.99]], ids=["on", "across"]
+)
+def test_rk4_report_reads_the_simulated_rows(horizons):
+    # t = 0 and the horizons, read alone, have the bytes of the same rows of
+    # the whole series: horizons inside, on (steps 89, 178, 890) and either
+    # side of (267, 1999) the 89-step blocks of a 2000-step grid
+    _, real, aug = _make_system([1.0, 0.8, 1.3])
+    rng = np.random.default_rng(37)
+    cfg = _config(real, 20.0, 0.01, plant_x=(0.4, 1.1),
+                  obs=rng.standard_normal(real.state_dim), method="rk4")
+    run = replace(cfg, horizon_T=horizons[-1])
+    series = sim.simulate(aug, run)
+    report = sim.consensus_report(aug, cfg, horizons)
+    idx = [round(h / 0.01) for h in horizons]
+    averages = series.running_avg_z_o[idx]
+    assert np.array_equal(report.per_element_error, np.abs(averages - report.z_p))
+    x0 = np.concatenate([cfg.initial_plant, cfg.initial_observer])
+    drift = np.max(np.abs(series.z_p - aug.plant_readout @ x0))
+    assert report.z_p_drift == series.z_p_drift == drift
 
 
 def test_observer_length_mismatch():
