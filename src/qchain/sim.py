@@ -225,7 +225,7 @@ def _tasks(augmented, config, times_of, count, keep_states):
     readout itself, and the route's ``drift`` (:class:`TimeSeries`) up to
     at least its last time.  Exact tasks may run on any thread.  The
     ``rk4`` route steps its grid in order as the tasks are pulled, so its
-    times must be ascending grid samples, and its tasks raise as
+    times must be strictly ascending grid samples, and its tasks raise as
     :class:`_Rk4Route` does.
     Raises :class:`ValueError` if the initial observer state does not fit
     the chain, or on the exact route if the chain is singular.
@@ -391,57 +391,65 @@ def _rk4_blocks(A, dt, n_steps, rows):
 class _Rk4Route:
     """RK4 over the full ``sample_dt`` grid; :meth:`fill` reads it in order.
 
-    The route steps the blocks of :func:`_rk4_blocks`.  Entering a block is
-    one product with its first state ``x``, ``[P[:, 0]; sum_b P[b, 1:N+1];
-    M^B] @ x``: ``z_p`` at each step, for ``drift`` (the largest ``|z_p -
-    z_p(0)|`` so far), the block's readout sum and the next first state.
-    Only a block holding a row a caller reads evaluates ``P @ x``, every
-    row of it, so a row's bytes do not depend on which others are read.
-    With ``S_K`` the sum of the readouts ``v_j`` over the steps ``j <= K``,
-    the trapezoid average at step ``K`` is ``(S_K - (v_0 + v_K) / 2) / K``.
-    Memory is one block's ``P``, whatever the grid length.  It raises
-    :class:`IntegratorAccuracyError` if a block overflows or ``drift``
-    exceeds ``Z_DRIFT_TOL * (1 + |z_p(0)|)``.
+    The route steps the blocks of :func:`_rk4_blocks`, built by the first
+    :meth:`fill`.  Entering a block is one product with its first state
+    ``x``, ``[P[:, 0]; sum_b P[b, 1:N+1]; M^B] @ x``: ``z_p`` at each step,
+    for ``drift`` (the largest ``|z_p - z_p(0)|`` so far), the block's
+    readout sum and the next first state.  Blocks are entered a batch at a
+    time, up to the last block a chunk reads (:meth:`_enter`).  Only a
+    block holding a row a caller reads evaluates ``P @ x``, every row of
+    it, so a row's bytes do not depend on which others are read; the
+    blocks a chunk reads share one call (:meth:`_rows`).  With ``S_K`` the
+    sum of the readouts ``v_j`` over the steps ``j <= K``, the trapezoid
+    average at step ``K`` is ``(S_K - (v_0 + v_K) / 2) / K``.  Memory is
+    one block's ``P``, one batch and a chunk's rows of read blocks,
+    whatever the grid length.  It raises :class:`IntegratorAccuracyError`
+    if a product overflows or ``drift`` is not within ``Z_DRIFT_TOL * (1 +
+    |z_p(0)|)``.
     """
 
     def __init__(self, augmented, config, keep_states):
         self.dt = float(config.sample_dt)
-        self.n = n = augmented.realization.n_elements
+        self.n = augmented.realization.n_elements
         self.n_steps = config.n_steps
+        self.width = _columns(augmented, keep_states) - 1
         x0 = np.concatenate([config.initial_plant, config.initial_observer])
         readouts = [augmented.plant_readout[None, :], augmented.observer_readout]
         if keep_states:
             readouts.append(np.eye(augmented.dim))
-        rows = np.vstack(readouts)
-        self.P, step = _rk4_blocks(augmented.drift, self.dt, self.n_steps, rows)
-        self.enter = np.vstack([self.P[:, 0], self.P[:, 1 : n + 1].sum(axis=0), step])
+        self.blocks = partial(
+            _rk4_blocks, augmented.drift, self.dt, self.n_steps, np.vstack(readouts)
+        )
         # z(0) and v_0 read from the full state, as every step reads them
         # (alpha @ x_p(0) can differ from z(0) by rounding); base is
-        # S_{start-1} - v_0 / 2, and a block of no steps ends before step 0
+        # S_{start-1} - v_0 / 2 at the first step of the next block to enter
         self.z_p0 = float(augmented.plant_readout @ x0)
         self.base = -0.5 * (augmented.observer_readout @ x0)
-        self.drift = 0.0
-        self.start, self.ahead = -len(self.P), np.concatenate([np.zeros(n), x0])
+        self.x, self.entered, self.P = x0, 0, None
+        self.drift, self.at = 0.0, 0
+        self.kept = -1, None  # the block read last, and its rows
 
     def fill(self, block):
         """Fill a block of :func:`_tasks` after its ``t`` column; returns ``drift``."""
-        B = len(self.P)
         idx = np.rint(block[:, 0] / self.dt).astype(np.int64)
         lo = 0
         try:
             with np.errstate(over="raise"):
+                if self.P is None:
+                    self._build()
+                js = idx // len(self.P)
                 while lo < idx.size:
-                    while idx[lo] >= self.start + B:
-                        self._next_block()
-                    hi = int(np.searchsorted(idx, self.start + B))
-                    block[lo:hi, 1:] = self._read()[idx[lo:hi] - self.start]
+                    while js[lo] >= self.entered:
+                        self._enter(min(js[-1] + 1, self.entered + self.cap))
+                    hi = int(np.searchsorted(js, self.entered))
+                    self._read(idx[lo:hi], js[lo:hi], block[lo:hi, 1:])
                     lo = hi
         except FloatingPointError:
             raise IntegratorAccuracyError(
-                f"the rk4 state overflows past step {self.start}; decrease sample_dt"
+                f"the rk4 state overflows past step {self.at}; decrease sample_dt"
             ) from None
         tol = Z_DRIFT_TOL * (1.0 + abs(self.z_p0))
-        if self.drift > tol:
+        if not self.drift <= tol:  # a nan drift fails too
             raise IntegratorAccuracyError(
                 f"plant observable drifted by {self.drift:.3e} over the run "
                 f"(tolerance {tol:.3e})",
@@ -449,34 +457,96 @@ class _Rk4Route:
             )
         return self.drift
 
-    def _next_block(self):
-        """Leave the block in hand, enter the next; the last reads only its ``z_p``."""
-        n, B = self.n, len(self.P)
-        self.base = self.base + self.ahead[:n]
-        self.start, self.x = self.start + B, self.ahead[n:]
-        count = min(B, self.n_steps + 1 - self.start)
-        last = self.start + B > self.n_steps
-        out = (self.enter[:count] if last else self.enter) @ self.x
-        self.z_p, self.ahead, self.rows = out[:count], out[B:], None
-        self.drift = max(self.drift, float(np.abs(self.z_p - self.z_p0).max()))
+    def _build(self):
+        """The block powers and the entering product, and their sizes."""
+        self.P, step = self.blocks()
+        B, n = len(self.P), self.n
+        self.enter = np.vstack([self.P[:, 0], self.P[:, 1 : n + 1].sum(axis=0), step])
+        self.last = self.n_steps // B  # its steps up to n_steps read only their z_p
+        self.tail = self.n_steps + 1 - self.last * B
+        self.cap = max(1, _CHUNK_ENTRIES // len(self.enter))  # blocks per batch
+        self.read_cap = max(1, _chunk_rows(n) // B)  # blocks per call of _rows
 
-    def _read(self):
-        """The block's rows after ``t``: one product ``P @ x``, on its first read."""
-        if self.rows is None:
-            n, count = self.n, self.z_p.size
-            P = self.P[:count]
-            values = (P.reshape(-1, P.shape[2]) @ self.x).reshape(count, -1).T
-            columns = np.empty((len(values) + n, count))  # the sums run along time
-            columns[0] = self.z_p
-            columns[1 : n + 1] = v = values[1 : n + 1]
-            avg = columns[n + 1 : 2 * n + 1]
-            np.cumsum(v, axis=1, out=avg)
-            avg += self.base[:, None]
-            avg -= 0.5 * v
-            avg /= np.arange(self.start, self.start + count)
-            columns[2 * n + 1 :] = values[n + 1 :]
-            self.rows = columns.T
-        return self.rows
+    def _enter(self, stop):
+        """Enter the blocks before ``stop``: the batch ``j0, X, z, bases``.
+
+        Its blocks ``j0, j0 + 1, ...`` have first states ``X``, ``z_p`` at
+        their steps ``z`` and ``bases``, ``S_{start-1} - v_0 / 2`` at their
+        first steps ``start``.
+        """
+        B, n, j0 = len(self.P), self.n, self.entered
+        k = stop - j0
+        # out[i + 1] is block j0 + i's product with its first state out[i, B + n:]
+        out = np.zeros((k + 1, len(self.enter)))
+        out[0, B : B + n], out[0, B + n :] = self.base, self.x
+        for i in range(k):
+            self.at = (j0 + i) * B
+            if j0 + i < self.last:
+                np.matmul(self.enter, out[i, B + n :], out=out[i + 1])
+            else:
+                out[i + 1, self.tail : B] = self.z_p0
+                x = out[i, B + n :]
+                np.matmul(self.enter[: self.tail], x, out=out[i + 1, : self.tail])
+        z = out[1:, :B]
+        # np.maximum keeps a nan, which then fails the drift check
+        self.drift = float(np.maximum(self.drift, np.abs(z - self.z_p0).max()))
+        bases = np.cumsum(out[:, B : B + n], axis=0)
+        self.x, self.base, self.entered = out[k, B + n :], bases[k], stop
+        self.batch = j0, out[:k, B + n :], z, bases[:k]
+
+    def _read(self, idx, js, rows):
+        """Fill ``rows`` with the readouts at the steps ``idx`` (in blocks ``js``).
+
+        The steps lie in the batch in hand or in the block read last, whose
+        rows are kept for the next chunk to start in.  The other blocks are
+        evaluated ``read_cap`` at a time, about a chunk's rows per call.
+        """
+        B, cap = len(self.P), self.read_cap
+        j, kept = self.kept
+        lo = int(np.searchsorted(js, j + 1))  # the rows in block j
+        if lo:
+            rows[:lo] = kept[:, idx[:lo] % B].T
+        heads = np.flatnonzero(js[1:] != js[:-1]) + 1  # where a block's rows start
+        if lo == 0:
+            heads = np.concatenate(([0], heads))
+        for g in range(0, heads.size, cap):
+            lo, hi = heads[g], heads[g + cap] if g + cap < heads.size else idx.size
+            blocks = js[heads[g : g + cap]]
+            if idx[hi - 1] - idx[lo] + 1 == hi - lo:  # consecutive steps
+                at = slice(idx[lo] - blocks[0] * B, idx[hi - 1] - blocks[0] * B + 1)
+            else:
+                at = np.searchsorted(blocks, js[lo:hi]) * B + idx[lo:hi] % B
+            values = self._rows(blocks)
+            rows[lo:hi] = values[:, at].T
+        if heads.size:
+            self.kept = js[-1], values[:, -B:]
+
+    def _rows(self, js):
+        """The rows after ``t`` of the batch's blocks ``js``: one product ``P @ x`` each.
+
+        Block ``js[i]``'s step ``b`` is column ``i B + b``.  The grid's last
+        block, which may hold fewer than ``B`` steps, takes its own call.
+        """
+        j0, X, z, bases = self.batch
+        (B, m, _), n = self.P.shape, self.n
+        rows = np.empty((self.width, js.size, B))  # the sums run along time
+        full = js.size - (js[-1] == self.last)
+        for part, c in ((slice(0, full), B), (slice(full, None), self.tail)):
+            at = js[part] - j0
+            if at.size:
+                self.at = int(js[part][0]) * B
+                values = np.matmul(self.P[:c].reshape(c * m, -1), X[at, :, None])
+                values = values.reshape(at.size, c, m).transpose(2, 0, 1)
+                columns = rows[:, part, :c]
+                columns[0] = z[at, :c]
+                columns[1 : n + 1] = values[1 : n + 1]
+                v, avg = columns[1 : n + 1], columns[n + 1 : 2 * n + 1]
+                np.cumsum(v, axis=2, out=avg)
+                avg += bases[at].T[:, :, None]
+                avg -= 0.5 * v
+                avg /= js[part, None] * float(B) + np.arange(c)
+                columns[2 * n + 1 :] = values[n + 1 :]
+        return rows.reshape(self.width, -1)
 
 
 class _ExactRoute:

@@ -730,6 +730,17 @@ _HUGE_OBSERVER = {"plant": [1.0, 0.0], "observer": [1e10, 0, 0, 0, 0, 0]}
             "decrease sample_dt\n",
             id="rk4_state",
         ),
+        # M^b overflows while the block powers are built, before any step
+        pytest.param(
+            {**CANONICAL, "plant": {"alpha": [3000.0, 4000.0]}, "chain": {"mu": [1, 1]},
+             "initial": {"plant": [1.0, 0.0], "observer": "zero"},
+             "method": "rk4", "sample_dt": 0.01, "horizons": [10.0, 100.0]},
+            ["simulate"],
+            1,
+            "simulation failed: the rk4 state overflows past step 0; "
+            "decrease sample_dt\n",
+            id="rk4_block_powers",
+        ),
         *(
             pytest.param(
                 {**CANONICAL, "plant": {"alpha": alpha}, "chain": {"mu": mu}},

@@ -257,6 +257,17 @@ def test_integrator_accuracy_guard_trips():
     assert info.value.drift > 1e-3
 
 
+def test_rk4_nan_drift_fails_the_check():
+    # a nan z_p is not a drift within tolerance, in any block of the grid
+    _, real, aug = _make_system([1.0, 1.0])
+    A = aug.drift.copy()
+    A[0, 0] = np.nan
+    cfg = _config(real, 5.0, 0.01, method="rk4")
+    with pytest.raises(IntegratorAccuracyError) as info:
+        sim.simulate(replace(aug, drift=A), cfg)
+    assert np.isnan(info.value.drift)
+
+
 @pytest.mark.parametrize("leak", [(0, 0), (0, 3)], ids=["doctored", "oscillating"])
 def test_rk4_drift_covers_every_step(leak):
     # the report reads t = 0, 10 and 50 alone, yet its drift is the largest
