@@ -119,8 +119,7 @@ class SimulationConfig:
         """Steps of the ``sample_dt`` grid to ``horizon_T`` (:func:`_grid_steps`).
 
         Raises ``ValueError`` unless ``sample_dt < horizon_T``, the steps are
-        under ``2^62`` and, on the ``rk4`` route, at most ``MAX_RK4_STEPS``
-        and ending on ``horizon_T``.
+        under ``2^62`` and, on the ``rk4`` route, at most ``MAX_RK4_STEPS``.
         """
         if not self.sample_dt < self.horizon_T:
             raise ValueError("sample_dt must be smaller than horizon_T")
@@ -134,23 +133,20 @@ class SimulationConfig:
                 f"the rk4 route would take over {MAX_RK4_STEPS} steps; "
                 "increase sample_dt or use the exact method"
             )
-        return _grid_steps(self.horizon_T, self.sample_dt, self.method)[0]
+        return int(_grid_steps(self.horizon_T, self.sample_dt)[0])
 
 
-def _grid_steps(t: float, dt: float, method: str) -> tuple[int, bool]:
-    """Steps of the ``dt`` grid to ``t``, and whether ``t`` is on the grid.
+def _grid_steps(t, dt: float):
+    """Steps of the ``dt`` grid to each time ``t``, and whether it is on the grid.
 
-    ``t`` is on it when ``k = round(t / dt)`` has ``|k dt - t| <= 1e-9
-    max(1, t)``, and is then ``k`` steps away.  Off it, the ``exact`` route
-    takes ``ceil(t / dt)`` steps, the last one shorter and ending at ``t``
-    itself (:func:`_grid`), and the ``rk4`` route raises ``ValueError``.
+    ``t`` is on it when ``k = rint(t / dt)`` has ``|k dt - t| <= 1e-9
+    max(1, t)``, and is then ``k`` steps away.  Off it, both routes take
+    ``ceil(t / dt)`` steps, the last one shorter and ending at ``t`` itself
+    (:func:`_grid`, :class:`_Rk4Route`).  ``t`` is a float or an array.
     """
-    k = round(t / dt)
-    if abs(k * dt - t) <= 1e-9 * max(1.0, t):
-        return k, True
-    if method == "rk4":
-        raise ValueError(f"horizon {t} does not land on the sample grid")
-    return math.ceil(t / dt), False
+    k = np.rint(t / dt)
+    on = np.abs(k * dt - t) <= 1e-9 * np.maximum(1.0, t)
+    return np.where(on, k, np.ceil(t / dt)).astype(np.int64), on
 
 
 def default_sample_dt(omega) -> float:
@@ -207,7 +203,7 @@ def _grid(config, stride: int):
         raise ValueError("stride must be >= 1")
     rows = n_steps // stride + 1 + (n_steps % stride != 0)
     dt, horizon = config.sample_dt, config.horizon_T
-    end = n_steps * dt if _grid_steps(horizon, dt, config.method)[1] else horizon
+    end = n_steps * dt if _grid_steps(horizon, dt)[1] else horizon
 
     def times_of(a, b):
         steps = np.minimum(np.arange(a, b) * stride, n_steps)
@@ -225,7 +221,7 @@ def _tasks(augmented, config, times_of, count, keep_states):
     readout itself, and the route's ``drift`` (:class:`TimeSeries`) up to
     at least its last time.  Exact tasks may run on any thread.  The
     ``rk4`` route steps its grid in order as the tasks are pulled, so its
-    times must be strictly ascending grid samples, and its tasks raise as
+    times must ascend, up to ``horizon_T``, and its tasks raise as
     :class:`_Rk4Route` does.
     Raises :class:`ValueError` if the initial observer state does not fit
     the chain, or on the exact route if the chain is singular.
@@ -365,24 +361,32 @@ def flow_matrix(augmented: AugmentedSystem, t: float) -> np.ndarray:
     return E
 
 
+def _rk4_step(A, h):
+    """``M(h)``: one classical RK4 step of length ``h`` of ``dx/dt = A x``.
+
+    On a linear drift the step is exactly ``x -> M(h) x`` with ``M(h)`` the
+    degree-4 Taylor polynomial of ``exp(A h)``; all of them commute.
+    """
+    eye = np.eye(A.shape[0])
+    hA = h * A
+    return eye + hA @ (eye + hA @ (eye / 2.0 + hA @ (eye / 6.0 + hA / 24.0)))
+
+
 def _rk4_blocks(A, dt, n_steps, rows):
     """``P, M^B``: the readouts ``P[b] = rows M^b`` of a block of ``B`` RK4 steps.
 
-    On a linear drift one classical RK4 step of ``dx/dt = A x`` is exactly
-    ``x -> M x`` with ``M`` the degree-4 Taylor polynomial of ``exp(A dt)``.
-    ``M^b`` is built one step at a time, as stepping compounds it: squaring
+    ``M = M(dt)`` is the grid's step (:func:`_rk4_step`).  ``M^b`` is built
+    one step at a time, as stepping compounds it: squaring
     loses the transients of a far-from-normal drift.  Building costs in
     proportion to ``B`` and stepping the grid to ``n_steps / B``, so ``B =
     min(_RK4_BLOCK, n_steps + 1, 2 isqrt(n_steps) + 1)``.  A block starting
     at ``x`` reads ``P[b] @ x`` at its step ``b``; ``M^B @ x`` starts the next.
     """
     n = A.shape[0]
-    eye = np.eye(n)
-    hA = dt * A
-    M = eye + hA @ (eye + hA @ (eye / 2.0 + hA @ (eye / 6.0 + hA / 24.0)))
+    M = _rk4_step(A, dt)
     B = min(_RK4_BLOCK, n_steps + 1, 2 * math.isqrt(n_steps) + 1)
     pows = np.empty((B, n, n))
-    pows[0] = eye
+    pows[0] = np.eye(n)
     for b in range(1, B):
         pows[b] = M @ pows[b - 1]
     return rows @ pows, M @ pows[B - 1]
@@ -396,22 +400,26 @@ class _Rk4Route:
     ``x``, ``[P[:, 0]; sum_b P[b, 1:N+1]; M^B] @ x``: ``z_p`` at each step,
     for ``drift`` (the largest ``|z_p - z_p(0)|`` so far), the block's
     readout sum and the next first state.  Blocks are entered a batch at a
-    time, up to the last block a chunk reads (:meth:`_enter`).  Only a
-    block holding a row a caller reads evaluates ``P @ x``, every row of
-    it, so a row's bytes do not depend on which others are read; the
-    blocks a chunk reads share one call (:meth:`_rows`).  With ``S_K`` the
-    sum of the readouts ``v_j`` over the steps ``j <= K``, the trapezoid
-    average at step ``K`` is ``(S_K - (v_0 + v_K) / 2) / K``.  Memory is
-    one block's ``P``, one batch and a chunk's rows of read blocks,
-    whatever the grid length.  It raises :class:`IntegratorAccuracyError`
-    if a product overflows or ``drift`` is not within ``Z_DRIFT_TOL * (1 +
-    |z_p(0)|)``.
+    time, up to the last block a chunk reads (:meth:`_enter`).  The times
+    ascend, and one off the grid (:func:`_grid_steps`) is read at the grid
+    step before it, then moved on by one short step (:meth:`_side`), so
+    off-grid ``horizon_T`` ends the whole steps one early and a stride-1
+    export reads that step twice.  Only a block holding a row a caller reads
+    evaluates ``P @ x``, every row of it, so a row's bytes do not depend on
+    which others are read; the blocks a chunk reads share one call
+    (:meth:`_rows`).  With ``S_K`` the sum of the readouts ``v_j`` over the
+    steps ``j <= K``, the trapezoid average at step ``K`` is ``(S_K - (v_0 +
+    v_K) / 2) / K``.  Memory is one block's ``P``, one batch and a chunk's
+    rows of read blocks, whatever the grid length.  It raises
+    :class:`IntegratorAccuracyError` if a product overflows or ``drift`` is
+    not within ``Z_DRIFT_TOL * (1 + |z_p(0)|)``.
     """
 
     def __init__(self, augmented, config, keep_states):
         self.dt = float(config.sample_dt)
-        self.n = augmented.realization.n_elements
-        self.n_steps = config.n_steps
+        self.n, self.A = augmented.realization.n_elements, augmented.drift
+        # the grid's rules, and its whole steps
+        self.n_steps = config.n_steps - (not _grid_steps(config.horizon_T, self.dt)[1])
         self.width = _columns(augmented, keep_states) - 1
         x0 = np.concatenate([config.initial_plant, config.initial_observer])
         readouts = [augmented.plant_readout[None, :], augmented.observer_readout]
@@ -431,7 +439,8 @@ class _Rk4Route:
 
     def fill(self, block):
         """Fill a block of :func:`_tasks` after its ``t`` column; returns ``drift``."""
-        idx = np.rint(block[:, 0] / self.dt).astype(np.int64)
+        steps, on = _grid_steps(block[:, 0], self.dt)
+        idx, off = steps - ~on, np.flatnonzero(~on)
         lo = 0
         try:
             with np.errstate(over="raise"):
@@ -443,6 +452,8 @@ class _Rk4Route:
                         self._enter(min(js[-1] + 1, self.entered + self.cap))
                     hi = int(np.searchsorted(js, self.entered))
                     self._read(idx[lo:hi], js[lo:hi], block[lo:hi, 1:])
+                    for i in off[(lo <= off) & (off < hi)]:
+                        self._side(block[i], idx[i], js[i])
                     lo = hi
         except FloatingPointError:
             raise IntegratorAccuracyError(
@@ -520,6 +531,24 @@ class _Rk4Route:
             rows[lo:hi] = values[:, at].T
         if heads.size:
             self.kept = js[-1], values[:, -B:]
+
+    def _side(self, row, k, j):
+        """Move ``row``, read at grid step ``k`` of block ``j``, on to its time ``t``.
+
+        One RK4 step of length ``h = t - k dt`` commutes with the grid's, so
+        the readouts at ``t`` are ``P[k - j B] @ (M(h) @ X)``, with ``X`` the
+        block's first state in the batch in hand.  The average closes the
+        trapezoid to step ``k`` with the short piece; the area to step 0 is 0.
+        """
+        j0, X = self.batch[:2]
+        t, n, self.at = row[0], self.n, k
+        h = t - k * self.dt
+        values = self.P[k - j * len(self.P)] @ (_rk4_step(self.A, h) @ X[j - j0])
+        z_o, avg = row[2 : n + 2], row[n + 2 : 2 * n + 2]
+        area = k * self.dt * avg if k else 0.0
+        avg[:] = (area + h * (z_o + values[1 : n + 1]) / 2.0) / t
+        row[1 : n + 2], row[2 * n + 2 :] = values[: n + 1], values[n + 1 :]
+        self.drift = float(np.maximum(self.drift, abs(values[0] - self.z_p0)))
 
     def _rows(self, js):
         """The rows after ``t`` of the batch's blocks ``js``: one product ``P @ x`` each.
@@ -610,30 +639,24 @@ class _ExactRoute:
         self.keep_states = keep_states
 
     def fill(self, block):
-        """Fill a block of :func:`_tasks` after its ``t`` column; its drift is 0."""
-        n = self.n
-        kept = block[:, 2 + 2 * n :] if self.keep_states else None
-        self.evaluate(block[:, 0], block[:, 1 : 2 + 2 * n], kept)
-        return 0.0
+        """Fill a block of :func:`_tasks` after its ``t`` column; its drift is 0.
 
-    def evaluate(self, tt, out, kept=None):
-        """Fill ``out`` with the ``z_p, z_o, avg`` columns at the times ``tt``.
-
-        ``tt`` is one chunk, at most ``_chunk_rows(N)`` times, and ``out`` has
-        ``1 + 2 N`` columns; ``kept`` receives the full states when the
-        route was set up with ``keep_states``.
+        The block is one chunk, at most ``_chunk_rows(N)`` times, and holds
+        the full states when the route was set up with ``keep_states``.
         """
-        n = self.n
+        n, tt = self.n, block[:, 0]
         phases = np.exp(np.outer(tt, -2j * self.lam))  # (samples, n)
         values = phases.view(np.float64) @ self.weights
-        out[:, 0] = self.z_p0
-        out[:, 1 : n + 1] = self.z_o_steady + values[:, :n]
+        block[:, 1] = self.z_p0
+        block[:, 2 : n + 2] = self.z_o_steady + values[:, :n]
         integral = self.integral_base + values[:, n : 2 * n]
-        out[:, n + 1 :] = self.z_o_steady + integral / tt[:, None]  # _tasks sets t = 0
-        if kept is not None:
-            ramp = self.rate * tt[:, None]
-            kept[:, 0:2] = self.x_p_base + ramp + values[:, 2 * n :]
-            kept[:, 2:] = self.steady + (phases @ self.modes.T).view(np.float64)
+        # _tasks sets the average at t = 0
+        block[:, n + 2 : 2 * n + 2] = self.z_o_steady + integral / tt[:, None]
+        if self.keep_states:
+            states, ramp = block[:, 2 * n + 2 :], self.rate * tt[:, None]
+            states[:, 0:2] = self.x_p_base + ramp + values[:, 2 * n :]
+            states[:, 2:] = self.steady + (phases @ self.modes.T).view(np.float64)
+        return 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,18 +707,17 @@ def consensus_report(
     averaged deviation operator against the ``C/T`` certificate.  In the
     amplitudes, readout row ``i`` is one common phase times ``+-d_i /
     |alpha|``, so that operator's norm is ``max_k |sin(lam_k T)| / (|lam_k|
-    T |alpha|)``, read off the chain spectrum.  Both routes keep the
-    averages at the horizons alone.  The exact route evaluates each at the
-    horizon itself, so ``sample_dt`` plays no part.  The ``rk4`` route
-    steps the full grid out to the largest horizon to get its trapezoid
-    averages and drift, but reads only the blocks that hold ``t = 0`` and a
-    horizon, so there every horizon must land on the grid.
+    T |alpha|)``, read off the chain spectrum.  Both routes read only
+    ``t = 0`` and the horizons, run to the largest horizon.  The exact
+    route evaluates each horizon itself, so ``sample_dt`` plays no part.
+    The ``rk4`` route steps the full grid to get its trapezoid averages and
+    drift, and reaches a horizon off the grid with one short step.
 
     Raises
     ------
     ValueError
-        For bad horizons, an ``rk4`` grid that misses one or breaks a rule
-        of :attr:`~SimulationConfig.n_steps`, a ``C/T`` that overflows, or
+        For bad horizons, an ``rk4`` grid that breaks a rule of
+        :attr:`~SimulationConfig.n_steps`, a ``C/T`` that overflows, or
         a per-element error, trajectory envelope or matrix residual that is
         not finite, or a singular chain.
     IntegratorAccuracyError
@@ -705,15 +727,8 @@ def consensus_report(
     hs = np.atleast_1d(np.asarray(horizons, dtype=float))
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be positive and strictly increasing")
-    run_cfg, times = config, np.concatenate(([0.0], hs))
-    if config.method == "rk4":
-        run_cfg = replace(config, horizon_T=float(hs[-1]))
-        dt = run_cfg.sample_dt
-        # the grid's rules first; its last step is the last horizon's
-        last = run_cfg.n_steps
-        indices = [_grid_steps(h, dt, "rk4")[0] for h in hs[:-1]] + [last]
-        times = np.array([0, *indices]) * dt
-    series = _evaluate(augmented, run_cfg, times, False)
+    run_cfg = replace(config, horizon_T=float(hs[-1]))
+    series = _evaluate(augmented, run_cfg, np.concatenate(([0.0], hs)), False)
 
     plant, realization = augmented.plant, augmented.realization
     z_p0 = float(plant.alpha @ config.initial_plant)

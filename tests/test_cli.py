@@ -583,17 +583,18 @@ def test_simulate_csv_drift_failure_leaves_no_file_and_no_thread(
     assert threading.active_count() == baseline
 
     # the stream fails from its third chunk on
-    evaluate = sim._ExactRoute.evaluate
+    fill = sim._ExactRoute.fill
     chunks = []
 
-    def failing(self, tt, out, kept=None):
-        evaluate(self, tt, out, kept)
-        if tt.size > 2:  # the report reads two rows
-            chunks.append(tt[0])
-            if tt[0] > 100.0:
-                raise IntegratorAccuracyError(f"chunk at t = {tt[0]:g} failed")
+    def failing(self, block):
+        drift = fill(self, block)
+        if len(block) > 2:  # the report reads two rows
+            chunks.append(block[0, 0])
+            if block[0, 0] > 100.0:
+                raise IntegratorAccuracyError(f"chunk at t = {block[0, 0]:g} failed")
+        return drift
 
-    monkeypatch.setattr(sim._ExactRoute, "evaluate", failing)
+    monkeypatch.setattr(sim._ExactRoute, "fill", failing)
     failed = tmp_path / "failed.csv"
     rc, out, err = _run(capsys, [*argv, str(failed)])
     assert rc == 1
@@ -629,6 +630,37 @@ def test_simulate_exact_horizons_need_no_sample_grid(tmp_path, capsys):
     assert abs(round(10.0 / dt) * dt - 10.0) > 1e-3
     assert report["horizons"] == [10.0, 100.0]
     assert report["passed"]
+
+
+def test_rk4_reaches_horizons_off_the_default_grid(tmp_path, capsys):
+    # the same chain on the rk4 route, whose grid misses both horizons: it
+    # reaches each with one short step, and its CSV has the exact route's
+    # times, ending at 100
+    raw = {
+        "plant": {"alpha": [1, 0]},
+        "chain": {"mu": [6.123, 4, 1]},
+        "initial": {"plant": [1, 0], "observer": "zero"},
+        "horizons": [10, 100],
+        "method": "rk4",
+    }
+    path = _write(tmp_path, raw)
+    rc, out, err = _run(capsys, ["simulate", path])
+    assert (rc, err) == (0, "")
+    report = _strict_json(out)
+    assert (report["method"], report["horizons"]) == ("rk4", [10.0, 100.0])
+    times = {}
+    for method in ("rk4", "exact"):
+        config = _write(tmp_path, {**raw, "method": method}, f"{method}.json")
+        csv_path = tmp_path / f"{method}.csv"
+        rc, _, err = _run(capsys, ["simulate", config, "--csv", str(csv_path)])
+        assert (rc, err) == (0, "")
+        rows = csv_path.read_text().splitlines()[1:]
+        times[method] = [row[: row.index(",")] for row in rows]
+    assert times["rk4"] == times["exact"]
+    assert times["rk4"][-1] == "100"
+    rc, out, err = _run(capsys, ["sweep", path, "--param", "mu_1", "--values", "1"])
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == 2
 
 
 # canonical chain, default step 0.01: grids that break a rule, with its message

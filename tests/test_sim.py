@@ -61,8 +61,8 @@ def test_config_grid():
 
 
 def test_grid_ends_at_a_horizon_off_it(tmp_path):
-    # 0.35 does not divide 1: the exact grid keeps every k dt < 1 and ends
-    # at 1 itself, whatever the stride; the rk4 route refuses it
+    # 0.35 does not divide 1: the grid keeps every k dt < 1 and ends at 1
+    # itself, whatever the stride, on either route
     _, real, aug = _make_system([1.0, 1.0])
     cfg = _config(real, 1.0, 0.35)
     at_end = sim.states_at(aug, cfg, [1.0])[0]
@@ -75,8 +75,8 @@ def test_grid_ends_at_a_horizon_off_it(tmp_path):
     assert [row.split(",")[0] for row in path.read_text().splitlines()[1:]] == [
         "0", "0.69999999999999996", "1"
     ]
-    with pytest.raises(ValueError, match="horizon 1.0 does not land"):
-        sim.simulate(aug, replace(cfg, method="rk4"))
+    stepped = sim.simulate(aug, replace(cfg, method="rk4"))
+    assert stepped.times.tolist() == [0.0, 0.35, 0.7, 1.0]
 
 
 def test_config_validation():
@@ -185,6 +185,33 @@ def test_exact_and_rk4_routes_agree():
     # exact samples; the exact averages differ from both by the trapezoid error
     trapezoid = running_average(exact.times, exact.z_o)
     assert np.max(np.abs(trapezoid - stepped.running_avg_z_o)) <= 1e-6
+
+
+def test_rk4_reaches_off_grid_times_at_its_orders():
+    # each horizon is off every grid below, and the route ends it with one
+    # short step: as dt halves, the state at it converges to the exact one at
+    # RK4's O(dt^4) (a ratio of 16) and the trapezoid average at O(dt^2) (4)
+    _, real, aug = _make_system([1.0, 0.8, 1.3])
+    rng = np.random.default_rng(43)
+    cfg = _config(real, 1.0, 0.04, plant_x=(0.4, 1.1),
+                  obs=rng.standard_normal(real.state_dim), method="rk4")
+    for horizon in (3.3333, 7.777, 41.2345):
+        run = replace(cfg, horizon_T=horizon)
+        exact = sim.simulate(aug, replace(run, method="exact"), keep_states=True,
+                             stride=10**6)
+        gaps = []
+        for dt in (0.04, 0.02, 0.01):
+            stepped = sim.simulate(aug, replace(run, sample_dt=dt), keep_states=True,
+                                   stride=10**6)
+            assert stepped.times[-1] == horizon
+            gaps.append([
+                np.max(np.abs(stepped.states[-1] - exact.states[-1])),
+                np.max(np.abs(stepped.running_avg_z_o[-1] - exact.running_avg_z_o[-1])),
+            ])
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert np.all(ratios[:, 0] > 12.0)
+        assert np.all(ratios[:, 1] > 3.0)
+        assert np.max(gaps[-1]) < 1e-4
 
 
 def test_rk4_power_stepping_matches_plain_loop():
@@ -348,21 +375,30 @@ def test_rk4_streams_the_full_grid_rows(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "horizons", [[0.5, 0.89, 1.78, 20.0], [2.67, 8.9, 19.99]], ids=["on", "across"]
+    "horizons, entries",
+    [
+        ([0.5, 0.89, 1.78, 20.0], 2**14),
+        ([2.67, 8.9, 19.99], 2**14),
+        ([0.004, 0.89, 2.675, 19.995], 64),
+    ],
+    ids=["on", "across", "off"],
 )
-def test_rk4_report_reads_the_simulated_rows(horizons):
-    # t = 0 and the horizons, read alone, have the bytes of the same rows of
-    # the whole series: horizons inside, on (steps 89, 178, 890) and either
-    # side of (267, 1999) the 89-step blocks of a 2000-step grid
+def test_rk4_report_reads_the_simulated_rows(monkeypatch, horizons, entries):
+    # t = 0 and the horizons, read alone, have the bytes of the same rows
+    # read among the whole grid's: horizons inside, on (steps 89, 178, 890)
+    # and either side of (267, 1999) the 89-step blocks of a 2000-step grid,
+    # and off it, one short step past steps 0, 267 and 1999; at 64 entries a
+    # batch holds one block
+    monkeypatch.setattr(sim, "_CHUNK_ENTRIES", entries)
     _, real, aug = _make_system([1.0, 0.8, 1.3])
     rng = np.random.default_rng(37)
     cfg = _config(real, 20.0, 0.01, plant_x=(0.4, 1.1),
                   obs=rng.standard_normal(real.state_dim), method="rk4")
     run = replace(cfg, horizon_T=horizons[-1])
-    series = sim.simulate(aug, run)
+    times = np.sort(np.concatenate([sim.simulate(aug, run).times, horizons]))
+    series = sim._evaluate(aug, run, times, False)
     report = sim.consensus_report(aug, cfg, horizons)
-    idx = [round(h / 0.01) for h in horizons]
-    averages = series.running_avg_z_o[idx]
+    averages = series.running_avg_z_o[np.searchsorted(times, horizons)]
     assert np.array_equal(report.per_element_error, np.abs(averages - report.z_p))
     x0 = np.concatenate([cfg.initial_plant, cfg.initial_observer])
     drift = np.max(np.abs(series.z_p - aug.plant_readout @ x0))
@@ -440,9 +476,10 @@ def test_consensus_report_horizon_validation():
         sim.consensus_report(aug, cfg, [])
     with pytest.raises(ValueError):
         sim.consensus_report(aug, cfg, [10.0, 10.0])
-    with pytest.raises(ValueError, match="horizon 33.333 does not land"):
-        # off the 0.01 grid, which only the rk4 route steps
-        sim.consensus_report(aug, replace(cfg, method="rk4"), [33.333])
+    # off the 0.01 grid: the rk4 route reaches it with one short step
+    report = sim.consensus_report(aug, replace(cfg, method="rk4"), [33.333])
+    assert report.horizons.tolist() == [33.333]
+    assert np.all(np.isfinite(report.per_element_error))
 
 
 def test_exact_report_reads_horizons_off_the_grid():
@@ -505,6 +542,29 @@ def test_design_chains_never_break_their_envelope():
         assert report.passed
         worst = max(worst, np.max(report.per_element_error / report.trajectory_envelope))
     assert 0.5 < worst <= 1.0
+
+
+def test_rk4_reads_design_chains_at_their_default_step():
+    """A seeded census of design chains on the rk4 route: N <= 10, gains in
+    [1, 10], the default sample_dt and horizons 10 and 100, which that step
+    seldom divides.  Each off-grid horizon takes one short step, so no run
+    is refused; the drift check may still fail one."""
+    rng = np.random.default_rng(30)
+    off = refused = 0
+    for _ in range(50):
+        n = int(rng.integers(1, 11))
+        _, real, aug = _make_system(rng.uniform(1.0, 10.0, n))
+        dt = sim.default_sample_dt(real.omega)
+        cfg = _config(real, 100.0, dt, rng.standard_normal(2), method="rk4")
+        off += not sim._grid_steps(10.0, dt)[1]
+        try:
+            report = sim.consensus_report(aug, cfg, [10.0, 100.0])
+        except IntegratorAccuracyError:
+            refused += 1
+            continue
+        assert np.all(np.isfinite(report.per_element_error))
+    assert off >= 25
+    assert refused <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ Every name a module imports must also be read in that module, except
 
 No chain solve bypasses the chain spectrum: a ``solve`` or ``inv`` appears
 nowhere but in the network's port elimination.
+
+The two simulation routes share one sample grid: ``sim`` compares a
+``method`` only where a config is checked and where a route is chosen.
 """
 
 import ast
@@ -127,3 +130,21 @@ def test_chain_solves_read_the_spectrum():
         for scope, name in _dense_solves(ast.parse(path.read_text(), str(path)))
     }
     assert found == DENSE_SOLVES
+
+
+#: Where ``sim`` may compare a ``method``: the config's own checks (its
+#: validation and ``MAX_RK4_STEPS``) and the route choice.
+METHOD_BRANCHES = {"SimulationConfig", "_tasks"}
+
+
+def test_sim_branches_on_method_only_to_choose_a_route():
+    tree = ast.parse((PACKAGE / "sim.py").read_text())
+    found = {
+        getattr(node, "name", "<module>")
+        for node in tree.body
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Compare)
+        for operand in (inner.left, *inner.comparators)
+        if getattr(operand, "attr", getattr(operand, "id", None)) == "method"
+    }
+    assert found == METHOD_BRANCHES
