@@ -212,7 +212,7 @@ def _grid(config, stride: int):
     return rows, times_of
 
 
-def _tasks(augmented, config, times_of, count, keep_states):
+def _tasks(augmented, config, times_of, count, keep_states, horizon=None):
     """The one source of a series' rows: a task per chunk of ``count`` times.
 
     ``times_of(a, b)`` returns the times ``a..b-1``, and the tasks come in
@@ -221,8 +221,8 @@ def _tasks(augmented, config, times_of, count, keep_states):
     readout itself, and the route's ``drift`` (:class:`TimeSeries`) up to
     at least its last time.  Exact tasks may run on any thread.  The
     ``rk4`` route steps its grid in order as the tasks are pulled, so its
-    times must ascend, up to ``horizon_T``, and its tasks raise as
-    :class:`_Rk4Route` does.
+    times must ascend, up to ``horizon`` (``horizon_T`` if None), and its
+    tasks raise as :class:`_Rk4Route` does.
     Raises :class:`ValueError` if the initial observer state does not fit
     the chain, or on the exact route if the chain is singular.
     """
@@ -233,7 +233,7 @@ def _tasks(augmented, config, times_of, count, keep_states):
             f"chain needs {state_dim}"
         )
     if config.method == "rk4":
-        route = _Rk4Route(augmented, config, keep_states)
+        route = _Rk4Route(augmented, config, keep_states, horizon)
     else:
         route = _ExactRoute(augmented, config, keep_states)
     n = augmented.realization.n_elements
@@ -255,12 +255,14 @@ def _tasks(augmented, config, times_of, count, keep_states):
     return tasks
 
 
-def _evaluate(augmented, config, times, keep_states) -> TimeSeries:
+def _evaluate(augmented, config, times, keep_states, horizon=None) -> TimeSeries:
     """The rows of :func:`_tasks` at ``times``, copied into one table as they are made.
 
     Raises as :func:`_tasks` and its tasks do.
     """
-    tasks = _tasks(augmented, config, lambda a, b: times[a:b], times.size, keep_states)
+    tasks = _tasks(
+        augmented, config, lambda a, b: times[a:b], times.size, keep_states, horizon
+    )
     table = np.empty((times.size, _columns(augmented, keep_states)))
     start, drift = 0, 0.0
     for task in tasks:
@@ -400,25 +402,25 @@ class _Rk4Route:
     ``x``, ``[P[:, 0]; sum_b P[b, 1:N+1]; M^B] @ x``: ``z_p`` at each step,
     for ``drift`` (the largest ``|z_p - z_p(0)|`` so far), the block's
     readout sum and the next first state.  Blocks are entered a batch at a
-    time, up to the last block a chunk reads (:meth:`_enter`).  The times
-    ascend, and one off the grid (:func:`_grid_steps`) is read at the grid
-    step before it, then moved on by one short step (:meth:`_side`), so
-    off-grid ``horizon_T`` ends the whole steps one early and a stride-1
-    export reads that step twice.  Only a block holding a row a caller reads
-    evaluates ``P @ x``, every row of it, so a row's bytes do not depend on
-    which others are read; the blocks a chunk reads share one call
-    (:meth:`_rows`).  With ``S_K`` the sum of the readouts ``v_j`` over the
-    steps ``j <= K``, the trapezoid average at step ``K`` is ``(S_K - (v_0 +
-    v_K) / 2) / K``.  Memory is one block's ``P``, one batch and a chunk's
-    rows of read blocks, whatever the grid length.  It raises
-    :class:`IntegratorAccuracyError` if a product overflows or ``drift`` is
-    not within ``Z_DRIFT_TOL * (1 + |z_p(0)|)``.
+    time, up to the last block a chunk reads (:meth:`_enter`).  The grid
+    ends at ``horizon`` (``horizon_T`` if None).  A time off the grid
+    (:func:`_grid_steps`) is read at the step before it, which may repeat a
+    step, then moved on by one short step (:meth:`_side`).  Only a block
+    holding a row a caller reads evaluates ``P @ x``, every row of it, so a
+    row's bytes do not depend on which others are read; the blocks a chunk
+    reads share one call (:meth:`_rows`).  With ``S_K`` the sum of the
+    readouts ``v_j`` over the steps ``j <= K``, the trapezoid average at
+    step ``K`` is ``(S_K - (v_0 + v_K) / 2) / K``.  Memory is one block's
+    ``P``, one batch and a chunk's rows of read blocks, whatever the grid
+    length.  It raises :class:`IntegratorAccuracyError` if a product
+    overflows or ``drift`` is not within ``Z_DRIFT_TOL * (1 + |z_p(0)|)``.
     """
 
-    def __init__(self, augmented, config, keep_states):
+    def __init__(self, augmented, config, keep_states, horizon=None):
         self.dt = float(config.sample_dt)
         self.n, self.A = augmented.realization.n_elements, augmented.drift
-        # the grid's rules, and its whole steps
+        if horizon is not None:  # the grid's rules, and its whole steps, to it
+            config = replace(config, horizon_T=float(horizon))
         self.n_steps = config.n_steps - (not _grid_steps(config.horizon_T, self.dt)[1])
         self.width = _columns(augmented, keep_states) - 1
         x0 = np.concatenate([config.initial_plant, config.initial_observer])
@@ -523,7 +525,7 @@ class _Rk4Route:
         for g in range(0, heads.size, cap):
             lo, hi = heads[g], heads[g + cap] if g + cap < heads.size else idx.size
             blocks = js[heads[g : g + cap]]
-            if idx[hi - 1] - idx[lo] + 1 == hi - lo:  # consecutive steps
+            if np.all(np.diff(idx[lo:hi]) == 1):  # consecutive steps, none read twice
                 at = slice(idx[lo] - blocks[0] * B, idx[hi - 1] - blocks[0] * B + 1)
             else:
                 at = np.searchsorted(blocks, js[lo:hi]) * B + idx[lo:hi] % B
@@ -708,10 +710,9 @@ def consensus_report(
     amplitudes, readout row ``i`` is one common phase times ``+-d_i /
     |alpha|``, so that operator's norm is ``max_k |sin(lam_k T)| / (|lam_k|
     T |alpha|)``, read off the chain spectrum.  Both routes read only
-    ``t = 0`` and the horizons, run to the largest horizon.  The exact
-    route evaluates each horizon itself, so ``sample_dt`` plays no part.
-    The ``rk4`` route steps the full grid to get its trapezoid averages and
-    drift, and reaches a horizon off the grid with one short step.
+    ``t = 0`` and the horizons.  The exact route evaluates each horizon
+    itself, so ``sample_dt`` plays no part.  The ``rk4`` route steps its
+    grid to the largest horizon for its trapezoid averages and drift.
 
     Raises
     ------
@@ -727,8 +728,7 @@ def consensus_report(
     hs = np.atleast_1d(np.asarray(horizons, dtype=float))
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
         raise ValueError("horizons must be positive and strictly increasing")
-    run_cfg = replace(config, horizon_T=float(hs[-1]))
-    series = _evaluate(augmented, run_cfg, np.concatenate(([0.0], hs)), False)
+    series = _evaluate(augmented, config, np.concatenate(([0.0], hs)), False, hs[-1])
 
     plant, realization = augmented.plant, augmented.realization
     z_p0 = float(plant.alpha @ config.initial_plant)

@@ -380,29 +380,56 @@ def test_rk4_streams_the_full_grid_rows(monkeypatch):
         ([0.5, 0.89, 1.78, 20.0], 2**14),
         ([2.67, 8.9, 19.99], 2**14),
         ([0.004, 0.89, 2.675, 19.995], 64),
+        ([0.004, 0.02], 2**14),
     ],
-    ids=["on", "across", "off"],
+    ids=["on", "across", "off", "below"],
 )
 def test_rk4_report_reads_the_simulated_rows(monkeypatch, horizons, entries):
-    # t = 0 and the horizons, read alone, have the bytes of the same rows
-    # read among the whole grid's: horizons inside, on (steps 89, 178, 890)
-    # and either side of (267, 1999) the 89-step blocks of a 2000-step grid,
-    # and off it, one short step past steps 0, 267 and 1999; at 64 entries a
-    # batch holds one block
+    # t = 0 and the horizons, read alone, have the bytes of the same rows of
+    # the whole series: horizons inside, on (steps 89, 178, 890) and either
+    # side of (267, 1999) the 89-step blocks of a 2000-step grid.  A horizon
+    # off the grid is no row of it, so it is read among the grid's rows: one
+    # short step past steps 0, 267 and 1999, at 64 entries one block a batch,
+    # and past step 0 of a 2-step grid, where the report reads step 0 twice
     monkeypatch.setattr(sim, "_CHUNK_ENTRIES", entries)
     _, real, aug = _make_system([1.0, 0.8, 1.3])
     rng = np.random.default_rng(37)
     cfg = _config(real, 20.0, 0.01, plant_x=(0.4, 1.1),
                   obs=rng.standard_normal(real.state_dim), method="rk4")
     run = replace(cfg, horizon_T=horizons[-1])
-    times = np.sort(np.concatenate([sim.simulate(aug, run).times, horizons]))
-    series = sim._evaluate(aug, run, times, False)
+    series = sim.simulate(aug, run)
+    on = sim._grid_steps(np.array(horizons), 0.01)[1]
+    if on.all():
+        idx = [round(h / 0.01) for h in horizons]
+    else:
+        times = np.union1d(series.times, horizons)
+        series = sim._evaluate(aug, run, times, False)
+        idx = np.searchsorted(times, horizons)
     report = sim.consensus_report(aug, cfg, horizons)
-    averages = series.running_avg_z_o[np.searchsorted(times, horizons)]
+    averages = series.running_avg_z_o[idx]
     assert np.array_equal(report.per_element_error, np.abs(averages - report.z_p))
     x0 = np.concatenate([cfg.initial_plant, cfg.initial_observer])
     drift = np.max(np.abs(series.z_p - aug.plant_readout @ x0))
     assert report.z_p_drift == series.z_p_drift == drift
+
+
+def test_rk4_strided_rows_are_the_full_series_rows_off_the_grid():
+    # with an off-grid horizon the last row is read at the grid's last step
+    # and moved on, so a stride may read that step twice (steps 0, 2, 2 for
+    # T = 0.025 at stride 2); every row is still the stride-1 series' row
+    _, real, aug = _make_system([1.0, 0.8, 1.3])
+    rng = np.random.default_rng(41)
+    cfg = _config(real, 1.0, 0.01, plant_x=(0.4, 1.1),
+                  obs=rng.standard_normal(real.state_dim), method="rk4")
+    for horizon in (0.025, 0.045, 0.515, 2.995):
+        run = replace(cfg, horizon_T=horizon)
+        full = sim.simulate(aug, run, keep_states=True)
+        assert full.times[-1] == horizon
+        for stride in (2, 3, 7, 17):
+            series = sim.simulate(aug, run, keep_states=True, stride=stride)
+            idx = np.searchsorted(full.times, series.times)
+            for name in ("z_p", "z_o", "running_avg_z_o", "states"):
+                assert np.array_equal(getattr(series, name), getattr(full, name)[idx])
 
 
 def test_observer_length_mismatch():
