@@ -23,7 +23,7 @@ echoed in reports, but inert: no result depends on it.
 Each ``cmd_*`` returns its output (a report dict or the sweep table) and its
 exit code; :func:`main` writes the output to ``--out`` or stdout and is the
 one place that maps an exception to an exit code: 0 success, 1 verification
-or consensus failure or a drifted ``rk4`` run, 2 malformed config, 3
+or consensus failure or a failed ``rk4`` run, 2 malformed config, 3
 construction error, 4 I/O error.  ``QCHAIN_LOG=debug|info|warning`` sets
 the logging level.  :func:`main` may be called repeatedly in one process:
 it builds its parser once and reads ``QCHAIN_LOG`` on each call.

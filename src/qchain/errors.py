@@ -28,11 +28,12 @@ class ConstructionInconsistencyError(QchainError, ValueError):
 
 
 class IntegratorAccuracyError(QchainError):
-    """A simulated trajectory violated a conservation law beyond tolerance."""
+    """An integrated trajectory cannot be trusted.
 
-    def __init__(self, message: str, drift: float | None = None):
-        super().__init__(message)
-        self.drift = drift
+    The rk4 route raises it when the drift, rotated to the plant's
+    conserved frame, feeds the plant observable or its ramp beyond rounding,
+    or when its state overflows.
+    """
 
 
 class ConfigError(QchainError, ValueError):

@@ -18,10 +18,11 @@ loop:
 Every sample, and every running time average, is therefore exact to
 rounding at any horizon, and only the times a caller reads are evaluated.
 The same split gives the whole propagator in closed form
-(:func:`flow_matrix`).  A fixed-step RK4 route over the raw augmented drift,
-with trapezoidal running averages and a check that ``z`` stays constant at
-every step, is an independent diagnostic.  It steps its grid in blocks, one
-product per block, and evaluates readouts only in the blocks a caller reads.
+(:func:`flow_matrix`).  A fixed-step RK4 route, which steps the augmented
+drift in the plant's conserved frame and integrates the running averages as
+part of its state, is an independent diagnostic.  It steps its grid in
+blocks, one product per block, and evaluates readouts only in the blocks a
+caller reads.
 
 :func:`_tasks` is the one source of rows for both routes: it cuts the times
 into chunks, lays out each chunk's block and sets the average at ``t = 0``;
@@ -49,6 +50,7 @@ from .analysis import (
     real_embedding,
     time_average_integral,
 )
+from .core import J2
 from .errors import IntegratorAccuracyError
 from .observer import AugmentedSystem
 
@@ -60,9 +62,6 @@ MAX_RK4_STEPS = 10_000_000
 
 #: Largest default sample step.
 DEFAULT_DT_CAP = 0.01
-
-#: Relative tolerance on conservation of the plant observable on the rk4 route.
-Z_DRIFT_TOL = 1e-9
 
 #: Phase-table entries (samples times chain elements) evaluated per chunk.
 #: A 256 KB table keeps each chunk's temporaries cache-sized and reusable.
@@ -76,7 +75,7 @@ else:
     _CSV_WORKERS = min(2, os.cpu_count() or 1)
 
 #: Most steps per block of RK4 power stepping.
-_RK4_BLOCK = 256
+_RK4_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,19 +161,17 @@ def default_sample_dt(omega) -> float:
 class TimeSeries:
     """Sampled readouts of one augmented-system run.
 
-    ``z_p`` is the plant observable (``alpha @ x_p(0)`` on the exact route,
-    so ``z_p_drift``, its largest ``|z_p - z_p(0)|``, is 0 there), ``z_o``
-    the per-element instantaneous estimates, ``running_avg_z_o`` their time
-    averages from 0 to each sample: exact on the ``exact`` route, trapezoidal
-    over the full step grid on the ``rk4`` route.  ``states`` holds the full
-    augmented state only when requested.
+    ``z_p`` is the plant observable, ``alpha @ x_p(0)`` on both routes,
+    ``z_o`` the per-element instantaneous estimates, ``running_avg_z_o``
+    their time averages from 0 to each sample: exact on the ``exact``
+    route, integrated with the state on the ``rk4`` route.  ``states`` holds
+    the full augmented state only when requested.
     """
 
     times: np.ndarray
     z_p: np.ndarray
     z_o: np.ndarray
     running_avg_z_o: np.ndarray
-    z_p_drift: float
     method: str
     states: np.ndarray | None = None
 
@@ -216,15 +213,15 @@ def _tasks(augmented, config, times_of, count, keep_states, horizon=None):
     """The one source of a series' rows: a task per chunk of ``count`` times.
 
     ``times_of(a, b)`` returns the times ``a..b-1``, and the tasks come in
-    order, one per ``_chunk_rows(N)`` times.  Each returns ``block, drift``:
-    the chunk's columns (:func:`_columns`), with the average at ``t = 0`` the
-    readout itself, and the route's ``drift`` (:class:`TimeSeries`) up to
-    at least its last time.  Exact tasks may run on any thread.  The
+    order, one per ``_chunk_rows(N)`` times.  Each returns the chunk's
+    columns (:func:`_columns`), with the average at ``t = 0`` the readout
+    itself.  Exact tasks may run on any thread.  The
     ``rk4`` route steps its grid in order as the tasks are pulled, so its
     times must ascend, up to ``horizon`` (``horizon_T`` if None), and its
     tasks raise as :class:`_Rk4Route` does.
     Raises :class:`ValueError` if the initial observer state does not fit
-    the chain, or on the exact route if the chain is singular.
+    the chain, or on the exact route if the chain is singular, and
+    :class:`IntegratorAccuracyError` if the ``rk4`` route's frame check fails.
     """
     state_dim = augmented.realization.state_dim
     if config.initial_observer.size != state_dim:
@@ -243,10 +240,10 @@ def _tasks(augmented, config, times_of, count, keep_states, horizon=None):
         block = np.empty((stop - start, columns))
         block[:, 0] = times_of(start, stop)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            drift = route.fill(block)
+            route.fill(block)
         at_zero = block[:, 0] == 0.0
         block[at_zero, n + 2 : 2 * n + 2] = block[at_zero, 2 : n + 2]
-        return block, drift
+        return block
 
     size = _chunk_rows(n)
     tasks = (partial(task, a, min(a + size, count)) for a in range(0, count, size))
@@ -264,9 +261,9 @@ def _evaluate(augmented, config, times, keep_states, horizon=None) -> TimeSeries
         augmented, config, lambda a, b: times[a:b], times.size, keep_states, horizon
     )
     table = np.empty((times.size, _columns(augmented, keep_states)))
-    start, drift = 0, 0.0
+    start = 0
     for task in tasks:
-        block, drift = task()  # the route's drift so far
+        block = task()
         table[start : start + len(block)] = block
         start += len(block)
     n = augmented.realization.n_elements
@@ -275,7 +272,6 @@ def _evaluate(augmented, config, times, keep_states, horizon=None) -> TimeSeries
         z_p=table[:, 1],
         z_o=table[:, 2 : n + 2],
         running_avg_z_o=table[:, n + 2 : 2 * n + 2],
-        z_p_drift=drift,
         method=config.method,
         states=table[:, 2 * n + 2 :] if keep_states else None,
     )
@@ -292,9 +288,8 @@ def simulate(
     The series holds every ``stride``-th sample of the ``sample_dt`` grid
     plus the final one.  The default exact route evaluates only those
     samples and never accumulates integration error; the ``rk4`` route steps
-    the raw augmented drift over the full grid with classical RK4, keeps the
-    same samples and verifies that the plant observable stayed within
-    ``Z_DRIFT_TOL * (1 + |z(0)|)`` over the whole run.
+    the augmented drift, in the plant's conserved frame, over the full grid
+    with classical RK4 and keeps the same samples (:class:`_Rk4Route`).
 
     Raises
     ------
@@ -305,8 +300,8 @@ def simulate(
         anything is evaluated; or if the initial observer does not fit, or
         on the exact route if the chain is singular.
     IntegratorAccuracyError
-        If the ``rk4`` route's plant observable drifted beyond tolerance or
-        its state overflowed.
+        If the ``rk4`` route's drift fails its frame check or its state
+        overflows.
     """
     rows, times_of = _grid(config, stride)
     size = 8 * rows * _columns(augmented, keep_states)
@@ -397,50 +392,69 @@ def _rk4_blocks(A, dt, n_steps, rows):
 class _Rk4Route:
     """RK4 over the full ``sample_dt`` grid; :meth:`fill` reads it in order.
 
+    The route steps ``(x_u, x_r, x_o, y)``: the plant quadratures along
+    ``u = alpha / |alpha|`` and ``J^T u``, the chain state, and ``N`` rows
+    ``y' = z_o``.  In that frame the drift's ``x_u`` row and ``x_r`` column
+    are zero in exact arithmetic, and nothing reads ``y``: the route checks
+    that the first two are zero to rounding, then sets them to exact zeros.
+    So every step keeps ``x_u``, and ``z = |alpha| x_u``, bit for bit (E.
+    Hairer, C. Lubich and G. Wanner, *Geometric Numerical Integration*,
+    ch. IV), the plant's ramp feeds nothing back, and ``y(t) / t`` is the
+    running average at RK4's order.  ``z_p`` is ``alpha @ x_p(0)``, as on
+    the exact route.
+
     The route steps the blocks of :func:`_rk4_blocks`, built by the first
-    :meth:`fill`.  Entering a block is one product with its first state
-    ``x``, ``[P[:, 0]; sum_b P[b, 1:N+1]; M^B] @ x``: ``z_p`` at each step,
-    for ``drift`` (the largest ``|z_p - z_p(0)|`` so far), the block's
-    readout sum and the next first state.  Blocks are entered a batch at a
-    time, up to the last block a chunk reads (:meth:`_enter`).  The grid
-    ends at ``horizon`` (``horizon_T`` if None).  A time off the grid
-    (:func:`_grid_steps`) is read at the step before it, which may repeat a
-    step, then moved on by one short step (:meth:`_side`).  Only a block
-    holding a row a caller reads evaluates ``P @ x``, every row of it, so a
-    row's bytes do not depend on which others are read; the blocks a chunk
-    reads share one call (:meth:`_rows`).  With ``S_K`` the sum of the
-    readouts ``v_j`` over the steps ``j <= K``, the trapezoid average at
-    step ``K`` is ``(S_K - (v_0 + v_K) / 2) / K``.  Memory is one block's
-    ``P``, one batch and a chunk's rows of read blocks, whatever the grid
-    length.  It raises :class:`IntegratorAccuracyError` if a product
-    overflows or ``drift`` is not within ``Z_DRIFT_TOL * (1 + |z_p(0)|)``.
+    :meth:`fill`.  Entering a block is one product ``M^B @ x`` with its first
+    state ``x``, a batch at a time, up to the last block a chunk reads
+    (:meth:`_enter`).  The grid ends at ``horizon`` (``horizon_T`` if None).
+    A time off the grid (:func:`_grid_steps`) is read at the step before it,
+    which may repeat a step, then moved on by one short step (:meth:`_side`).
+    Only a block holding a row a caller reads evaluates ``P @ x``, every row
+    of it, so a row's bytes do not depend on which others are read; the
+    blocks a chunk reads share one call (:meth:`_rows`).  Memory is one
+    block's ``P``, one batch and a chunk's rows of read blocks, whatever the
+    grid length.  It raises :class:`IntegratorAccuracyError` if the frame
+    check fails, when set up, or if a product overflows.
     """
 
     def __init__(self, augmented, config, keep_states, horizon=None):
         self.dt = float(config.sample_dt)
-        self.n, self.A = augmented.realization.n_elements, augmented.drift
         if horizon is not None:  # the grid's rules, and its whole steps, to it
             config = replace(config, horizon_T=float(horizon))
         self.n_steps = config.n_steps - (not _grid_steps(config.horizon_T, self.dt)[1])
-        self.width = _columns(augmented, keep_states) - 1
-        x0 = np.concatenate([config.initial_plant, config.initial_observer])
-        readouts = [augmented.plant_readout[None, :], augmented.observer_readout]
+        n, d = augmented.realization.n_elements, augmented.dim
+        alpha = augmented.plant.alpha
+        frame = np.eye(d)
+        frame[0:2, 0:2] = np.array([alpha, J2.T @ alpha]) / math.hypot(*alpha)
+        A = frame @ augmented.drift @ frame.T
+        leak = np.max(np.abs(np.concatenate([A[0], A[:, 1]])))
+        tol = 8.0 * np.finfo(float).eps * np.max(np.abs(augmented.drift))
+        if not leak <= tol:  # a nan fails too
+            raise IntegratorAccuracyError(
+                f"the drift feeds the plant observable or its ramp by {leak:.3e} "
+                f"(tolerance {tol:.3e})"
+            )
+        A[0], A[:, 1] = 0.0, 0.0
+        self.A = np.zeros((d + n, d + n))
+        self.A[:d, :d], self.A[d:, :d] = A, augmented.observer_readout
+        # the block's z_o, avg and states columns
+        rows = np.zeros((2 * n + (d if keep_states else 0), d + n))
+        rows[:n, :d], rows[n : 2 * n, d:] = augmented.observer_readout, np.eye(n)
         if keep_states:
-            readouts.append(np.eye(augmented.dim))
-        self.blocks = partial(
-            _rk4_blocks, augmented.drift, self.dt, self.n_steps, np.vstack(readouts)
-        )
-        # z(0) and v_0 read from the full state, as every step reads them
-        # (alpha @ x_p(0) can differ from z(0) by rounding); base is
-        # S_{start-1} - v_0 / 2 at the first step of the next block to enter
-        self.z_p0 = float(augmented.plant_readout @ x0)
-        self.base = -0.5 * (augmented.observer_readout @ x0)
-        self.x, self.entered, self.P = x0, 0, None
-        self.drift, self.at = 0.0, 0
+            rows[2 * n :, :d] = frame.T
+        self.blocks = partial(_rk4_blocks, self.A, self.dt, self.n_steps, rows)
+        x0 = np.concatenate([config.initial_plant, config.initial_observer])
+        self.x = np.concatenate([frame @ x0, np.zeros(n)])
+        self.z_p0 = float(alpha @ config.initial_plant)
+        self.n, self.entered, self.P, self.at = n, 0, None, 0
         self.kept = -1, None  # the block read last, and its rows
 
     def fill(self, block):
-        """Fill a block of :func:`_tasks` after its ``t`` column; returns ``drift``."""
+        """Fill a block of :func:`_tasks` after its ``t`` column.
+
+        The average is ``y`` over the stepped time: ``k dt`` on the grid,
+        ``t`` off it.
+        """
         steps, on = _grid_steps(block[:, 0], self.dt)
         idx, off = steps - ~on, np.flatnonzero(~on)
         lo = 0
@@ -453,7 +467,7 @@ class _Rk4Route:
                     while js[lo] >= self.entered:
                         self._enter(min(js[-1] + 1, self.entered + self.cap))
                     hi = int(np.searchsorted(js, self.entered))
-                    self._read(idx[lo:hi], js[lo:hi], block[lo:hi, 1:])
+                    self._read(idx[lo:hi], js[lo:hi], block[lo:hi, 2:])
                     for i in off[(lo <= off) & (off < hi)]:
                         self._side(block[i], idx[i], js[i])
                     lo = hi
@@ -461,51 +475,34 @@ class _Rk4Route:
             raise IntegratorAccuracyError(
                 f"the rk4 state overflows past step {self.at}; decrease sample_dt"
             ) from None
-        tol = Z_DRIFT_TOL * (1.0 + abs(self.z_p0))
-        if not self.drift <= tol:  # a nan drift fails too
-            raise IntegratorAccuracyError(
-                f"plant observable drifted by {self.drift:.3e} over the run "
-                f"(tolerance {tol:.3e})",
-                drift=self.drift,
-            )
-        return self.drift
+        block[:, 1] = self.z_p0
+        block[:, self.n + 2 : 2 * self.n + 2] /= np.where(
+            on, steps * self.dt, block[:, 0]
+        )[:, None]
 
     def _build(self):
-        """The block powers and the entering product, and their sizes."""
-        self.P, step = self.blocks()
-        B, n = len(self.P), self.n
-        self.enter = np.vstack([self.P[:, 0], self.P[:, 1 : n + 1].sum(axis=0), step])
-        self.last = self.n_steps // B  # its steps up to n_steps read only their z_p
-        self.tail = self.n_steps + 1 - self.last * B
-        self.cap = max(1, _CHUNK_ENTRIES // len(self.enter))  # blocks per batch
-        self.read_cap = max(1, _chunk_rows(n) // B)  # blocks per call of _rows
+        """The block powers and the step of a block, and their sizes."""
+        self.P, self.step = self.blocks()
+        B = len(self.P)
+        self.last = self.n_steps // B  # the grid's last block
+        self.tail = self.n_steps + 1 - self.last * B  # its steps
+        self.cap = max(1, _CHUNK_ENTRIES // self.x.size)  # blocks per batch
+        self.read_cap = max(1, _chunk_rows(self.n) // B)  # blocks per call of _rows
 
     def _enter(self, stop):
-        """Enter the blocks before ``stop``: the batch ``j0, X, z, bases``.
+        """Enter the blocks before ``stop``: the batch ``j0, X`` of their first states.
 
-        Its blocks ``j0, j0 + 1, ...`` have first states ``X``, ``z_p`` at
-        their steps ``z`` and ``bases``, ``S_{start-1} - v_0 / 2`` at their
-        first steps ``start``.
+        The grid's last block steps no further, so no step past the grid
+        can overflow.
         """
-        B, n, j0 = len(self.P), self.n, self.entered
-        k = stop - j0
-        # out[i + 1] is block j0 + i's product with its first state out[i, B + n:]
-        out = np.zeros((k + 1, len(self.enter)))
-        out[0, B : B + n], out[0, B + n :] = self.base, self.x
-        for i in range(k):
+        B, j0 = len(self.P), self.entered
+        X = np.zeros((stop - j0 + 1, self.x.size))
+        X[0] = self.x
+        for i in range(min(stop, self.last) - j0):
             self.at = (j0 + i) * B
-            if j0 + i < self.last:
-                np.matmul(self.enter, out[i, B + n :], out=out[i + 1])
-            else:
-                out[i + 1, self.tail : B] = self.z_p0
-                x = out[i, B + n :]
-                np.matmul(self.enter[: self.tail], x, out=out[i + 1, : self.tail])
-        z = out[1:, :B]
-        # np.maximum keeps a nan, which then fails the drift check
-        self.drift = float(np.maximum(self.drift, np.abs(z - self.z_p0).max()))
-        bases = np.cumsum(out[:, B : B + n], axis=0)
-        self.x, self.base, self.entered = out[k, B + n :], bases[k], stop
-        self.batch = j0, out[:k, B + n :], z, bases[:k]
+            np.matmul(self.step, X[i], out=X[i + 1])
+        self.x, self.entered = X[-1], stop
+        self.batch = j0, X[:-1]
 
     def _read(self, idx, js, rows):
         """Fill ``rows`` with the readouts at the steps ``idx`` (in blocks ``js``).
@@ -518,7 +515,7 @@ class _Rk4Route:
         j, kept = self.kept
         lo = int(np.searchsorted(js, j + 1))  # the rows in block j
         if lo:
-            rows[:lo] = kept[:, idx[:lo] % B].T
+            rows[:lo] = kept[idx[:lo] % B]
         heads = np.flatnonzero(js[1:] != js[:-1]) + 1  # where a block's rows start
         if lo == 0:
             heads = np.concatenate(([0], heads))
@@ -530,54 +527,39 @@ class _Rk4Route:
             else:
                 at = np.searchsorted(blocks, js[lo:hi]) * B + idx[lo:hi] % B
             values = self._rows(blocks)
-            rows[lo:hi] = values[:, at].T
+            rows[lo:hi] = values[at]
         if heads.size:
-            self.kept = js[-1], values[:, -B:]
+            self.kept = js[-1], values[(blocks.size - 1) * B :].copy()
 
     def _side(self, row, k, j):
         """Move ``row``, read at grid step ``k`` of block ``j``, on to its time ``t``.
 
         One RK4 step of length ``h = t - k dt`` commutes with the grid's, so
         the readouts at ``t`` are ``P[k - j B] @ (M(h) @ X)``, with ``X`` the
-        block's first state in the batch in hand.  The average closes the
-        trapezoid to step ``k`` with the short piece; the area to step 0 is 0.
+        block's first state in the batch in hand.
         """
-        j0, X = self.batch[:2]
-        t, n, self.at = row[0], self.n, k
-        h = t - k * self.dt
-        values = self.P[k - j * len(self.P)] @ (_rk4_step(self.A, h) @ X[j - j0])
-        z_o, avg = row[2 : n + 2], row[n + 2 : 2 * n + 2]
-        area = k * self.dt * avg if k else 0.0
-        avg[:] = (area + h * (z_o + values[1 : n + 1]) / 2.0) / t
-        row[1 : n + 2], row[2 * n + 2 :] = values[: n + 1], values[n + 1 :]
-        self.drift = float(np.maximum(self.drift, abs(values[0] - self.z_p0)))
+        j0, X = self.batch
+        self.at = k
+        step = _rk4_step(self.A, row[0] - k * self.dt)
+        row[2:] = self.P[k - j * len(self.P)] @ (step @ X[j - j0])
 
     def _rows(self, js):
-        """The rows after ``t`` of the batch's blocks ``js``: one product ``P @ x`` each.
+        """The readouts of the batch's blocks ``js``: one product ``P @ x`` each.
 
-        Block ``js[i]``'s step ``b`` is column ``i B + b``.  The grid's last
+        Block ``js[i]``'s step ``b`` is row ``i B + b``.  The grid's last
         block, which may hold fewer than ``B`` steps, takes its own call.
         """
-        j0, X, z, bases = self.batch
-        (B, m, _), n = self.P.shape, self.n
-        rows = np.empty((self.width, js.size, B))  # the sums run along time
+        j0, X = self.batch
+        B, m, _ = self.P.shape
         full = js.size - (js[-1] == self.last)
+        parts = []
         for part, c in ((slice(0, full), B), (slice(full, None), self.tail)):
             at = js[part] - j0
             if at.size:
                 self.at = int(js[part][0]) * B
                 values = np.matmul(self.P[:c].reshape(c * m, -1), X[at, :, None])
-                values = values.reshape(at.size, c, m).transpose(2, 0, 1)
-                columns = rows[:, part, :c]
-                columns[0] = z[at, :c]
-                columns[1 : n + 1] = values[1 : n + 1]
-                v, avg = columns[1 : n + 1], columns[n + 1 : 2 * n + 1]
-                np.cumsum(v, axis=2, out=avg)
-                avg += bases[at].T[:, :, None]
-                avg -= 0.5 * v
-                avg /= js[part, None] * float(B) + np.arange(c)
-                columns[2 * n + 1 :] = values[n + 1 :]
-        return rows.reshape(self.width, -1)
+                parts.append(values.reshape(-1, m))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class _ExactRoute:
@@ -641,7 +623,7 @@ class _ExactRoute:
         self.keep_states = keep_states
 
     def fill(self, block):
-        """Fill a block of :func:`_tasks` after its ``t`` column; its drift is 0.
+        """Fill a block of :func:`_tasks` after its ``t`` column.
 
         The block is one chunk, at most ``_chunk_rows(N)`` times, and holds
         the full states when the route was set up with ``keep_states``.
@@ -658,7 +640,6 @@ class _ExactRoute:
             states, ramp = block[:, 2 * n + 2 :], self.rate * tt[:, None]
             states[:, 0:2] = self.x_p_base + ramp + values[:, 2 * n :]
             states[:, 2:] = self.steady + (phases @ self.modes.T).view(np.float64)
-        return 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -673,7 +654,8 @@ class ConsensusReport:
     the exact norm of the averaged readout-deviation operator, bounded by
     ``C/T`` times the readout norm ``||r_i|| = 1/|alpha|``, and ``slope``
     the fitted log-log decay rate of that residual (NaN, and ``null`` in
-    :meth:`to_dict`, when there is nothing to fit).
+    :meth:`to_dict`, when there is nothing to fit).  ``z_p_drift`` is 0.0:
+    both routes hold ``z_p`` at ``alpha @ x_p(0)``.
     """
 
     horizons: np.ndarray
@@ -712,7 +694,7 @@ def consensus_report(
     T |alpha|)``, read off the chain spectrum.  Both routes read only
     ``t = 0`` and the horizons.  The exact route evaluates each horizon
     itself, so ``sample_dt`` plays no part.  The ``rk4`` route steps its
-    grid to the largest horizon for its trapezoid averages and drift.
+    grid to the largest horizon.
 
     Raises
     ------
@@ -722,8 +704,8 @@ def consensus_report(
         a per-element error, trajectory envelope or matrix residual that is
         not finite, or a singular chain.
     IntegratorAccuracyError
-        If the ``rk4`` route's plant observable drifted beyond tolerance or
-        its state overflowed.
+        If the ``rk4`` route's drift fails its frame check or its state
+        overflows.
     """
     hs = np.atleast_1d(np.asarray(horizons, dtype=float))
     if hs.size == 0 or np.any(hs <= 0) or np.any(np.diff(hs) <= 0):
@@ -774,7 +756,7 @@ def consensus_report(
     return ConsensusReport(
         horizons=hs,
         z_p=z_p0,
-        z_p_drift=series.z_p_drift,
+        z_p_drift=0.0,
         per_element_error=per_element,
         trajectory_envelope=traj_env,
         matrix_residual=mat_resid,
@@ -804,8 +786,9 @@ def write_timeseries_csv(
         initial observer does not fit, or on the exact route if the chain is
         singular, before the file is opened.
     IntegratorAccuracyError
-        From the first ``rk4`` chunk whose drift exceeds the tolerance or
-        whose state overflows; the partial file is then deleted.
+        If the ``rk4`` route's drift fails its frame check, before the file
+        is opened, or from the first ``rk4`` chunk whose state overflows;
+        the partial file is then deleted.
     """
     rows, times_of = _grid(config, stride)
     tasks = _tasks(augmented, config, times_of, rows, False)
@@ -836,7 +819,7 @@ def _write_csv(n: int, tasks, path) -> None:
     local = threading.local()  # each thread's scratch
 
     def formatted(task):
-        block, _ = task()
+        block = task()
         scratch = getattr(local, "scratch", None)
         if scratch is None or scratch.size < block.size:
             scratch = local.scratch = _Scratch(block.size)

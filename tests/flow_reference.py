@@ -3,8 +3,7 @@
 No command runs these.  :class:`ConservativeFlow` is the dense exact flow of
 any positive-definite real Hamiltonian, the route the chain's Jacobi-form
 flow, time average and certificate replaced (``tests/test_parity.py``,
-acceptance criterion 6).  :func:`running_average` is the plain trapezoidal
-running average that the ``rk4`` route's streamed sums must reproduce.
+acceptance criterion 6).
 """
 
 from __future__ import annotations
@@ -99,24 +98,3 @@ class ConservativeFlow:
                 self._left @ (phases * coeff[:, None])
             ).T
         return out
-
-
-def running_average(times, values) -> np.ndarray:
-    """Trapezoidal running time-average of sampled values.
-
-    ``avg[k] = (1/t_k) * integral_0^{t_k} v dt`` with ``avg[0] = v[0]``.
-    Accepts ``(T,)`` or ``(T, k)`` values and preserves the shape.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    squeeze = v.ndim == 1
-    if squeeze:
-        v = v[:, None]
-    if t.ndim != 1 or v.shape[0] != t.size:
-        raise ValueError("values must have one row per time sample")
-    increments = 0.5 * (v[1:] + v[:-1]) * np.diff(t)[:, None]
-    cum = np.vstack([np.zeros((1, v.shape[1])), np.cumsum(increments, axis=0)])
-    avg = np.empty_like(cum)
-    avg[0] = v[0]
-    avg[1:] = cum[1:] / t[1:, None]
-    return avg[:, 0] if squeeze else avg

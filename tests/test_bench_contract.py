@@ -19,6 +19,7 @@ and N = 30 span many chunks of the CSV writer.  ``qbench`` is imported from
 the repository, read only.
 """
 
+import json
 import pathlib
 import sys
 
@@ -99,3 +100,20 @@ def test_csv_export_outputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
     assert kinds.count("csv") == 4
     assert set(kinds) == {"simulate", "sweep", "csv", "rk4"}
     assert problems == {}
+
+
+def test_certify_rk4_chain_reaches_a_thousand(tmp_path, monkeypatch):
+    # certify's seed-1 rk4_n10 chain with horizons [100, 1000] once exited 1
+    # on a z drift of 5.232e-9 against its tolerance of 1.760e-9; stepped in
+    # the plant frame it passes the benchmark's checks
+    monkeypatch.chdir(ROOT)
+    jobs = workloads.make_jobs("certify", seed=1, workdir=str(tmp_path))
+    (job,) = [job for job in jobs if job.config.endswith("rk4_n10.json")]
+    raw = {**reference.load(job.config), "horizons": [100.0, 1000.0]}
+    config, out = tmp_path / "rk4_n10_long.json", tmp_path / "report.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["simulate", str(config), "--out", str(out)]) == 0
+    report = reference.load(str(out))
+    assert report["z_p_drift"] == 0.0
+    ref = reference.sim_reference(raw)
+    assert reference.check_simulate(report, ref, rk4=True) == []

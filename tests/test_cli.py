@@ -587,12 +587,11 @@ def test_simulate_csv_drift_failure_leaves_no_file_and_no_thread(
     chunks = []
 
     def failing(self, block):
-        drift = fill(self, block)
+        fill(self, block)
         if len(block) > 2:  # the report reads two rows
             chunks.append(block[0, 0])
             if block[0, 0] > 100.0:
                 raise IntegratorAccuracyError(f"chunk at t = {block[0, 0]:g} failed")
-        return drift
 
     monkeypatch.setattr(sim._ExactRoute, "fill", failing)
     failed = tmp_path / "failed.csv"
@@ -752,21 +751,23 @@ _HUGE_OBSERVER = {"plant": [1.0, 0.0], "observer": [1e10, 0, 0, 0, 0, 0]}
             "at horizon 1e-300\n",
             id="sweep_envelope",
         ),
+        # steps past RK4's stability limit, y = 2 dt max|lam| > 2 sqrt(2),
+        # where |R(iy)|^2 = 1 - y^6/72 + y^8/576 > 1: y = 3.14 grows the
+        # state 2.0x a step, and it overflows in the 13th 81-step block
         pytest.param(
-            {**CANONICAL, "plant": {"alpha": [300.0, 400.0]}, "chain": {"mu": [1, 1]},
-             "initial": {"plant": [1.0, 0.0], "observer": "zero"},
-             "method": "rk4", "sample_dt": 0.001, "horizons": [10.0, 100.0]},
+            {**CANONICAL, "chain": {"mu": [10.0, 10.0]}, "method": "rk4",
+             "sample_dt": 0.06},
             ["simulate"],
             1,
-            "simulation failed: the rk4 state overflows past step 24832; "
+            "simulation failed: the rk4 state overflows past step 972; "
             "decrease sample_dt\n",
             id="rk4_state",
         ),
-        # M^b overflows while the block powers are built, before any step
+        # y = 10.5 grows it 482x a step, so M^b overflows while the
+        # 128 block powers are built, before any step
         pytest.param(
-            {**CANONICAL, "plant": {"alpha": [3000.0, 4000.0]}, "chain": {"mu": [1, 1]},
-             "initial": {"plant": [1.0, 0.0], "observer": "zero"},
-             "method": "rk4", "sample_dt": 0.01, "horizons": [10.0, 100.0]},
+            {**CANONICAL, "chain": {"mu": [100.0, 100.0]}, "method": "rk4",
+             "sample_dt": 0.02},
             ["simulate"],
             1,
             "simulation failed: the rk4 state overflows past step 0; "
@@ -934,16 +935,62 @@ def test_wrong_length_omega_override_is_a_config_error(tmp_path, capsys):
     ids=["simulate", "sweep"],
 )
 def test_drift_failure_is_reported_alike(tmp_path, capsys, monkeypatch, argv):
-    # a negative tolerance makes every rk4 run's drift check fail
-    monkeypatch.setattr(sim, "Z_DRIFT_TOL", -1.0)
+    # a drift doctored to feed the conserved plant observable fails every
+    # rk4 run's frame check
+    assemble = observer.assemble_augmented
+
+    def doctored(realization, plant):
+        augmented = assemble(realization, plant)
+        drift = augmented.drift.copy()
+        drift[0, 0] = 1e-3
+        return dataclasses.replace(augmented, drift=drift)
+
+    monkeypatch.setattr(observer, "assemble_augmented", doctored)
     out_path = tmp_path / "output"
     rk4 = _write(tmp_path, {**CANONICAL, "method": "rk4"})
     command = [argv[0], rk4, *argv[1:]]
     for extra in ([], ["--out", str(out_path)]):
         rc, out, err = _run(capsys, [*command, *extra])
         assert (rc, out) == (1, "")
-        assert err.startswith("simulation failed: plant observable drifted")
+        assert err.startswith(
+            "simulation failed: the drift feeds the plant observable or its ramp "
+            "by 1.000e-03"
+        )
     assert not out_path.exists()
+
+
+# design chains on which the rk4 route once leaked rounding into z, which
+# the plant's ramp then amplified: a drift of 6.2e-6 at alpha [3, 4], of
+# 2.1e13 at [30, 40], an overflow at step 6030 at [300, 400] and, at dt
+# 0.001 or alpha [3000, 4000], at steps 24832 and 0
+@pytest.mark.parametrize(
+    "alpha, dt",
+    [
+        pytest.param([3.0, 4.0], 0.01, id="alpha_3_4"),
+        pytest.param([30.0, 40.0], 0.01, id="alpha_30_40"),
+        pytest.param([300.0, 400.0], 0.01, id="alpha_300_400"),
+        pytest.param([300.0, 400.0], 0.001, id="alpha_300_400_fine"),
+        pytest.param([3000.0, 4000.0], 0.01, id="alpha_3000_4000"),
+    ],
+)
+def test_rk4_keeps_z_at_any_plant_gain(tmp_path, capsys, alpha, dt):
+    raw = {**CANONICAL, "plant": {"alpha": alpha}, "chain": {"mu": [1.0, 1.0]},
+           "method": "rk4", "sample_dt": dt}
+    csv_path = tmp_path / "series.csv"
+    argv = ["simulate", _write(tmp_path, raw), "--csv", str(csv_path)]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, err) == (0, "")
+    report = _strict_json(out)
+    assert report["passed"]
+    assert (report["z_p"], report["z_p_drift"]) == (alpha[0], 0.0)
+    z_p = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=1)
+    assert np.all(z_p == alpha[0])
+    # RK4's truncation, 1.2e-7 of the envelope at dt 0.01, is the same at
+    # every |alpha| and shrinks at the fourth order
+    _, out, _ = _run(capsys, ["simulate", _write(tmp_path, {**raw, "method": "exact"})])
+    exact = _strict_json(out)
+    gap = np.subtract(report["per_element_error"], exact["per_element_error"])
+    assert np.max(np.abs(gap) / exact["trajectory_envelope"]) <= 2e-7 * (dt / 0.01) ** 4
 
 
 # design chains on which the rounding of the structural zero alpha^T J alpha

@@ -9,7 +9,7 @@
 * Parsing a config, normalizing it, writing it as JSON and parsing it again
   changes nothing.
 * On design chains with up to 10 elements the exact and rk4 routes give the
-  same samples and averages over a short horizon, to the 1e-6 of
+  same samples and averages over a short horizon, to the 1e-6 and 1e-9 of
   ``tests/test_sim.py::test_exact_and_rk4_routes_agree``.  Gains stay in
   [0.1, 2] so that one ``dt = 0.001`` RK4 step resolves the fastest mode.
 
@@ -24,7 +24,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flow_reference import running_average
 from qchain import cli, observer, sim
 
 EXPECTED_CHECKS = [
@@ -159,5 +158,5 @@ def test_exact_and_rk4_routes_agree_on_design_chains(n, data, theta, horizon):
     stepped = sim.simulate(aug, replace(cfg, method="rk4"))
     assert np.max(np.abs(exact.z_p - stepped.z_p)) <= 1e-6
     assert np.max(np.abs(exact.z_o - stepped.z_o)) <= 1e-6
-    trapezoid = running_average(exact.times, exact.z_o)
-    assert np.max(np.abs(trapezoid - stepped.running_avg_z_o)) <= 1e-6
+    gap = np.abs(exact.running_avg_z_o - stepped.running_avg_z_o)
+    assert np.max(gap) <= 1e-9
